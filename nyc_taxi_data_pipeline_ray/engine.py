@@ -14,34 +14,40 @@ The Ray-Data-native replacement for the reference's whole ELT loop:
 - Redis counters (``fraud_detector.py:54-118``) -> manifest lineage,
   merged monoid-style by :meth:`CdcEngine.metrics`
 
-Dataflow of one :meth:`apply` run (a group of unapplied epochs)::
+Dataflow of one :meth:`apply` run (a group of unapplied epochs) — ONE
+Ray Data execution, Stage A -> pid exchange -> Stage B::
 
-    Stage A  (map over WAL row-group ranges, no exchange):
+    Stage A  (map over WAL row-group ranges):
       one task per ~row-group-range of a segment file:
         read -> conform -> validate -> per-unit LWW pre-combine
         -> ONE indexed parquet file per unit, rows grouped by (pid,
            salt): lake/_staging/group-G/unit-<unit>.parquet with one row
-           group per (pid, salt) run + an index of row-group ordinals
-           (in-band to the driver + sidecar JSON).  One file per unit —
-           not per (unit x partition) — avoids the map-side small-file
-           explosion (M x N files) at 10^10 events.
+           group per (pid, salt) run.  One file per unit — not per (unit
+           x partition) — avoids the map-side small-file explosion (M x N
+           files) at 10^10 events.
+        -> emits one slice row per (unit, pid, salt) run naming its row
+           groups; a unit's invalid rows go to rej-<unit>.parquet and
+           emit one reject-marked row on partition 0's key.
       unit names are DETERMINISTIC per (group, epoch, file, range),
       written tmp+rename: a retried task atomically overwrites identical
       bytes (exactly-once without any coordination).
 
-    [Stage A2, salt_shards > 1]  (map over (pid, salt), no exchange):
-      parallel pre-merge of one hot partition's salt slice into a single
-      combined fragment — the skew reducer: a conversation-heavy
-      partition is collapsed by salt_shards tasks before the final merge.
+    [Stage A2, salt_shards > 1]  (groupby (pid, salt) exchange):
+      pre-merge of one hot partition's salt slice into a single combined
+      fragment — the skew reducer: a conversation-heavy partition is
+      collapsed by salt_shards groups before the final merge.
 
-    Stage B  (map over partition ids, no exchange):
-      one task per lake partition: read that pid's staged fragments,
-      drop already-committed epochs (resume), LWW-merge, write delta run
-      + rejects + manifest (the commit point).
+    Stage B  (groupby pid exchange):
+      one group per lake partition: its slice rows ARE its slice index.
+      Read the named row groups, drop already-committed epochs (resume),
+      LWW-merge, write delta run + rejects + manifest (the commit point).
+      Merge parallelism follows the exchange's output blocks (about
+      min(units, partitions)).
 
     driver: global epoch markers, then staging cleanup.
 
-There is NO object-store all-to-all: the "shuffle" is the partitioned
+The payload never crosses the object store: the exchange moves only the
+small slice rows, while the rows themselves go through the partitioned
 staging write into the lake's storage (node-local disk here, S3/HDFS on
 a real cluster) — the standard external-shuffle layout for CDC upsert
 at the 10^10-event scale, where a sort-based exchange of the full text
@@ -54,12 +60,15 @@ unit of truth.
 
 from __future__ import annotations
 
+import contextlib
 import glob
+import hashlib
 import json
 import os
 import re
 import shutil
 import time
+import uuid
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +77,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+import ray
 import ray.data as rd
 
 from nyc_taxi_data_pipeline_ray import schemas
@@ -176,29 +186,43 @@ def _unit_name(u: dict) -> str:
 
 
 def _atomic_write_json_small(path: str, payload) -> None:
-    import json
-
     tmp = path + ".tmp"
     with open(tmp, "w") as f:
         json.dump(payload, f)
     os.replace(tmp, path)
 
 
-def _read_unit_index(idx_path: str) -> dict:
-    import json
+#: The rows that flow from Stage A through the pid exchange into Stage B:
+#: one per staged (file, pid, salt) run.  ``file`` is a name inside the
+#: group's staging dir (null on the one placeholder row per partition that
+#: makes every pid a group); ``rgs`` lists its row groups (null: the whole
+#: file); ``rej`` marks dead-letter rows, which always sit on pid 0.
+_SLICE_SCHEMA = pa.schema(
+    [
+        ("pid", pa.int32()),
+        ("salt", pa.int32()),
+        ("file", pa.string()),
+        ("rgs", pa.list_(pa.int32())),
+        ("rej", pa.bool_()),
+    ]
+)
 
-    with open(idx_path) as f:
-        return json.load(f)
+
+def _slice_table(rows: list[tuple]) -> pa.Table:
+    cols = list(zip(*rows)) or [[] for _ in _SLICE_SCHEMA]
+    return pa.table(
+        [pa.array(c, f.type) for c, f in zip(cols, _SLICE_SCHEMA)], schema=_SLICE_SCHEMA
+    )
 
 
 class _StageUnits:
     """Stage A task: read one WAL row-group range, prepare, and write the
-    rows split by (pid, salt) into deterministic staging fragments.
+    rows split by (pid, salt) into one indexed staging file per unit.
 
-    This *is* the shuffle — a map-side partitioned write into lake
-    storage instead of an object-store all-to-all.  Fragment paths are a
-    pure function of (group, epoch, file, row-group range, pid, salt), so
-    a retried or replayed task atomically rewrites identical fragments.
+    This is the map side of the shuffle — a partitioned write into lake
+    storage instead of an object-store all-to-all.  File names are a pure
+    function of (group, epoch, file, row-group range), so a retried or
+    replayed task atomically rewrites identical bytes.
     """
 
     def __init__(
@@ -207,6 +231,7 @@ class _StageUnits:
         target_schema_str: bytes | None,
         num_partitions: int,
         salt_shards: int,
+        first_unit: str,
     ):
         self.staging_dir = staging_dir
         # schemas don't pickle cheaply across many tasks; ship serialized
@@ -217,48 +242,36 @@ class _StageUnits:
         )
         self.num_partitions = num_partitions
         self.salt_shards = salt_shards
+        #: the unit whose task also emits one placeholder row per partition
+        self.first_unit = first_unit
 
     def __call__(self, units: pa.Table) -> pa.Table:
-        """Returns the unit's row-group index EXPLODED to one metadata
-        row per (unit, pid, salt) slice — reject units marked pid = -1.
-        The slice index therefore lives in the object store as ordinary
-        Dataset rows and flows to Stage A2/B through a ``groupby``
-        exchange; the driver never holds the O(units x partitions)
-        consolidated map (at 10^10 events / 4096 partitions that map is
-        ~10 GB of driver heap)."""
+        """Returns :data:`_SLICE_SCHEMA` rows: one per (unit, pid, salt)
+        run, reject units on partition 0's key with ``rej`` set.  These
+        rows reach Stage B through the pid exchange, so the calling
+        process never holds the O(units x partitions) slice map (~10 GB
+        of heap at 10^10 events / 4096 partitions).  The first unit also emits a
+        placeholder row for every partition, so a partition this group
+        does not touch still gets its (empty) manifest."""
         _ensure_worker_thread_limit()
-        import json
-
-        out_pid, out_salt, out_unit, out_rgs = [], [], [], []
+        rows = []
         for u in units.to_pylist():  # tiny descriptor rows, not a data loop
             pf = pq.ParquetFile(u["path"])
             t = pf.read_row_groups(list(range(u["rg_lo"], u["rg_hi"] + 1)))
             if self.target_schema is not None:
                 t = mg.conform(t, self.target_schema)
-            index, _ = self._write_fragments(t, u)
             name = _unit_name(u)
-            for key, rgs in index.items():
+            for key, rgs in self._write_fragments(t, name).items():
                 if key == "rej":
-                    out_pid.append(-1)
-                    out_salt.append(0)
-                    out_unit.append(name)
-                    out_rgs.append("rej")
+                    rows.append((0, 0, f"rej-{name}.parquet", None, True))
                 else:
                     p, s = key.split(":")
-                    out_pid.append(int(p))
-                    out_salt.append(int(s))
-                    out_unit.append(name)
-                    out_rgs.append(json.dumps(rgs))
-        return pa.table(
-            {
-                "pid": pa.array(out_pid, pa.int32()),
-                "salt": pa.array(out_salt, pa.int32()),
-                "unit": pa.array(out_unit, pa.string()),
-                "rgs_json": pa.array(out_rgs, pa.string()),
-            }
-        )
+                    rows.append((int(p), int(s), f"unit-{name}.parquet", rgs, False))
+            if name == self.first_unit:
+                rows.extend((p, 0, None, None, False) for p in range(self.num_partitions))
+        return _slice_table(rows)
 
-    def _write_fragments(self, t: pa.Table, u: dict) -> int:
+    def _write_fragments(self, t: pa.Table, name: str) -> dict[str, list[int]]:
         """Write ONE indexed parquet file per unit: rows sorted by
         (pid, salt), one row group per (pid, salt) run, plus a sidecar
         JSON index mapping "pid:salt" -> row-group ordinals.
@@ -274,10 +287,8 @@ class _StageUnits:
         final_idx, pid_s, salt_s, nsrc_s, bad_idx = _stage_plan(
             t, self.num_partitions, self.salt_shards
         )
-        name = _unit_name(u)
         os.makedirs(self.staging_dir, exist_ok=True)
         index: dict[str, list[int]] = {}
-        nrg = 0
         if len(final_idx):
             # the ONE full-payload gather: winners, already (pid, salt)-grouped
             body = t.take(pa.array(final_idx))
@@ -297,7 +308,6 @@ class _StageUnits:
                     w.write_table(body.slice(st, en - st), row_group_size=int(en - st))
                     index.setdefault(f"{int(pid_s[st])}:{int(salt_s[st])}", []).append(rg)
             os.replace(tmp, path)
-            nrg = len(starts)
         if bad_idx is not None and len(bad_idx):
             # dead-letter rows: raw, uncombined, routed to partition 0
             bad = t.take(pa.array(bad_idx))
@@ -305,105 +315,33 @@ class _StageUnits:
                 os.path.join(self.staging_dir, f"rej-{name}.parquet"), bad
             )
             index["rej"] = [len(bad_idx)]
-        # index written last = the unit's atomic commit marker (sidecar is
-        # for inspection/debugging; the authoritative copy travels in-band
-        # through the Stage-A task output into the A1.5 groupby, which
-        # consolidates it into per-pid index files — never onto the driver)
+        # index written last = the unit's atomic commit marker (the sidecar
+        # is for inspection; the authoritative copy travels in-band as the
+        # task's slice rows)
         _atomic_write_json_small(
             os.path.join(self.staging_dir, f"unit-{name}.idx.json"), index
         )
-        return index, nrg
+        return index
 
 
-def _slice_index_path(staging_dir: str, pid: int, salt: int | None = None) -> str:
-    if salt is None:
-        return os.path.join(staging_dir, f"slices-p{pid:04d}.json")
-    return os.path.join(staging_dir, f"slices-p{pid:04d}-s{salt:02d}.json")
-
-
-def _rej_index_path(staging_dir: str) -> str:
-    return os.path.join(staging_dir, "rej-units.json")
-
-
-class _ConsolidateSliceIndex:
-    """Stage A1.5 group task: fold Stage A's exploded slice-metadata rows
-    into per-partition JSON index files inside the staging dir — the
-    distributed replacement for the old driver-resident slice map (which
-    was O(units x partitions): ~10 GB of driver heap at the 10^10-event /
-    4096-partition target).
-
-    Runs as ``groupby("pid").map_groups``: the sort exchange may pack
-    several pids into one task (sampled boundaries collapse on duplicate
-    keys), which is harmless here — each group only writes a tiny JSON
-    file.  The HEAVY per-partition work (A2 pre-merge, Stage B merge)
-    then fans out with exact one-task-per-partition parallelism, each
-    task reading only its own index file."""
-
-    def __init__(self, staging_dir: str, salt_shards: int):
-        self.staging_dir = staging_dir
-        self.salt_shards = salt_shards
-
-    def __call__(self, group: pa.Table) -> pa.Table:
-        import json
-
-        pid = int(group["pid"][0].as_py())
-        if pid < 0:  # dead-letter units, routed to partition 0 at merge time
-            units = sorted(set(group["unit"].to_pylist()))
-            _atomic_write_json_small(_rej_index_path(self.staging_dir), units)
-            return pa.table(
-                {"pid": pa.array([pid], pa.int32()), "entries": pa.array([len(units)], pa.int64())}
-            )
-        entries = sorted(
-            (int(s), u, json.loads(rj))
-            for s, u, rj in zip(
-                group["salt"].to_pylist(),
-                group["unit"].to_pylist(),
-                group["rgs_json"].to_pylist(),
-            )
-        )
-        if self.salt_shards > 1:
-            for salt in sorted({s for s, _, _ in entries}):
-                _atomic_write_json_small(
-                    _slice_index_path(self.staging_dir, pid, salt),
-                    [[u, rgs] for s, u, rgs in entries if s == salt],
-                )
-        else:
-            _atomic_write_json_small(
-                _slice_index_path(self.staging_dir, pid),
-                [[u, rgs] for _, u, rgs in entries],
-            )
-        return pa.table(
-            {"pid": pa.array([pid], pa.int32()), "entries": pa.array([len(entries)], pa.int64())}
-        )
-
-
-def _load_slice_index(path: str) -> list:
-    import json
-
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except OSError:
-        return []  # partition untouched by this group
-
-
-def _read_slices(staging_dir: str, slices: list[tuple[str, list[int]]]) -> pa.Table | None:
-    """Concat the given (unit name, row-group ordinals) slices."""
+def _read_slices(staging_dir: str, slices: pa.Table) -> pa.Table | None:
+    """Concat the staged runs named by ``slices`` (:data:`_SLICE_SCHEMA`
+    rows with a file), in (salt, file) order so a retry reads its rows in
+    the same order."""
     tables = []
-    for unit, rgs in slices:
-        path = os.path.join(staging_dir, f"unit-{unit}.parquet")
-        tables.append(pq.ParquetFile(path).read_row_groups(sorted(rgs)))
+    for r in slices.sort_by([("salt", "ascending"), ("file", "ascending")]).to_pylist():
+        pf = pq.ParquetFile(os.path.join(staging_dir, r["file"]))
+        tables.append(pf.read() if r["rgs"] is None else pf.read_row_groups(sorted(r["rgs"])))
     return mg.concat_unified(tables) if tables else None
 
 
-def _pre_path(staging_dir: str, pid: int, salt: int) -> str:
-    return os.path.join(staging_dir, f"pre-p{pid:04d}-s{salt:02d}.parquet")
-
-
 class _PreMergeSalts:
-    """Stage A2 task (salt_shards > 1): collapse one (pid, salt) staging
-    slice into a single pre-combined fragment — parallel skew reduction
-    for conversation-heavy partitions before the per-pid merge.
+    """Stage A2 group task (salt_shards > 1), run as
+    ``groupby(["pid", "salt"]).map_groups`` inside the apply's single
+    execution: collapse one (pid, salt) slice into a single pre-combined
+    fragment — parallel skew reduction for conversation-heavy partitions
+    before the per-pid merge.  Emits one slice row naming that fragment;
+    reject and placeholder rows pass through unchanged.
 
     The pre-combine runs PER EPOCH (not across the whole group): a
     cross-epoch combine would sum ``_nsrc`` lineage weights across epoch
@@ -415,31 +353,34 @@ class _PreMergeSalts:
     def __init__(self, staging_dir: str):
         self.staging_dir = staging_dir
 
-    def __call__(self, pairs: pa.Table) -> pa.Table:
-        """Per (pid, salt) descriptor row: read the pair's slice list from
-        its A1.5 index file (never shipped through the driver) and
-        pre-combine."""
+    def __call__(self, group: pa.Table) -> pa.Table:
         _ensure_worker_thread_limit()
+        runs = pc.and_(pc.is_valid(group["file"]), pc.invert(group["rej"]))
+        rest = group.filter(pc.invert(runs))
+        good = _read_slices(self.staging_dir, group.filter(runs))
+        if good is None or good.num_rows == 0:
+            return rest
+        parts = []
+        for e in sorted(pc.unique(good["epoch"]).to_pylist()):
+            sub = good.filter(pc.equal(good["epoch"], e))
+            sub = mg.resolve_lww(mg.with_run_seq(sub, 0), drop_tombstones=False)
+            parts.append(sub.drop_columns([mg.RUN_SEQ]))
+        pid, salt = int(group["pid"][0].as_py()), int(group["salt"][0].as_py())
+        name = f"pre-p{pid:04d}-s{salt:02d}.parquet"
+        _atomic_write_parquet(
+            os.path.join(self.staging_dir, name), mg.concat_unified(parts)
+        )
+        return pa.concat_tables([rest, _slice_table([(pid, salt, name, None, False)])])
 
-        out = {"pid": [], "salt": [], "rows": []}
-        for p in pairs.to_pylist():
-            pid, salt = int(p["pid"]), int(p["salt"])
-            slices = _load_slice_index(_slice_index_path(self.staging_dir, pid, salt))
-            n = 0
-            good = _read_slices(self.staging_dir, slices)
-            if good is not None and good.num_rows:
-                parts = []
-                for e in sorted(pc.unique(good["epoch"]).to_pylist()):
-                    sub = good.filter(pc.equal(good["epoch"], e))
-                    sub = mg.resolve_lww(mg.with_run_seq(sub, 0), drop_tombstones=False)
-                    parts.append(sub.drop_columns([mg.RUN_SEQ]))
-                good = mg.concat_unified(parts)
-                _atomic_write_parquet(_pre_path(self.staging_dir, pid, salt), good)
-                n = good.num_rows
-            out["pid"].append(pid)
-            out["salt"].append(salt)
-            out["rows"].append(n)
-        return pa.table(out)
+
+def _capped_cpus(task_cpus: float) -> float:
+    """``task_cpus`` capped at the cluster's CPU count: Ray never
+    schedules a task that asks for more CPUs than the cluster has, so an
+    uncapped request (the default ``task_cpus=2`` on a 1-CPU node) would
+    make ``apply`` wait forever."""
+    if not ray.is_initialized():
+        ray.init()
+    return min(task_cpus, ray.cluster_resources().get("CPU", task_cpus))
 
 
 @dataclass
@@ -464,7 +405,8 @@ class _LakeLease:
 
     Two concurrent applies would delete each other's staging dirs
     (``apply`` clears stale ``_staging/group-*``), so writes are guarded
-    by ``<lake>/_lock.json`` created with O_EXCL.  A crashed writer's
+    by ``<lake>/_lock.json``, created atomically (hard link of a fully
+    written temp file, which fails if the lock exists).  A crashed writer's
     lock is stolen when its pid is dead (same host) or the lease is
     older than ``stale_after_s`` (the cross-host fallback a real cluster
     would replace with an object-store conditional put / DynamoDB lock,
@@ -482,43 +424,47 @@ class _LakeLease:
         self.wait_s = wait_s
 
     def __enter__(self):
-        import json
-
         os.makedirs(os.path.dirname(self.path), exist_ok=True)
         deadline = time.time() + self.wait_s
         while True:
-            payload = json.dumps({"pid": os.getpid(), "ts": time.time()})
+            token = uuid.uuid4().hex
+            self.payload = json.dumps(
+                {"pid": os.getpid(), "ts": time.time(), "token": token}
+            ).encode()
+            tmp = f"{self.path}.new-{token}"
+            with open(tmp, "wb") as f:
+                f.write(self.payload)
             try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                with os.fdopen(fd, "w") as f:
-                    f.write(payload)
+                os.link(tmp, self.path)  # atomic create: never seen half-written
                 return self
             except FileExistsError:
-                if self._is_stale():
-                    try:  # steal the stale lock and retry the create
-                        os.remove(self.path)
-                    except FileNotFoundError:
-                        pass
-                    continue
-                if time.time() < deadline:
-                    time.sleep(0.1)
-                    continue
-                raise LakeLockedError(
-                    f"lake is locked by another writer ({self.path}); "
-                    "concurrent apply/compact is not allowed"
-                ) from None
+                pass
+            finally:
+                os.remove(tmp)
+            try:
+                with open(self.path, "rb") as f:
+                    held = f.read()
+            except FileNotFoundError:
+                continue  # released meanwhile: retry the create
+            if self._is_stale(held):
+                self._remove_if(held)
+                continue
+            if time.time() < deadline:
+                time.sleep(0.1)
+                continue
+            raise LakeLockedError(
+                f"lake is locked by another writer ({self.path}); "
+                "concurrent apply/compact is not allowed"
+            )
 
-    def _is_stale(self) -> bool:
-        import json
-
+    def _is_stale(self, held: bytes) -> bool:
         try:
-            with open(self.path) as f:
-                held = json.load(f)
-        except (OSError, ValueError):
-            return True  # unreadable/corrupt lock: treat as stale
-        if time.time() - float(held.get("ts", 0)) > self.stale_after_s:
+            lease = json.loads(held)
+        except ValueError:
+            return True  # corrupt lock: treat as stale
+        if time.time() - float(lease.get("ts", 0)) > self.stale_after_s:
             return True
-        pid = held.get("pid")
+        pid = lease.get("pid")
         if isinstance(pid, int):
             try:
                 os.kill(pid, 0)  # signal 0: existence check only
@@ -528,11 +474,40 @@ class _LakeLease:
                 pass  # alive, owned by someone else
         return False
 
-    def __exit__(self, *exc):
+    def _remove_if(self, expected: bytes) -> None:
+        """Compare-and-delete: remove the lock only if it still holds
+        ``expected``.  A plain remove races — two waiters that judge the
+        same lock stale both remove it, and the second deletes the lease
+        the first has just created.  So the caller first hard-links the
+        lock to a claim name derived from ``expected`` (one claimant per
+        payload; the holder's own release uses the same name), re-reads
+        the linked file, and removes the lock only if it is unchanged.
+        While the claim exists no one else may remove this lease, and no
+        one can create a lock over it, so the removed file is the one
+        that was read."""
+        claim = f"{self.path}.del-{hashlib.sha1(expected).hexdigest()}"
         try:
-            os.remove(self.path)
+            os.link(self.path, claim)
         except FileNotFoundError:
-            pass
+            return  # already released or removed
+        except FileExistsError:
+            # another caller is removing this lease — unless its claim is
+            # old, left by a caller that died mid-removal: clear it so a
+            # later attempt can proceed
+            with contextlib.suppress(FileNotFoundError):
+                if time.time() - os.stat(claim).st_ctime > 60:
+                    os.remove(claim)
+            return
+        try:
+            with open(claim, "rb") as f:
+                if f.read() == expected:
+                    os.remove(self.path)
+        finally:
+            os.remove(claim)
+
+    def __exit__(self, *exc):
+        # only our own lease: one stolen from us as stale is the thief's
+        self._remove_if(self.payload)
         return False
 
 
@@ -656,7 +631,6 @@ class CdcEngine:
 
     def _apply_locked(self, work) -> ApplyReport:
         epochs = [e for e, _ in work]
-        files = [f for _, fs in work for f in fs]
         t0 = time.perf_counter()
 
         # schema evolution across epochs: unify per-epoch file schemas
@@ -670,12 +644,9 @@ class CdcEngine:
         staging_root = os.path.join(self.cfg.path, "_staging")
         staging_dir = os.path.join(staging_root, f"group-{group_id:06d}")
         # ALL stale staging is dead weight — including our own group's dir
-        # from a crashed earlier attempt.  Stage B consumes slice/reject
-        # index FILES and unit fragments from disk, so leftovers from an
-        # attempt over a since-rewritten WAL segment (a pid or reject set
-        # touched then but not now) would otherwise merge phantom rows;
-        # wiping restores the old in-band invariant that a retry always
-        # recomputes everything it reads.
+        # from a crashed earlier attempt: a retry restages every unit it
+        # merges, and Stage B reads only the runs this execution's slice
+        # rows name, so leftovers would only hold disk.
         if os.path.isdir(staging_root):
             for name in os.listdir(staging_root):
                 shutil.rmtree(os.path.join(staging_root, name), ignore_errors=True)
@@ -688,120 +659,53 @@ class CdcEngine:
             return time.perf_counter()
 
         tt = time.perf_counter()
-        # ---- Stage A: partitioned staging write (the map-side "shuffle")
         units = self._stage_units(work)
-        tt = _t("unit-scan", tt)
-        stage = _StageUnits(
-            staging_dir,
-            target_schema.serialize().to_pybytes(),
-            self.cfg.num_partitions,
-            self.cfg.salt_shards,
-        )
-        # Stage A's output is the exploded slice index — one metadata row
-        # per (unit, pid, salt), reject units as pid = -1.  Stage A1.5
-        # (chained onto the same execution) folds those rows into per-pid
-        # index FILES via a groupby exchange, so the driver never holds
-        # the consolidated O(units x partitions) map (~10 GB of Python
-        # objects at the 10^10-event / 4096-partition target).  The sort
-        # exchange may pack several pids into one A1.5 task (sampled
-        # boundaries collapse on duplicate keys) — harmless, each group
-        # just writes a tiny JSON; the heavy A2/B merges below keep exact
-        # one-task-per-partition fan-out by reading those files.
-        slice_rows = (
-            rd.from_arrow(units)
-            .repartition(units.num_rows)
-            .map_batches(
-                stage,
-                batch_format="pyarrow",
-                batch_size=None,
-                num_cpus=self.cfg.task_cpus,
-            )
-            .materialize()
-        )
-        tt = _t("stage-A", tt)
-        # coalesce the tiny metadata rows before the exchange: the sort's
-        # cost is per-block task overhead, not data volume — ~128 MB of
-        # metadata per block keeps the exchange a handful of tasks at any
-        # scale (3e8 rows / ~10 GB at the 4096-partition target -> ~80
-        # blocks; a few KB at test scale -> 1 block)
-        n_meta_blocks = max(
-            1,
-            min(self.cfg.num_partitions, (slice_rows.size_bytes() or 0) // (128 << 20) + 1),
-        )
-        (
-            slice_rows.repartition(n_meta_blocks)
-            .groupby("pid")
-            .map_groups(
-                _named(
-                    _ConsolidateSliceIndex(staging_dir, self.cfg.salt_shards),
-                    "consolidate_slice_index",
-                ),
-                batch_format="pyarrow",
-            )
-            .count()
-        )
-        tt = _t("stage-A1.5", tt)
-
-        # ---- Stage A2 (skew): parallel pre-merge of each (pid, salt) slice
-        if self.cfg.salt_shards > 1:
-            pairs = pa.table(
-                {
-                    "pid": pa.array(
-                        [
-                            p
-                            for p in range(self.cfg.num_partitions)
-                            for _ in range(self.cfg.salt_shards)
-                        ],
-                        pa.int32(),
-                    ),
-                    "salt": pa.array(
-                        list(range(self.cfg.salt_shards)) * self.cfg.num_partitions,
-                        pa.int32(),
-                    ),
-                }
-            )
-            (
-                rd.from_arrow(pairs)
-                .repartition(pairs.num_rows)
-                .map_batches(
-                    _PreMergeSalts(staging_dir),
-                    batch_format="pyarrow",
-                    batch_size=None,
-                    num_cpus=self.cfg.task_cpus,
-                )
-                .take_all()
-            )
-            tt = _t("stage-A2", tt)
-
-        # ---- Stage B: per-partition LWW merge + commit (one task per
-        # partition; each task loads its own A1.5 slice-index file)
         # event-time watermark through all PRIOR committed groups — one
         # threshold for every partition of this group.  Deterministic on
         # retry: prior groups are fully committed under the lease, so the
         # recompute fallback sees the same manifests.
         late_threshold_us = self._event_watermark(before_group=group_id)
+        tt = _t("unit-scan", tt)
+
+        # ONE execution: Stage A (partitioned staging write, one task per
+        # unit) -> [A2: (pid, salt) exchange + pre-merge] -> pid exchange
+        # -> Stage B (per-partition LWW merge + commit).  Only the small
+        # slice rows cross the exchanges, and this process collects just
+        # one report row per partition.
+        task_cpus = _capped_cpus(self.cfg.task_cpus)
+        stage = _StageUnits(
+            staging_dir,
+            target_schema.serialize().to_pybytes(),
+            self.cfg.num_partitions,
+            self.cfg.salt_shards,
+            first_unit=_unit_name(units[0]),
+        )
+        slices = rd.from_items(units, override_num_blocks=len(units)).map_batches(
+            stage, batch_format="pyarrow", batch_size=None, num_cpus=task_cpus
+        )
+        if self.cfg.salt_shards > 1:
+            slices = slices.groupby(["pid", "salt"]).map_groups(
+                _named(_PreMergeSalts(staging_dir), "pre_merge_salts"),
+                batch_format="pyarrow",
+                num_cpus=task_cpus,
+            )
         merge = _MergePartitions(
             self.cfg.path,
             staging_dir,
             group_id,
             sorted(epochs),
             self.cfg.max_delta_runs,
-            self.cfg.salt_shards,
             late_threshold_us,
         )
-        pids = pa.table({"pid": pa.array(range(self.cfg.num_partitions), pa.int32())})
-        reports = (
-            rd.from_arrow(pids)
-            .repartition(self.cfg.num_partitions)
-            .map_batches(
-                merge,
-                batch_format="pyarrow",
-                batch_size=None,
-                num_cpus=self.cfg.task_cpus,
+        reports = sorted(
+            slices.groupby("pid")
+            .map_groups(
+                _named(merge, "merge_partitions"), batch_format="pyarrow", num_cpus=task_cpus
             )
-            .take_all()
+            .take_all(),
+            key=lambda r: r["pid"],
         )
-        tt = _t("stage-B", tt)
+        tt = _t("stage-A -> pid exchange -> stage-B", tt)
 
         # global commit markers (driver-side, after every partition landed)
         for e in epochs:
@@ -840,11 +744,11 @@ class CdcEngine:
             rep.details.append(r)
         return rep
 
-    def _stage_units(self, work) -> pa.Table:
+    def _stage_units(self, work) -> list[dict]:
         """Split the WAL segment files of this run into row-group-aligned
         work units (driver-side footer metadata scan only)."""
         rows_per_unit = self.cfg.stage_unit_rows
-        out = {"epoch": [], "path": [], "file_idx": [], "rg_lo": [], "rg_hi": []}
+        out = []
         for epoch, fs in work:
             for fi, path in enumerate(fs):
                 md = pq.ParquetFile(path).metadata
@@ -852,21 +756,11 @@ class CdcEngine:
                 for rg in range(md.num_row_groups):
                     acc += md.row_group(rg).num_rows
                     if acc >= rows_per_unit or rg == md.num_row_groups - 1:
-                        out["epoch"].append(epoch)
-                        out["path"].append(path)
-                        out["file_idx"].append(fi)
-                        out["rg_lo"].append(lo)
-                        out["rg_hi"].append(rg)
+                        out.append(
+                            {"epoch": epoch, "path": path, "file_idx": fi, "rg_lo": lo, "rg_hi": rg}
+                        )
                         lo, acc = rg + 1, 0
-        return pa.table(
-            {
-                "epoch": pa.array(out["epoch"], pa.int32()),
-                "path": pa.array(out["path"], pa.string()),
-                "file_idx": pa.array(out["file_idx"], pa.int32()),
-                "rg_lo": pa.array(out["rg_lo"], pa.int32()),
-                "rg_hi": pa.array(out["rg_hi"], pa.int32()),
-            }
-        )
+        return out
 
     # ----------------------------------------------------------- tail / lag
     def lag(self, wal_dir: str) -> dict:
@@ -2089,9 +1983,12 @@ class CdcEngine:
 
 
 class _MergePartitions:
-    """Stage B task: one call per lake partition — read the pid's staged
-    fragments, LWW-merge, and commit a delta run (exactly-once via the
-    manifest protocol, see state/manifest.py docstring)."""
+    """Stage B group task, run as ``groupby("pid").map_groups``: one call
+    per lake partition, whose slice rows name its staged runs (rejects
+    only ever arrive on partition 0) — read them, LWW-merge, and commit a
+    delta run (exactly-once via the manifest protocol, see
+    state/manifest.py docstring).  A partition with only its placeholder
+    row commits an empty manifest."""
 
     def __init__(
         self,
@@ -2100,7 +1997,6 @@ class _MergePartitions:
         group_id: int,
         epochs: list[int],
         max_delta_runs: int,
-        salt_shards: int,
         late_threshold_us: int | None = None,
     ):
         self.lake_path = lake_path
@@ -2108,55 +2004,15 @@ class _MergePartitions:
         self.group_id = group_id
         self.epochs = epochs
         self.max_delta_runs = max_delta_runs
-        self.salt_shards = salt_shards
         self.late_threshold_us = late_threshold_us
 
-    def __call__(self, pids: pa.Table) -> pa.Table:
-        """Per partition descriptor row: slice list and dead-letter unit
-        list come from the A1.5 index files in the staging dir (never
-        shipped through the driver).  Rejects route to partition 0."""
+    def __call__(self, group: pa.Table) -> pa.Table:
         _ensure_worker_thread_limit()
-
-        rows = []
-        for p in pids.to_pylist():
-            pid = int(p["pid"])
-            slices = (
-                [] if self.salt_shards > 1  # B reads the pre-merged files
-                else [tuple(e) for e in _load_slice_index(_slice_index_path(self.staging_dir, pid))]
-            )
-            rejs = _load_slice_index(_rej_index_path(self.staging_dir)) if pid == 0 else []
-            rows.append(self._merge_one(pid, slices, rejs))
-        return pa.concat_tables(rows)
-
-    def _read_staged(
-        self, pid: int, slices: list, rej_units: list[str]
-    ) -> tuple[pa.Table | None, pa.Table | None]:
-        """(combined valid rows with _nsrc, raw reject rows)."""
-        if self.salt_shards > 1:
-            paths = [
-                _pre_path(self.staging_dir, pid, s)
-                for s in range(self.salt_shards)
-            ]
-            tables = [pq.read_table(p) for p in paths if os.path.exists(p)]
-            good = mg.concat_unified(tables) if tables else None
-        else:
-            good = _read_slices(self.staging_dir, slices)
-        bad = None
-        if rej_units:
-            bad = mg.concat_unified(
-                [
-                    pq.read_table(os.path.join(self.staging_dir, f"rej-{u}.parquet"))
-                    for u in rej_units
-                ]
-            )
-        return good, bad
-
-    def _merge_one(self, pid: int, slices: list, rej_units: list[str]) -> pa.Table:
-        good, bad = self._read_staged(pid, slices, rej_units)
+        staged = group.filter(pc.is_valid(group["file"]))
         return _apply_partition_group(
-            good,
-            bad,
-            pid,
+            _read_slices(self.staging_dir, staged.filter(pc.invert(staged["rej"]))),
+            _read_slices(self.staging_dir, staged.filter(staged["rej"])),
+            int(group["pid"][0].as_py()),
             self.lake_path,
             self.group_id,
             set(self.epochs),

@@ -791,6 +791,11 @@ class IvfIndex:
         concurrent ``compact()`` of OTHER mid-merge can surface as
         FileNotFoundError — re-run the merge against the settled view.
         """
+        if other.centroids.shape[1] != self.centroids.shape[1]:
+            raise ValueError(
+                f"source index has dimension {other.centroids.shape[1]} but "
+                f"this index has dimension {self.centroids.shape[1]}"
+            )
         if other.pq_books is not None and not other.pq_refine:
             raise ValueError(
                 "source index stores PQ codes without a refine column: "

@@ -1200,6 +1200,23 @@ def test_merge_from_attr_col_mismatch_raises(tmp_path):
         a.merge_from(b, segment_id=0)
 
 
+def test_merge_from_dimension_mismatch_raises(tmp_path):
+    """A source of another vector dimension is refused up front with a
+    typed error, before any segment is read or committed."""
+    import pytest
+
+    ids, mat = _vectors(n=40, d=8)
+    cent = _kmeans_lite(_normalize_rows(mat.astype(np.float64)), 2)
+    ids16, mat16 = _vectors(n=40, d=16)
+    cent16 = _kmeans_lite(_normalize_rows(mat16.astype(np.float64)), 2)
+    a = IvfIndex(os.path.join(str(tmp_path), "a"), centroids=cent)
+    b = IvfIndex(os.path.join(str(tmp_path), "b"), centroids=cent16)
+    b.add(_ds(ids16, mat16), segment_id=0)
+    with pytest.raises(ValueError, match="dimension"):
+        a.merge_from(b, segment_id=0)
+    assert a.segments() == []
+
+
 def test_merge_from_empty_source_commits_empty_segment(tmp_path):
     """Merging an empty index is a no-op that still consumes the
     segment id exactly once (the loop-shaped caller's epoch may be

@@ -1463,22 +1463,187 @@ def test_reshard_refuses_unrelated_nonempty_target(tmp_path):
 
 def test_apply_retry_discards_stale_staging(tmp_path):
     """A retry of a crashed apply() must recompute everything it reads:
-    stale unit fragments / slice indexes staged by the failed attempt
-    (possibly over a since-rewritten WAL segment) may not leak into the
-    merge (review finding on the driver-off slice index change)."""
+    a unit file and index staged by the failed attempt (possibly over a
+    since-rewritten WAL segment) may not leak into the merge, even under
+    the very unit name the retry stages again."""
+    import json
+
+    import pyarrow.parquet as pq
+
     spec = WalSpec(seed=62, num_conversations=30, num_epochs=2, events_per_epoch=300)
     gen, wal, eng = _build(str(tmp_path), spec)
-    # plant poison staging for the group id apply() will use (max epoch)
+    # plant poison staging for the group id apply() will use (max epoch),
+    # under the name of the retry's first unit: well-formed rows that
+    # would break oracle equality if they were merged
     staging = os.path.join(eng.cfg.path, "_staging", "group-000001")
     os.makedirs(staging)
-    poison = os.path.join(staging, "unit-99-deadbeef.parquet")
-    with open(poison, "w") as f:
-        f.write("not parquet")
-    with open(os.path.join(staging, "slices-p0001.json"), "w") as f:
-        f.write('[["99-deadbeef", [0]]]')
+    unit = "e000000-f0000-r00000"
+    bogus = gen.events_table().slice(0, 5)
+    bogus = bogus.set_column(
+        bogus.schema.get_field_index("text"), "text", pa.array(["poison"] * 5)
+    ).append_column("_nsrc", pa.array([1] * 5, pa.int64()))
+    poison = os.path.join(staging, f"unit-{unit}.parquet")
+    pq.write_table(bogus, poison)
+    with open(os.path.join(staging, f"unit-{unit}.idx.json"), "w") as f:
+        json.dump({f"{p}:0": [0] for p in range(4)}, f)
     eng.apply(wal)
     assert not os.path.exists(poison)  # wiped before staging, not merged
     _assert_equal_state(eng, gen)
+
+
+def _assert_ledger(eng, events, rep, num_partitions):
+    """One report row and one manifest per partition, in pid order; the
+    state equals the oracle; every reject sits in partition 0 and the
+    rejects() / metrics() counts agree with the report."""
+    from nyc_taxi_data_pipeline_ray.state import manifest as mf
+
+    assert rep.partitions == num_partitions
+    assert [d["pid"] for d in rep.details] == list(range(num_partitions))
+    group = max(rep.epochs)
+    for pid in range(num_partitions):
+        assert os.path.exists(mf.manifest_path(eng.cfg.path, pid, group))
+    snap = eng.snapshot_table()
+    exp = oracle.replay(events)
+    cols = sorted(exp.schema.names)
+    assert snap.select(cols).equals(exp.select(cols))
+    rej_files = glob.glob(os.path.join(eng.cfg.path, "p=*", "rejects-*.parquet"))
+    assert {os.path.basename(os.path.dirname(f)) for f in rej_files} <= {"p=0000"}
+    n_rej = sum(d["rejects"] for d in rep.details)
+    assert n_rej == rep.rejects == rep.details[0]["rejects"]
+    assert eng.rejects(after_epoch=group - 1).count() == n_rej
+    assert eng.fsck()["ok"]
+
+
+def _assert_reapply_noop(eng, wal, num_partitions):
+    """Re-applying is a no-op: nothing left to discover, and with the
+    global epoch markers lost (crash before they landed) every partition
+    skips the group it already committed."""
+    before = eng.snapshot_table()
+    assert eng.apply(wal).epochs == []
+    for f in glob.glob(os.path.join(eng.cfg.path, "_epochs", "*.json")):
+        os.remove(f)
+    rep = eng.apply(wal)
+    assert rep.skipped_partitions == rep.partitions == num_partitions
+    assert [d["pid"] for d in rep.details] == list(range(num_partitions))
+    assert eng.snapshot_table().equals(before)
+
+
+def test_single_conversation_commits_every_partition(tmp_path):
+    """A group that touches one partition of 16 still commits a manifest
+    for all 16 (untouched ones empty), reported in pid order."""
+    T = 1_735_689_600_000_000
+    wal = str(tmp_path / "wal")
+    events = _write_custom_wal(
+        wal,
+        [[(1, "insert", "c1", 0, T), (2, "insert", "c1", 1, T + 1), (3, "update", "c1", 0, T + 2)]],
+    )
+    eng = CdcEngine(LakeConfig.open_or_create(str(tmp_path / "lake"), num_partitions=16))
+    rep = eng.apply(wal)
+    _assert_ledger(eng, events, rep, 16)
+    touched = [d for d in rep.details if d["rows_in"]]
+    assert len(touched) == 1 and touched[0]["rows_in"] == 3
+    _assert_reapply_noop(eng, wal, 16)
+
+
+def test_all_invalid_epoch_lands_in_partition_zero_rejects(tmp_path):
+    """An epoch of nothing but invalid rows (spread over conversations
+    that hash everywhere) commits as rejects of partition 0 only."""
+    T = 1_735_689_600_000_000
+    wal = str(tmp_path / "wal")
+    good = [(i, "insert", f"c{i}", 0, T + i) for i in range(20)]
+    bad = [(100 + i, "bogus", f"c{i}", 1, T + 100 + i) for i in range(12)]
+    events = _write_custom_wal(wal, [good, bad])
+    eng = CdcEngine(LakeConfig.open_or_create(str(tmp_path / "lake"), num_partitions=8))
+    eng.apply(wal, max_epochs=1)
+    rep = eng.apply(wal)
+    assert rep.epochs == [1]
+    assert rep.rejects == rep.rows_in == 12
+    assert rep.upserts == rep.deletes == 0
+    _assert_ledger(eng, events, rep, 8)
+    assert eng.metrics()["rejects"] == 12
+    assert eng.rejects().count() == 12
+
+
+def test_salted_apply_with_rejects_and_untouched_partitions(tmp_path):
+    """salt_shards=4: the (pid, salt) pre-merge exchange keeps rejects on
+    partition 0 and still commits every untouched partition."""
+    spec = WalSpec(
+        seed=63,
+        num_conversations=3,
+        num_epochs=2,
+        events_per_epoch=400,
+        invalid_fraction=0.05,
+        zipf_s=1.5,
+    )
+    gen = WalGenerator(spec)
+    wal = str(tmp_path / "wal")
+    gen.write(wal)
+    eng = CdcEngine(
+        LakeConfig.open_or_create(str(tmp_path / "lake"), num_partitions=16, salt_shards=4)
+    )
+    rep = eng.apply(wal)
+    assert rep.rejects > 0
+    # at most one partition per conversation, plus partition 0's rejects
+    assert sum(1 for d in rep.details if d["rows_in"] == 0) >= 16 - 4
+    _assert_ledger(eng, gen.events_table(), rep, 16)
+    _assert_reapply_noop(eng, wal, 16)
+
+
+def test_task_cpus_above_cluster_size_still_runs(tmp_path):
+    """A task_cpus request larger than the cluster is capped at the
+    cluster's CPU count, so apply and compact run instead of waiting
+    forever for a node that does not exist."""
+    import ray
+
+    spec = WalSpec(seed=64, num_conversations=30, num_epochs=2, events_per_epoch=300)
+    big = int(ray.cluster_resources()["CPU"]) * 16
+    gen, wal, eng = _build(str(tmp_path), spec, task_cpus=big)
+    eng.apply(wal, max_epochs=1)
+    eng.apply(wal)
+    assert eng.compact() > 0
+    _assert_equal_state(eng, gen)
+
+
+def test_lease_steal_race_has_one_winner(tmp_path):
+    """Waiters racing to steal one stale lock: exactly one of them ends
+    up holding the lease (compare-and-delete, never a blind remove of a
+    lock another waiter has just created)."""
+    import json
+    import sys
+    import threading
+
+    from nyc_taxi_data_pipeline_ray.engine import LakeLockedError, _LakeLease
+
+    lock = os.path.join(str(tmp_path), "_lock.json")
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(25):
+            with open(lock, "w") as f:
+                json.dump({"pid": 2**22 + 12345, "ts": 0.0}, f)  # dead and expired
+            leases = [_LakeLease(str(tmp_path)) for _ in range(8)]
+            barrier = threading.Barrier(len(leases))
+            held = []
+
+            def race(lease):
+                barrier.wait(timeout=30)
+                try:
+                    lease.__enter__()
+                    held.append(lease)
+                except LakeLockedError:
+                    pass
+
+            threads = [threading.Thread(target=race, args=(le,)) for le in leases]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert len(held) == 1, f"round {round_}: {len(held)} holders"
+            held[0].__exit__(None, None, None)
+            assert os.listdir(str(tmp_path)) == []
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_all_deleted_lake_stays_oracle_equal(tmp_path):
