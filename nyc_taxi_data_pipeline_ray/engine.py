@@ -18,7 +18,7 @@ Dataflow of one :meth:`apply` run (a group of unapplied epochs) — ONE
 Ray Data execution, Stage A -> pid exchange -> Stage B::
 
     Stage A  (map over WAL row-group ranges):
-      one task per ~row-group-range of a segment file:
+      one unit per ~row-group-range of a segment file:
         read -> conform -> validate -> per-unit LWW pre-combine
         -> ONE indexed parquet file per unit, rows grouped by (pid,
            salt): lake/_staging/group-G/unit-<unit>.parquet with one row
@@ -41,8 +41,11 @@ Ray Data execution, Stage A -> pid exchange -> Stage B::
       one group per lake partition: its slice rows ARE its slice index.
       Read the named row groups, drop already-committed epochs (resume),
       LWW-merge, write delta run + rejects + manifest (the commit point).
-      Merge parallelism follows the exchange's output blocks (about
-      min(units, partitions)).
+
+    Units enter as min(units, cluster CPUs // task_cpus) blocks
+    (``io.fan_out``), one per task slot; the exchanges keep that width,
+    so Stage A, A2 and B each run at most one task per slot, and a task
+    works through its units or partitions one at a time.
 
     driver: global epoch markers, then staging cleanup.
 
@@ -77,11 +80,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-import ray
 import ray.data as rd
 
 from nyc_taxi_data_pipeline_ray import schemas
 from nyc_taxi_data_pipeline_ray.config import LakeConfig
+from nyc_taxi_data_pipeline_ray.io import capped_cpus, fan_out
 from nyc_taxi_data_pipeline_ray.stages import validate as validate_mod
 from nyc_taxi_data_pipeline_ray.state import manifest as mf
 from nyc_taxi_data_pipeline_ray.state import merge as mg
@@ -216,8 +219,9 @@ def _slice_table(rows: list[tuple]) -> pa.Table:
 
 
 class _StageUnits:
-    """Stage A task: read one WAL row-group range, prepare, and write the
-    rows split by (pid, salt) into one indexed staging file per unit.
+    """Stage A task: for each unit of its block (one WAL row-group
+    range), read, prepare, and write the rows split by (pid, salt) into
+    one indexed staging file per unit.
 
     This is the map side of the shuffle — a partitioned write into lake
     storage instead of an object-store all-to-all.  File names are a pure
@@ -371,16 +375,6 @@ class _PreMergeSalts:
             os.path.join(self.staging_dir, name), mg.concat_unified(parts)
         )
         return pa.concat_tables([rest, _slice_table([(pid, salt, name, None, False)])])
-
-
-def _capped_cpus(task_cpus: float) -> float:
-    """``task_cpus`` capped at the cluster's CPU count: Ray never
-    schedules a task that asks for more CPUs than the cluster has, so an
-    uncapped request (the default ``task_cpus=2`` on a 1-CPU node) would
-    make ``apply`` wait forever."""
-    if not ray.is_initialized():
-        ray.init()
-    return min(task_cpus, ray.cluster_resources().get("CPU", task_cpus))
 
 
 @dataclass
@@ -668,11 +662,11 @@ class CdcEngine:
         tt = _t("unit-scan", tt)
 
         # ONE execution: Stage A (partitioned staging write, one task per
-        # unit) -> [A2: (pid, salt) exchange + pre-merge] -> pid exchange
+        # task slot) -> [A2: (pid, salt) exchange + pre-merge] -> pid exchange
         # -> Stage B (per-partition LWW merge + commit).  Only the small
         # slice rows cross the exchanges, and this process collects just
         # one report row per partition.
-        task_cpus = _capped_cpus(self.cfg.task_cpus)
+        task_cpus = capped_cpus(self.cfg.task_cpus)
         stage = _StageUnits(
             staging_dir,
             target_schema.serialize().to_pybytes(),
@@ -680,7 +674,7 @@ class CdcEngine:
             self.cfg.salt_shards,
             first_unit=_unit_name(units[0]),
         )
-        slices = rd.from_items(units, override_num_blocks=len(units)).map_batches(
+        slices = fan_out(units, task_cpus).map_batches(
             stage, batch_format="pyarrow", batch_size=None, num_cpus=task_cpus
         )
         if self.cfg.salt_shards > 1:
@@ -695,6 +689,7 @@ class CdcEngine:
             group_id,
             sorted(epochs),
             self.cfg.max_delta_runs,
+            self.cfg.base_row_group_rows,
             late_threshold_us,
         )
         reports = sorted(
@@ -848,8 +843,8 @@ class CdcEngine:
         drop_tombstones: bool = False,
     ) -> int:
         """Merge each partition's base + delta runs into a new base
-        generation (LSM compaction).  Distributed: one Ray task per
-        partition via map_batches over partition descriptors.
+        generation (LSM compaction).  Distributed: map_batches over
+        partition descriptors, one Ray task per task slot.
 
         Tombstones are RETAINED by default: the WAL carries out-of-order
         timestamps that cross epoch boundaries, so a delete's tombstone
@@ -866,7 +861,7 @@ class CdcEngine:
 
         with _LakeLease(self.cfg.path):
 
-            row_group_rows = getattr(self.cfg, "base_row_group_rows", BASE_ROW_GROUP_ROWS)
+            row_group_rows = self.cfg.base_row_group_rows
 
             def compact_one(batch: pa.Table) -> pa.Table:
                 done = []
@@ -882,8 +877,7 @@ class CdcEngine:
                     )
                 return pa.table({"pid": batch["pid"], "compacted": pa.array(done, pa.bool_())})
 
-            ds = rd.from_arrow(pa.table({"pid": pa.array(pids, pa.int32())}))
-            ds = ds.repartition(len(pids)).map_batches(compact_one, batch_format="pyarrow")
+            ds = _fan_out_pids(pids).map_batches(compact_one, batch_format="pyarrow")
             return sum(1 for r in ds.take_all() if r["compacted"])
 
     def _live_pids(self) -> list[int]:
@@ -900,8 +894,10 @@ class CdcEngine:
     def snapshot(
         self, columns: list[str] | None = None, *, as_of_epoch: int | None = None
     ) -> rd.Dataset:
-        """The lake's current state as a Dataset (one merge task per
-        partition; fully-compacted partitions are a plain columnar read).
+        """The lake's current state as a Dataset: one task per task slot,
+        each merging its partitions' base and delta runs one partition at
+        a time (a fully-compacted partition is one run, so its merge only
+        drops tombstones).
 
         ``as_of_epoch`` time-travels: the returned state is what the
         lake held right after that epoch's commit group (manifests are
@@ -916,28 +912,23 @@ class CdcEngine:
         """
         pids = self._live_pids()
         lake_path = self.cfg.path
-        if not pids:
-            return rd.from_arrow(
-                schemas.empty_state()
-            )
 
-        def read_one(batch: pa.Table) -> pa.Table:
-            parts = [
+        def select(t: pa.Table) -> pa.Table:
+            if columns:
+                return t.select([c for c in columns if c in t.schema.names])
+            return t
+
+        if not pids:
+            return rd.from_arrow(select(schemas.empty_state()))
+
+        def read_one(batch: pa.Table):
+            states = (
                 _read_partition_state(lake_path, int(pid), as_of_epoch)
                 for pid in batch["pid"].to_pylist()
-            ]
-            parts = [p for p in parts if p is not None and p.num_rows]
-            if not parts:
-                return schemas.empty_state()
-            out = mg.concat_unified(parts)
-            if columns:
-                out = out.select([c for c in columns if c in out.schema.names])
-            return out
+            )
+            yield from map(select, _rows_or_empty(states, schemas.empty_state()))
 
-        ds = rd.from_arrow(pa.table({"pid": pa.array(pids, pa.int32())}))
-        return ds.repartition(len(pids)).map_batches(
-            read_one, batch_format="pyarrow", batch_size=None
-        )
+        return _fan_out_pids(pids).map_batches(read_one, batch_format="pyarrow")
 
     def snapshot_table(
         self, columns: list[str] | None = None, *, as_of_epoch: int | None = None
@@ -974,59 +965,51 @@ class CdcEngine:
             + list(schemas.TRANSCRIPT_SCHEMA)
             + [("change_group", pa.int32())]
         )
+        empty = feed_schema.empty_table()
         if not pids:
-            return rd.from_arrow(
-                pa.table({f.name: pa.array([], f.type) for f in feed_schema})
+            return rd.from_arrow(empty)
+
+        def partition_changes(pid: int) -> pa.Table | None:
+            base = mf.current_base(lake_path, pid)
+            through_g = -1 if base is None else mf.compact_through(lake_path, pid, base[0])
+            if after_epoch < through_g:
+                raise ValueError(
+                    f"changes after epoch {after_epoch} of partition {pid} were "
+                    f"folded into the base (compaction watermark {through_g}); "
+                    "re-sync from a snapshot"
+                )
+            for m in mf.read_manifests(lake_path, pid):
+                eps = m.get("epochs") or [m["group_id"]]
+                lo, hi = min(eps), max(eps)
+                for edge in (after_epoch, through_epoch):
+                    if edge is not None and lo <= edge < hi:
+                        raise ValueError(
+                            f"epoch {edge} falls inside commit group "
+                            f"{m['group_id']} (epochs {sorted(eps)}); the "
+                            "change feed is commit-group-granular"
+                        )
+            outs = []
+            for ep, path in mf.delta_runs(lake_path, pid):
+                if ep > after_epoch and (through_epoch is None or ep <= through_epoch):
+                    t = pq.read_table(path)
+                    t = t.drop_columns(
+                        [c for c in (mg.NSRC, mg.RUN_SEQ) if c in t.schema.names]
+                    )
+                    outs.append(
+                        t.append_column(
+                            "change_group", pa.array(np.full(t.num_rows, ep, np.int32))
+                        )
+                    )
+            outs = [o for o in outs if o.num_rows]
+            return mg.concat_unified(outs) if outs else None
+
+        def read_changes(batch: pa.Table):
+            yield from _rows_or_empty(
+                (partition_changes(int(pid)) for pid in batch["pid"].to_pylist()),
+                empty,
             )
 
-        def read_changes(batch: pa.Table) -> pa.Table:
-            outs = []
-            for pid in batch["pid"].to_pylist():
-                pid = int(pid)
-                base = mf.current_base(lake_path, pid)
-                through_g = -1
-                if base is not None:
-                    markers = {
-                        m["generation"]: m for m in mf.read_compact_markers(lake_path, pid)
-                    }
-                    through_g = markers.get(base[0], {}).get("through_group", -1)
-                if after_epoch < through_g:
-                    raise ValueError(
-                        f"changes after epoch {after_epoch} of partition {pid} were "
-                        f"folded into the base (compaction watermark {through_g}); "
-                        "re-sync from a snapshot"
-                    )
-                for m in mf.read_manifests(lake_path, pid):
-                    eps = m.get("epochs") or [m["group_id"]]
-                    lo, hi = min(eps), max(eps)
-                    for edge in (after_epoch, through_epoch):
-                        if edge is not None and lo <= edge < hi:
-                            raise ValueError(
-                                f"epoch {edge} falls inside commit group "
-                                f"{m['group_id']} (epochs {sorted(eps)}); the "
-                                "change feed is commit-group-granular"
-                            )
-                for ep, path in mf.delta_runs(lake_path, pid):
-                    if ep > after_epoch and (through_epoch is None or ep <= through_epoch):
-                        t = pq.read_table(path)
-                        t = t.drop_columns(
-                            [c for c in (mg.NSRC, mg.RUN_SEQ) if c in t.schema.names]
-                        )
-                        outs.append(
-                            t.append_column(
-                                "change_group",
-                                pa.array(np.full(t.num_rows, ep, np.int32)),
-                            )
-                        )
-            outs = [o for o in outs if o.num_rows]
-            if not outs:
-                return pa.table({f.name: pa.array([], f.type) for f in feed_schema})
-            return mg.concat_unified(outs)
-
-        ds = rd.from_arrow(pa.table({"pid": pa.array(pids, pa.int32())}))
-        return ds.repartition(len(pids)).map_batches(
-            read_changes, batch_format="pyarrow", batch_size=None
-        )
+        return _fan_out_pids(pids).map_batches(read_changes, batch_format="pyarrow")
 
     def rejects(
         self, *, after_epoch: int = -1, through_epoch: int | None = None
@@ -1051,41 +1034,35 @@ class CdcEngine:
             [("reject_group", pa.int32()), ("reason", pa.string())]
             + list(schemas.EVENT_SCHEMA)
         )
-
-        def read_rejects(batch: pa.Table) -> pa.Table:
-            outs = []
-            for pid in batch["pid"].to_pylist():
-                pid = int(pid)
-                for m in mf.read_manifests(lake_path, pid):
-                    g = int(m["group_id"])
-                    if g <= after_epoch or (through_epoch is not None and g > through_epoch):
-                        continue
-                    path = mf.rejects_path(lake_path, pid, g)
-                    if not os.path.exists(path):
-                        continue
-                    t = pq.read_table(path)
-                    t = t.drop_columns(
-                        [c for c in (mg.NSRC, mg.RUN_SEQ) if c in t.schema.names]
-                    )
-                    t = t.append_column(
-                        "reject_group", pa.array(np.full(t.num_rows, g, np.int32))
-                    ).append_column(
-                        "reason", pa.array(validate_mod.reject_reasons(t), pa.string())
-                    )
-                    outs.append(t)
-            outs = [o for o in outs if o.num_rows]
-            if not outs:
-                return pa.table({f.name: pa.array([], f.type) for f in feed_schema})
-            return mg.concat_unified(outs)
-
+        empty = feed_schema.empty_table()
         if not pids:
-            return rd.from_arrow(
-                pa.table({f.name: pa.array([], f.type) for f in feed_schema})
+            return rd.from_arrow(empty)
+
+        def partition_rejects(pid: int) -> pa.Table | None:
+            outs = []
+            for m in mf.read_manifests(lake_path, pid):
+                g = int(m["group_id"])
+                if g <= after_epoch or (through_epoch is not None and g > through_epoch):
+                    continue
+                path = mf.rejects_path(lake_path, pid, g)
+                if not os.path.exists(path):
+                    continue
+                t = pq.read_table(path)
+                t = t.drop_columns([c for c in (mg.NSRC, mg.RUN_SEQ) if c in t.schema.names])
+                t = t.append_column(
+                    "reject_group", pa.array(np.full(t.num_rows, g, np.int32))
+                ).append_column("reason", pa.array(validate_mod.reject_reasons(t), pa.string()))
+                outs.append(t)
+            outs = [o for o in outs if o.num_rows]
+            return mg.concat_unified(outs) if outs else None
+
+        def read_rejects(batch: pa.Table):
+            yield from _rows_or_empty(
+                (partition_rejects(int(pid)) for pid in batch["pid"].to_pylist()),
+                empty,
             )
-        ds = rd.from_arrow(pa.table({"pid": pa.array(pids, pa.int32())}))
-        return ds.repartition(len(pids)).map_batches(
-            read_rejects, batch_format="pyarrow", batch_size=None
-        )
+
+        return _fan_out_pids(pids).map_batches(read_rejects, batch_format="pyarrow")
 
     def diff(self, *, from_epoch: int, to_epoch: int | None = None) -> rd.Dataset:
         """Before/after-image change classification between two committed
@@ -1098,8 +1075,8 @@ class CdcEngine:
         images are derived on demand from the LSM runs themselves.
 
         Partition-local and shuffle-free — both states of a key live in
-        the same partition, so each Ray task merges one partition twice
-        and joins the two states vectorized.  Inherits ``snapshot()``'s
+        the same partition, so a task merges each of its partitions
+        twice and joins the two states vectorized.  Inherits ``snapshot()``'s
         time-travel constraints: raises below the compaction watermark
         or inside a multi-epoch commit group.
         """
@@ -1108,22 +1085,9 @@ class CdcEngine:
         if not pids:
             return rd.from_arrow(_empty_diff())
 
-        def diff_one(batch: pa.Table) -> pa.Table:
-            outs = [
-                _diff_states(
-                    _read_partition_state(lake_path, int(pid), from_epoch),
-                    _read_partition_state(lake_path, int(pid), to_epoch),
-                )
-                for pid in batch["pid"].to_pylist()
-            ]
-            outs = [o for o in outs if o.num_rows]
-            if not outs:
-                return _empty_diff()
-            return pa.concat_tables(outs)
-
-        ds = rd.from_arrow(pa.table({"pid": pa.array(pids, pa.int32())}))
-        return ds.repartition(len(pids)).map_batches(
-            diff_one, batch_format="pyarrow", batch_size=None
+        return _fan_out_pids(pids).map_batches(
+            _diff_partitions(lake_path, from_epoch, lake_path, to_epoch),
+            batch_format="pyarrow",
         )
 
     # -------------------------------------------------- derived WAL epochs
@@ -1419,10 +1383,7 @@ class CdcEngine:
             )
 
         if pids:
-            ds = rd.from_arrow(pa.table({"pid": pa.array(pids, pa.int32())}))
-            ds.repartition(len(pids)).map_batches(
-                export_one, batch_format="pyarrow", batch_size=None
-            ).count()
+            _fan_out_pids(pids).map_batches(export_one, batch_format="pyarrow").count()
         # drop part files from a previous export with MORE partitions
         # (e.g. exporting a resharded lake into the same directory) —
         # stale files must not pollute a glob-reading consumer
@@ -1449,12 +1410,12 @@ class CdcEngine:
 
         Two distributed stages, both embarrassingly parallel:
 
-        1. one task per SOURCE partition merges its runs (tombstones
+        1. each SOURCE partition merges its runs (tombstones
            RETAINED — they must keep masking late out-of-order events
            after the move, exactly as in compaction) and splits the
            rows by ``hash(conv_id) % new_N`` into per-target fragment
            files (tmp-named, atomic);
-        2. one task per TARGET partition concatenates its fragments —
+        2. each TARGET partition concatenates its fragments —
            no re-merge needed: each key lived in exactly one source
            partition and arrives already LWW-resolved, keys from
            different sources are disjoint — key-sorts, and writes a
@@ -1497,7 +1458,7 @@ class CdcEngine:
             batch_size=src.batch_size,
             stage_unit_rows=src.stage_unit_rows,
             task_cpus=src.task_cpus,
-            base_row_group_rows=getattr(src, "base_row_group_rows", BASE_ROW_GROUP_ROWS),
+            base_row_group_rows=src.base_row_group_rows,
         )
         with _LakeLease(src.path):
             applied = sorted(self._global_committed())
@@ -1534,10 +1495,8 @@ class CdcEngine:
                     }
                 )
 
-            ds = rd.from_arrow(pa.table({"pid": pa.array(src_pids, pa.int32())}))
-            ds.repartition(max(len(src_pids), 1)).map_batches(
-                split_one, batch_format="pyarrow", batch_size=None
-            ).count()
+            if src_pids:
+                _fan_out_pids(src_pids).map_batches(split_one, batch_format="pyarrow").count()
 
             def build_one(batch: pa.Table) -> pa.Table:
                 out_pid, out_rows = [], []
@@ -1603,11 +1562,8 @@ class CdcEngine:
                     }
                 )
 
-            tds = rd.from_arrow(
-                pa.table({"pid": pa.array(list(range(num_partitions)), pa.int32())})
-            )
-            tds.repartition(num_partitions).map_batches(
-                build_one, batch_format="pyarrow", batch_size=None
+            _fan_out_pids(range(num_partitions)).map_batches(
+                build_one, batch_format="pyarrow"
             ).count()
 
             src_epochs = os.path.join(src.path, "_epochs")
@@ -1684,7 +1640,7 @@ class CdcEngine:
         :meth:`checksum`: two same-layout lakes (a replica pair, or
         source and `reshard` target at equal partition counts) compare
         P small digests and drill into ONLY the partitions that
-        disagree, instead of shipping rows.  One Ray task per
+        disagree, instead of shipping rows.  One digest per
         partition, same row encoding as the global checksum (which
         equals the XOR of these)."""
         cols = [f.name for f in schemas.TRANSCRIPT_SCHEMA]
@@ -1713,12 +1669,7 @@ class CdcEngine:
                 }
             )
 
-        ds = rd.from_arrow(pa.table({"pid": pa.array(pids, pa.int32())}))
-        df = (
-            ds.repartition(len(pids))
-            .map_batches(one, batch_format="pyarrow", batch_size=None)
-            .to_pandas()
-        )
+        df = _fan_out_pids(pids).map_batches(one, batch_format="pyarrow").to_pandas()
         return {
             int(r.pid): {"checksum": int(r.x), "rows": int(r.n)}
             for r in df.itertuples()
@@ -1727,8 +1678,8 @@ class CdcEngine:
     def antientropy_diff(self, other: "CdcEngine") -> pa.Table:
         """Merkle-style anti-entropy between two SAME-LAYOUT lakes:
         compare per-partition digests, then compute before/after key
-        diffs ONLY for the partitions that disagree (partition-local,
-        one Ray task each; agreeing partitions ship one int).  Returns
+        diffs ONLY for the partitions that disagree (partition-local;
+        agreeing partitions ship one int).  Returns
         the :data:`DIFF_SCHEMA` table of keys whose LWW winner differs
         (``before`` = this lake, ``after`` = other) — the repair
         worklist replication (``export_changes_as_wal``) or a targeted
@@ -1748,26 +1699,14 @@ class CdcEngine:
         )
         if not stale:
             return _empty_diff()
-        a_path, b_path = self.cfg.path, other.cfg.path
-
-        def diff_one(batch: pa.Table) -> pa.Table:
-            outs = [
-                _diff_states(
-                    _read_partition_state(a_path, int(pid)),
-                    _read_partition_state(b_path, int(pid)),
-                )
-                for pid in batch["pid"].to_pylist()
-            ]
-            outs = [o for o in outs if o.num_rows]
-            return pa.concat_tables(outs) if outs else _empty_diff()
-
-        ds = rd.from_arrow(pa.table({"pid": pa.array(stale, pa.int32())}))
-        batches = [
-            b if isinstance(b, pa.Table) else pa.table(b)
-            for b in ds.repartition(len(stale))
-            .map_batches(diff_one, batch_format="pyarrow", batch_size=None)
+        batches = list(
+            _fan_out_pids(stale)
+            .map_batches(
+                _diff_partitions(self.cfg.path, None, other.cfg.path, None),
+                batch_format="pyarrow",
+            )
             .iter_batches(batch_format="pyarrow")
-        ]
+        )
         t = pa.concat_tables(batches or [_empty_diff()], promote_options="default")
         return t.sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
 
@@ -1826,17 +1765,8 @@ class CdcEngine:
                 return schemas.empty_state()
             return mg.concat_unified(outs)
 
-        work = pa.table(
-            {
-                "pid": pa.array(list(by_pid), pa.int32()),
-                "keys": pa.array(list(by_pid.values()), pa.list_(pa.string())),
-            }
-        )
-        return (
-            rd.from_arrow(work)
-            .repartition(work.num_rows)
-            .map_batches(read_keys, batch_format="pyarrow", batch_size=None)
-        )
+        work = [{"pid": pid, "keys": keys} for pid, keys in by_pid.items()]
+        return fan_out(work).map_batches(read_keys, batch_format="pyarrow")
 
     # --------------------------------------------------------------- metrics
     def describe(self) -> dict:
@@ -1894,8 +1824,7 @@ class CdcEngine:
             base = mf.current_base(self.cfg.path, pid)
             through = -1
             if base is not None:
-                markers = {m["generation"]: m for m in mf.read_compact_markers(self.cfg.path, pid)}
-                through = markers.get(base[0], {}).get("through_group", -1)
+                through = mf.compact_through(self.cfg.path, pid, base[0])
             committed = {}
             for m in mf.read_manifests(self.cfg.path, pid):
                 committed[int(m["group_id"])] = m
@@ -1982,6 +1911,46 @@ class CdcEngine:
 # ---------------------------------------------------------------- task bodies
 
 
+def _fan_out_pids(pids) -> rd.Dataset:
+    """Partition ids as a :func:`fan_out` Dataset: one block per task slot."""
+    return fan_out([{"pid": int(p)} for p in pids])
+
+
+def _rows_or_empty(tables, empty: pa.Table):
+    """The body of a per-partition generator task: yield each non-empty
+    table of ``tables`` (a lazy per-partition iterator, so the task
+    holds one partition's output at a time), or ``empty`` when none has
+    rows, so every task still reports the output schema."""
+    seen = False
+    for t in tables:
+        if t is not None and t.num_rows:
+            seen = True
+            yield t
+    if not seen:
+        yield empty
+
+
+def _diff_partitions(a_path: str, a_epoch, b_path: str, b_epoch):
+    """Generator task for :meth:`CdcEngine.diff` and
+    :meth:`CdcEngine.antientropy_diff`: one :data:`DIFF_SCHEMA` table per
+    partition between lake ``a`` as of ``a_epoch`` and lake ``b`` as of
+    ``b_epoch`` (None: current)."""
+
+    def diff_batch(batch: pa.Table):
+        yield from _rows_or_empty(
+            (
+                _diff_states(
+                    _read_partition_state(a_path, int(pid), a_epoch),
+                    _read_partition_state(b_path, int(pid), b_epoch),
+                )
+                for pid in batch["pid"].to_pylist()
+            ),
+            _empty_diff(),
+        )
+
+    return diff_batch
+
+
 class _MergePartitions:
     """Stage B group task, run as ``groupby("pid").map_groups``: one call
     per lake partition, whose slice rows name its staged runs (rejects
@@ -1997,6 +1966,7 @@ class _MergePartitions:
         group_id: int,
         epochs: list[int],
         max_delta_runs: int,
+        base_row_group_rows: int,
         late_threshold_us: int | None = None,
     ):
         self.lake_path = lake_path
@@ -2004,6 +1974,7 @@ class _MergePartitions:
         self.group_id = group_id
         self.epochs = epochs
         self.max_delta_runs = max_delta_runs
+        self.base_row_group_rows = base_row_group_rows
         self.late_threshold_us = late_threshold_us
 
     def __call__(self, group: pa.Table) -> pa.Table:
@@ -2017,6 +1988,7 @@ class _MergePartitions:
             self.group_id,
             set(self.epochs),
             self.max_delta_runs,
+            self.base_row_group_rows,
             self.late_threshold_us,
         )
 
@@ -2038,9 +2010,10 @@ def _apply_partition_group(
     group_id: int,
     epoch_set: set[int],
     max_delta_runs: int,
+    base_row_group_rows: int,
     late_threshold_us: int | None = None,
 ) -> pa.Table:
-    already = mf.committed_epoch_groups(lake_path, pid)
+    already = mf.committed_epoch_groups(lake_path, pid, min_epoch=min(epoch_set))
     new_epochs = sorted(e for e in epoch_set if e not in already)
     if not new_epochs:
         # retry of a committed group: surface the committed watermark so
@@ -2123,7 +2096,7 @@ def _apply_partition_group(
 
     # opportunistic LSM compaction when read amplification grows
     if len(mf.delta_runs(lake_path, pid)) > max_delta_runs:
-        _compact_partition(lake_path, pid, force=True)
+        _compact_partition(lake_path, pid, force=True, row_group_rows=base_row_group_rows)
 
     return _report_row(
         pid,
@@ -2191,13 +2164,6 @@ def _dict_cols(schema: pa.Schema) -> list[str]:
     return [c for c in ("conv_id", "role", "tool", "op", "model") if c in schema.names]
 
 
-#: rows per row group in compacted base files.  Bases are key-sorted, so
-#: bounded groups give footer min/max stats real selectivity: a point
-#: lookup reads O(keys) groups of a multi-GB partition, not the file.
-#: 64k rows x ~2 KB text ~ 128 MB per group.
-BASE_ROW_GROUP_ROWS = 65536
-
-
 #: codec for every lake-owned parquet file (staging fragments, deltas,
 #: bases, rejects, exports).  LZ4 over the default snappy: measured on
 #: the WAL-shaped payload (200k rows / 218 MB of ~2 KB texts), lz4
@@ -2256,8 +2222,7 @@ def _partition_runs_once(
     through = -1
     if base is not None:
         gen, path = base
-        markers = {m["generation"]: m for m in mf.read_compact_markers(lake_path, pid)}
-        through = markers.get(gen, {}).get("through_group", -1)
+        through = mf.compact_through(lake_path, pid, gen)
         if as_of_epoch is not None and through > as_of_epoch:
             raise ValueError(
                 f"as_of_epoch={as_of_epoch} predates partition {pid}'s compaction "
@@ -2429,8 +2394,7 @@ def _partition_run_paths(lake_path: str, pid: int) -> list[str]:
     base = mf.current_base(lake_path, pid)
     through = -1
     if base is not None:
-        markers = {m["generation"]: m for m in mf.read_compact_markers(lake_path, pid)}
-        through = markers.get(base[0], {}).get("through_group", -1)
+        through = mf.compact_through(lake_path, pid, base[0])
         paths.append(base[1])
     paths.extend(p for ep, p in mf.delta_runs(lake_path, pid) if ep > through)
     return paths
@@ -2580,7 +2544,7 @@ def _compact_partition(
     *,
     force: bool,
     drop_tombstones: bool = False,
-    row_group_rows: int = BASE_ROW_GROUP_ROWS,
+    row_group_rows: int,
 ) -> bool:
     """Fold base + deltas into a new base generation.  Tombstones are
     RETAINED unless ``drop_tombstones`` (full compaction, WAL complete):
@@ -2601,8 +2565,7 @@ def _compact_partition(
     gen = (base[0] + 1) if base else 1
     through = max((ep for ep, _ in deltas), default=-1)
     if base is not None:
-        markers = {m["generation"]: m for m in mf.read_compact_markers(lake_path, pid)}
-        through = max(through, markers.get(base[0], {}).get("through_group", -1))
+        through = max(through, mf.compact_through(lake_path, pid, base[0]))
     _atomic_write_parquet(
         mf.base_path(lake_path, pid, gen), merged, row_group_rows=row_group_rows
     )

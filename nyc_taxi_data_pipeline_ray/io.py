@@ -67,6 +67,34 @@ def read_parquet_clean(path: str, *, columns: list[str] | None = None, **kwargs)
     return ds.map_batches(_strip_schema_metadata, batch_format="pyarrow")
 
 
+def _cluster_cpus(default: float) -> float:
+    import ray
+
+    if not ray.is_initialized():
+        ray.init()
+    return ray.cluster_resources().get("CPU", default)
+
+
+def capped_cpus(task_cpus: float) -> float:
+    """``task_cpus`` capped at the cluster's CPU count: Ray never
+    schedules a task that asks for more CPUs than the cluster has, so an
+    uncapped request (the default ``task_cpus=2`` on a 1-CPU node) would
+    make ``apply`` wait forever."""
+    return min(task_cpus, _cluster_cpus(task_cpus))
+
+
+def fan_out(rows: list[dict], task_cpus: float = 1) -> rd.Dataset:
+    """A Dataset of small work descriptors (partition ids, Stage-A units)
+    with one block per task slot the cluster can run at once, not one per
+    row: ``min(len(rows), cluster CPUs // task_cpus)`` blocks.  A task
+    works through its block's rows in turn and holds one row's data at a
+    time; blocks beyond the slot count would add scheduling and exchange
+    overhead without adding parallelism."""
+    cpus = _cluster_cpus(task_cpus)
+    slots = int(cpus // min(task_cpus, cpus))
+    return rd.from_items(rows, override_num_blocks=max(1, min(len(rows), slots)))
+
+
 def collect_table(ds: rd.Dataset) -> pa.Table:
     """Materialize a SMALL dataset (dims, pruned query sets) into one
     Arrow table on the caller, skipping the schemaless empty blocks a

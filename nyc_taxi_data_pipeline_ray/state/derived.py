@@ -54,6 +54,7 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 from nyc_taxi_data_pipeline_ray import schemas
+from nyc_taxi_data_pipeline_ray.io import fan_out
 from nyc_taxi_data_pipeline_ray.state import manifest as mf
 
 KEY = ("conv_id", "turn_idx")
@@ -216,19 +217,8 @@ class DerivedTable:
                     }
                 )
 
-            work = pa.table(
-                {
-                    "pid": pa.array([p for p, _, _ in stale], pa.int32()),
-                    "wm": pa.array([w for _, w, _ in stale], pa.int64()),
-                    "old": pa.array([o for _, _, o in stale], pa.int64()),
-                }
-            )
-            res = (
-                rd.from_arrow(work)
-                .repartition(len(stale))
-                .map_batches(refresh_one, batch_format="pyarrow", batch_size=None)
-                .to_pandas()
-            )
+            work = [{"pid": p, "wm": w, "old": o} for p, w, o in stale]
+            res = fan_out(work).map_batches(refresh_one, batch_format="pyarrow").to_pandas()
             witness_total = int(res["work"].sum())
 
         rows = 0

@@ -93,12 +93,28 @@ def committed_epochs(lake_path: str, pid: int) -> set[int]:
     return out
 
 
-def committed_epoch_groups(lake_path: str, pid: int) -> set[int]:
+def committed_epoch_groups(
+    lake_path: str, pid: int, min_epoch: int | None = None
+) -> set[int]:
     """All epochs covered by this partition's committed manifests (a
-    manifest file may commit several epochs applied as one group)."""
+    manifest file may commit several epochs applied as one group).
+
+    With ``min_epoch``, only the manifests that can cover an epoch at or
+    above it are loaded: a manifest is named by its group id, which is
+    the maximum epoch of its group, so ``manifest-G.json`` with
+    ``G < min_epoch`` covers no such epoch.  A resume check then reads
+    the manifests of the groups it may be retrying, not the whole
+    history."""
     out: set[int] = set()
-    for m in read_manifests(lake_path, pid):
-        out.update(m.get("epochs", [m.get("group_id")]))
+    d = partition_dir(lake_path, pid)
+    if not os.path.isdir(d):
+        return out
+    for name in os.listdir(d):
+        m = _MANIFEST_RE.match(name)
+        if m and (min_epoch is None or int(m.group(1)) >= min_epoch):
+            with open(os.path.join(d, name)) as f:
+                man = json.load(f)
+            out.update(man.get("epochs", [man.get("group_id")]))
     return out
 
 
@@ -193,6 +209,17 @@ def current_base(lake_path: str, pid: int) -> tuple[int, str] | None:
 
 def compact_marker_path(lake_path: str, pid: int, generation: int) -> str:
     return os.path.join(partition_dir(lake_path, pid), f"compact-{generation:06d}.json")
+
+
+def compact_through(lake_path: str, pid: int, generation: int) -> int:
+    """The last commit group folded into base ``generation``, from that
+    generation's marker alone (-1 when it has none).  Markers of
+    superseded generations are never opened."""
+    try:
+        with open(compact_marker_path(lake_path, pid, generation)) as f:
+            return int(json.load(f).get("through_group", -1))
+    except FileNotFoundError:
+        return -1
 
 
 def read_compact_markers(lake_path: str, pid: int) -> list[dict]:

@@ -39,6 +39,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
+from nyc_taxi_data_pipeline_ray.io import fan_out
 from nyc_taxi_data_pipeline_ray.state import manifest as mf
 
 #: Per-conversation aggregate row.
@@ -173,18 +174,8 @@ class MaterializedView:
                     rows.append(view.num_rows)
                 return pa.table({"pid": batch["pid"], "rows": pa.array(rows, pa.int64())})
 
-            work = pa.table(
-                {
-                    "pid": pa.array([p for p, _ in stale], pa.int32()),
-                    "wm": pa.array([w for _, w in stale], pa.int64()),
-                }
-            )
-            (
-                rd.from_arrow(work)
-                .repartition(len(stale))
-                .map_batches(refresh_one, batch_format="pyarrow", batch_size=None)
-                .count()
-            )
+            work = [{"pid": p, "wm": w} for p, w in stale]
+            fan_out(work).map_batches(refresh_one, batch_format="pyarrow").count()
 
         total = 0
         for pid in pids:

@@ -39,6 +39,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
+from nyc_taxi_data_pipeline_ray.io import fan_out
 from nyc_taxi_data_pipeline_ray.state import manifest as mf
 
 
@@ -103,7 +104,7 @@ class SecondaryIndex:
         lake_path = self.engine.cfg.path
         view_path = self.path
         column = self.column
-        row_group_rows = getattr(self.engine.cfg, "base_row_group_rows", 65536)
+        row_group_rows = self.engine.cfg.base_row_group_rows
         pids = self.engine._live_pids()
         stale: list[tuple[int, int]] = []
         reused = 0
@@ -155,18 +156,8 @@ class SecondaryIndex:
                     {"pid": batch["pid"], "rows": pa.array(rows, pa.int64())}
                 )
 
-            work = pa.table(
-                {
-                    "pid": pa.array([p for p, _ in stale], pa.int32()),
-                    "wm": pa.array([w for _, w in stale], pa.int64()),
-                }
-            )
-            (
-                rd.from_arrow(work)
-                .repartition(len(stale))
-                .map_batches(refresh_one, batch_format="pyarrow", batch_size=None)
-                .count()
-            )
+            work = [{"pid": p, "wm": w} for p, w in stale]
+            fan_out(work).map_batches(refresh_one, batch_format="pyarrow").count()
 
         rows = 0
         for pid in pids:
@@ -206,9 +197,8 @@ class SecondaryIndex:
             # can disagree on turn_idx width until both are rewritten
             return pa.concat_tables(outs, promote_options="default") if outs else empty
 
-        ds = rd.from_arrow(pa.table({"pid": pa.array(pids, pa.int32())}))
-        return ds.repartition(len(pids)).map_batches(
-            read_one, batch_format="pyarrow", batch_size=None
+        return fan_out([{"pid": p} for p in pids]).map_batches(
+            read_one, batch_format="pyarrow"
         )
 
     def lookup_stats(self, values) -> dict:

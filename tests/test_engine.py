@@ -1687,3 +1687,150 @@ def test_all_deleted_lake_stays_oracle_equal(tmp_path):
     assert snap.select(cols).equals(exp.select(cols))
     eng.compact()
     assert eng.snapshot_table().select(cols).equals(exp.select(cols))
+
+
+# ------------------------------------------------- fan-out to task slots
+
+
+@pytest.mark.parametrize("task_cpus", [1, 2])
+@pytest.mark.parametrize("n", [1, 3, 64])
+def test_fan_out_blocks_follow_task_slots(n, task_cpus):
+    """``fan_out`` makes one block per task slot, never more than rows,
+    and keeps every row in order."""
+    import ray
+
+    from nyc_taxi_data_pipeline_ray.io import fan_out
+
+    cpus = int(ray.cluster_resources()["CPU"])
+    assert cpus == 4  # the test cluster (conftest.py)
+    ds = fan_out([{"i": i} for i in range(n)], task_cpus).materialize()
+    assert ds.num_blocks() == min(n, cpus // task_cpus)
+    assert [r["i"] for r in ds.take_all()] == list(range(n))
+
+
+@pytest.mark.parametrize("salt_shards", [1, 4])
+def test_apply_with_more_units_than_slots_equals_oracle(tmp_path, salt_shards):
+    """Many one-row-group units over few task slots: a Stage-A block
+    holds several units, one of them the first unit that emits the
+    placeholder rows, so every partition (most of them untouched) still
+    commits and the state equals the oracle."""
+    spec = WalSpec(
+        seed=71,
+        num_conversations=6,
+        num_epochs=3,
+        events_per_epoch=600,
+        invalid_fraction=0.03,
+        dup_fraction=0.05,
+        rows_per_file=150,
+    )
+    gen = WalGenerator(spec)
+    wal = str(tmp_path / "wal")
+    gen.write(wal)
+    eng = CdcEngine(
+        LakeConfig.open_or_create(
+            str(tmp_path / "lake"),
+            num_partitions=16,
+            salt_shards=salt_shards,
+            stage_unit_rows=1,
+            task_cpus=1,
+        )
+    )
+    units = eng._stage_units(eng.discover(wal))
+    assert len(units) > 4 * 2  # at least two units per slot
+    rep = eng.apply(wal)
+    _assert_ledger(eng, gen.events_table(), rep, 16)
+    _assert_reapply_noop(eng, wal, 16)
+
+
+def test_snapshot_of_empty_partitions_keeps_schema(tmp_path):
+    """Partitions without live rows yield an empty table of the
+    requested columns, so every block of a snapshot has one schema —
+    both when only some partitions are empty and when all are."""
+    import ray
+
+    from nyc_taxi_data_pipeline_ray import schemas
+
+    T = 1_735_689_600_000_000
+    wal = str(tmp_path / "wal")
+    good = [(1, "insert", "c1", 0, T), (2, "insert", "c2", 0, T + 1)]
+    bad = [(100 + i, "bogus", f"c{i}", 1, T + 100 + i) for i in range(12)]
+    _write_custom_wal(wal, [good])
+    eng = CdcEngine(LakeConfig.open_or_create(str(tmp_path / "lake"), num_partitions=8))
+    eng.apply(wal)
+    cols = ["conv_id", "text"]
+
+    def block_schemas():
+        ds = eng.snapshot(columns=cols)
+        return ds, [b.schema.names for b in ray.get(ds.to_arrow_refs())]
+
+    ds, names = block_schemas()
+    assert names and all(n == cols for n in names)
+    assert ds.count() == 2
+
+    # all-invalid lake: every partition is empty
+    empty_wal = str(tmp_path / "wal-bad")
+    _write_custom_wal(empty_wal, [bad])
+    eng = CdcEngine(LakeConfig.open_or_create(str(tmp_path / "lake-bad"), num_partitions=8))
+    assert eng.apply(empty_wal).rejects == 12
+    ds, names = block_schemas()
+    assert names and all(n == cols for n in names)
+    assert ds.count() == 0
+    assert eng.snapshot().schema().names == schemas.empty_state().schema.names
+
+
+def test_stage_b_compaction_uses_lake_base_row_group_rows(tmp_path):
+    """Auto-compaction inside apply writes bases with the lake's
+    ``base_row_group_rows``, not the 64k-row default."""
+    import pyarrow.parquet as pq
+
+    from nyc_taxi_data_pipeline_ray.state import manifest as mf
+
+    gen, wal, eng = _build(str(tmp_path), SPEC, base_row_group_rows=64, max_delta_runs=1)
+    for _ in range(3):
+        eng.apply(wal, max_epochs=1)
+    bases = [mf.current_base(eng.cfg.path, pid) for pid in eng._live_pids()]
+    mds = [pq.ParquetFile(b[1]).metadata for b in bases if b is not None]
+    assert mds and max(md.num_rows for md in mds) > 64
+    for md in mds:
+        assert max(md.row_group(i).num_rows for i in range(md.num_row_groups)) <= 64
+    _assert_equal_state(eng, gen)
+
+
+def test_corrupt_superseded_compact_marker_is_ignored(tmp_path):
+    """Readers and the compactor open only the current generation's
+    compact marker; a damaged marker of a superseded generation breaks
+    none of them."""
+    from nyc_taxi_data_pipeline_ray.state import manifest as mf
+
+    gen, wal, eng = _build(str(tmp_path), SPEC)
+    eng.apply(wal, max_epochs=1)
+    eng.compact()
+    eng.apply(wal, max_epochs=1)
+    eng.compact()
+    for pid in eng._live_pids():
+        assert mf.current_base(eng.cfg.path, pid)[0] == 2
+        with open(mf.compact_marker_path(eng.cfg.path, pid, 1), "w") as f:
+            f.write("{not json")
+    conv = gen.events_table()["conv_id"][0].as_py()
+    assert eng.get_conversation(conv).num_rows > 0
+    eng.apply(wal)
+    assert eng.compact() == len(eng._live_pids())
+    _assert_equal_state(eng, gen)
+
+
+def test_resume_check_reads_only_manifests_that_can_cover_the_group(tmp_path):
+    """``committed_epoch_groups(min_epoch=E)`` opens only manifests named
+    at or above E (a manifest's name is its group's max epoch), so an
+    unreadable older manifest does not matter, and a multi-epoch group
+    reaching below E is still seen."""
+    from nyc_taxi_data_pipeline_ray.state import manifest as mf
+
+    lake = str(tmp_path)
+    os.makedirs(mf.partition_dir(lake, 0))
+    with open(mf.manifest_path(lake, 0, 1), "w") as f:
+        f.write("{not json")
+    mf.atomic_write_json(mf.manifest_path(lake, 0, 4), {"group_id": 4, "epochs": [2, 3, 4]})
+    mf.atomic_write_json(mf.manifest_path(lake, 0, 5), {"group_id": 5, "epochs": [5]})
+    assert mf.committed_epoch_groups(lake, 0, min_epoch=3) == {2, 3, 4, 5}
+    assert mf.committed_epoch_groups(lake, 0, min_epoch=5) == {5}
+    assert mf.committed_epoch_groups(lake, 1, min_epoch=0) == set()
