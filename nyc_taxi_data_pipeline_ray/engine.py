@@ -15,7 +15,7 @@ The Ray-Data-native replacement for the reference's whole ELT loop:
   merged monoid-style by :meth:`CdcEngine.metrics`
 
 Dataflow of one :meth:`apply` run (a group of unapplied epochs) — ONE
-Ray Data execution, Stage A -> pid exchange -> Stage B::
+Ray Data execution, Stage A -> [A2] -> Stage B::
 
     Stage A  (map over WAL row-group ranges):
       one unit per ~row-group-range of a segment file:
@@ -32,24 +32,29 @@ Ray Data execution, Stage A -> pid exchange -> Stage B::
       written tmp+rename: a retried task atomically overwrites identical
       bytes (exactly-once without any coordination).
 
-    [Stage A2, salt_shards > 1]  (groupby (pid, salt) exchange):
+    [Stage A2, salt_shards > 1]  (one call per (pid, salt) group):
       pre-merge of one hot partition's salt slice into a single combined
       fragment — the skew reducer: a conversation-heavy partition is
       collapsed by salt_shards groups before the final merge.
 
-    Stage B  (groupby pid exchange):
+    Stage B  (one call per pid group):
       one group per lake partition: its slice rows ARE its slice index.
       Read the named row groups, drop already-committed epochs (resume),
       LWW-merge, write delta run + rejects + manifest (the commit point).
 
     Units enter as min(units, cluster CPUs // task_cpus) blocks
-    (``io.fan_out``), one per task slot; the exchanges keep that width,
-    so Stage A, A2 and B each run at most one task per slot, and a task
-    works through its units or partitions one at a time.
+    (``io.fan_out``), one per task slot, and the block count picks the
+    plan (``ApplyReport.plan``).  One block ("fused": a one-unit
+    micro-batch, any apply on a 1-slot node): its map task runs Stage A,
+    then A2 and B over its own slice rows — no exchange.  More blocks
+    ("exchange"): groupby exchanges feed A2 and B; they keep the input
+    width, so each stage runs at most one task per slot, and a task works
+    through its units or partitions one at a time.  Both plans call the
+    same task bodies; only the grouping differs.
 
     driver: global epoch markers, then staging cleanup.
 
-The payload never crosses the object store: the exchange moves only the
+The payload never crosses the object store: an exchange moves only the
 small slice rows, while the rows themselves go through the partitioned
 staging write into the lake's storage (node-local disk here, S3/HDFS on
 a real cluster) — the standard external-shuffle layout for CDC upsert
@@ -184,6 +189,19 @@ def _named(fn, name: str):
     return wrapped
 
 
+def _per_group(t: pa.Table, keys: list[str], fn) -> pa.Table:
+    """In-task ``groupby(keys).map_groups(fn)``: sort ``t`` by ``keys``
+    and call ``fn`` once per run of equal keys."""
+    t = t.sort_by([(k, "ascending") for k in keys])
+    edge = np.zeros(t.num_rows, bool)
+    edge[:1] = True
+    for k in keys:
+        c = t[k].to_numpy()
+        edge[1:] |= c[1:] != c[:-1]
+    bounds = np.append(np.nonzero(edge)[0], t.num_rows)
+    return pa.concat_tables([fn(t.slice(a, b - a)) for a, b in zip(bounds[:-1], bounds[1:])])
+
+
 def _unit_name(u: dict) -> str:
     return f"e{u['epoch']:06d}-f{u['file_idx']:04d}-r{u['rg_lo']:05d}"
 
@@ -195,7 +213,7 @@ def _atomic_write_json_small(path: str, payload) -> None:
     os.replace(tmp, path)
 
 
-#: The rows that flow from Stage A through the pid exchange into Stage B:
+#: The rows that flow from Stage A (through A2) into Stage B:
 #: one per staged (file, pid, salt) run.  ``file`` is a name inside the
 #: group's staging dir (null on the one placeholder row per partition that
 #: makes every pid a group); ``rgs`` lists its row groups (null: the whole
@@ -252,9 +270,10 @@ class _StageUnits:
     def __call__(self, units: pa.Table) -> pa.Table:
         """Returns :data:`_SLICE_SCHEMA` rows: one per (unit, pid, salt)
         run, reject units on partition 0's key with ``rej`` set.  These
-        rows reach Stage B through the pid exchange, so the calling
-        process never holds the O(units x partitions) slice map (~10 GB
-        of heap at 10^10 events / 4096 partitions).  The first unit also emits a
+        rows reach Stage B inside the execution (in-task or through the
+        pid exchange), so the calling process never holds the
+        O(units x partitions) slice map (~10 GB of heap at 10^10 events /
+        4096 partitions).  The first unit also emits a
         placeholder row for every partition, so a partition this group
         does not touch still gets its (empty) manifest."""
         _ensure_worker_thread_limit()
@@ -340,11 +359,11 @@ def _read_slices(staging_dir: str, slices: pa.Table) -> pa.Table | None:
 
 
 class _PreMergeSalts:
-    """Stage A2 group task (salt_shards > 1), run as
-    ``groupby(["pid", "salt"]).map_groups`` inside the apply's single
-    execution: collapse one (pid, salt) slice into a single pre-combined
-    fragment — parallel skew reduction for conversation-heavy partitions
-    before the per-pid merge.  Emits one slice row naming that fragment;
+    """Stage A2 group task (salt_shards > 1), called once per (pid, salt)
+    group of slice rows inside the apply's single execution: collapse
+    one (pid, salt) slice into a single pre-combined fragment — parallel
+    skew reduction for conversation-heavy partitions before the per-pid
+    merge.  Emits one slice row naming that fragment;
     reject and placeholder rows pass through unchanged.
 
     The pre-combine runs PER EPOCH (not across the whole group): a
@@ -380,6 +399,8 @@ class _PreMergeSalts:
 @dataclass
 class ApplyReport:
     epochs: list[int]
+    plan: str | None = None  # "fused" | "exchange" (module docstring); None: no-op
+    blocks: int = 0
     partitions: int = 0
     rows_in: int = 0
     rejects: int = 0
@@ -662,10 +683,10 @@ class CdcEngine:
         tt = _t("unit-scan", tt)
 
         # ONE execution: Stage A (partitioned staging write, one task per
-        # task slot) -> [A2: (pid, salt) exchange + pre-merge] -> pid exchange
-        # -> Stage B (per-partition LWW merge + commit).  Only the small
-        # slice rows cross the exchanges, and this process collects just
-        # one report row per partition.
+        # task slot) -> [A2: (pid, salt) pre-merge] -> Stage B
+        # (per-partition LWW merge + commit).  Only the small slice rows
+        # pass between the stages, and this process collects just one
+        # report row per partition.
         task_cpus = capped_cpus(self.cfg.task_cpus)
         stage = _StageUnits(
             staging_dir,
@@ -674,15 +695,7 @@ class CdcEngine:
             self.cfg.salt_shards,
             first_unit=_unit_name(units[0]),
         )
-        slices = fan_out(units, task_cpus).map_batches(
-            stage, batch_format="pyarrow", batch_size=None, num_cpus=task_cpus
-        )
-        if self.cfg.salt_shards > 1:
-            slices = slices.groupby(["pid", "salt"]).map_groups(
-                _named(_PreMergeSalts(staging_dir), "pre_merge_salts"),
-                batch_format="pyarrow",
-                num_cpus=task_cpus,
-            )
+        pre_merge = _PreMergeSalts(staging_dir) if self.cfg.salt_shards > 1 else None
         merge = _MergePartitions(
             self.cfg.path,
             staging_dir,
@@ -692,15 +705,27 @@ class CdcEngine:
             self.cfg.base_row_group_rows,
             late_threshold_us,
         )
-        reports = sorted(
-            slices.groupby("pid")
-            .map_groups(
-                _named(merge, "merge_partitions"), batch_format="pyarrow", num_cpus=task_cpus
-            )
-            .take_all(),
-            key=lambda r: r["pid"],
-        )
-        tt = _t("stage-A -> pid exchange -> stage-B", tt)
+        units_ds = fan_out(units, task_cpus)
+        blocks = units_ds.num_blocks()
+        kw = dict(batch_format="pyarrow", num_cpus=task_cpus)
+        if blocks == 1:
+            # the one task holds every pid's slice rows: group them in-task
+            def fused(unit_rows: pa.Table) -> pa.Table:
+                slices = stage(unit_rows)
+                if pre_merge is not None:
+                    slices = _per_group(slices, ["pid", "salt"], pre_merge)
+                return _per_group(slices, ["pid"], merge)
+
+            out = units_ds.map_batches(fused, batch_size=None, **kw)
+        else:
+            out = units_ds.map_batches(stage, batch_size=None, **kw)
+            if pre_merge is not None:
+                out = out.groupby(["pid", "salt"]).map_groups(
+                    _named(pre_merge, "pre_merge_salts"), **kw
+                )
+            out = out.groupby("pid").map_groups(_named(merge, "merge_partitions"), **kw)
+        reports = sorted(out.take_all(), key=lambda r: r["pid"])
+        tt = _t("stage-A -> stage-B", tt)
 
         # global commit markers (driver-side, after every partition landed)
         for e in epochs:
@@ -727,7 +752,12 @@ class CdcEngine:
             )
         tt = _t("commit+cleanup", tt)
 
-        rep = ApplyReport(epochs=epochs, seconds=time.perf_counter() - t0)
+        rep = ApplyReport(
+            epochs=epochs,
+            plan="fused" if blocks == 1 else "exchange",
+            blocks=blocks,
+            seconds=time.perf_counter() - t0,
+        )
         for r in reports:
             rep.partitions += 1
             if r.get("skipped"):
@@ -1049,9 +1079,11 @@ class CdcEngine:
                     continue
                 t = pq.read_table(path)
                 t = t.drop_columns([c for c in (mg.NSRC, mg.RUN_SEQ) if c in t.schema.names])
-                t = t.append_column(
-                    "reject_group", pa.array(np.full(t.num_rows, g, np.int32))
-                ).append_column("reason", pa.array(validate_mod.reject_reasons(t), pa.string()))
+                reason = pa.array(validate_mod.reject_reasons(t), pa.string())
+                # feed_schema's order, so every block of the feed has one schema
+                t = t.add_column(
+                    0, "reject_group", pa.array(np.full(t.num_rows, g, np.int32))
+                ).add_column(1, "reason", reason)
                 outs.append(t)
             outs = [o for o in outs if o.num_rows]
             return mg.concat_unified(outs) if outs else None
@@ -1952,8 +1984,8 @@ def _diff_partitions(a_path: str, a_epoch, b_path: str, b_epoch):
 
 
 class _MergePartitions:
-    """Stage B group task, run as ``groupby("pid").map_groups``: one call
-    per lake partition, whose slice rows name its staged runs (rejects
+    """Stage B group task, called once per pid group of slice rows: one
+    call per lake partition, whose slice rows name its staged runs (rejects
     only ever arrive on partition 0) — read them, LWW-merge, and commit a
     delta run (exactly-once via the manifest protocol, see
     state/manifest.py docstring).  A partition with only its placeholder

@@ -111,8 +111,8 @@ class DerivedTable:
     # ------------------------------------------------------------ watermarks
     # shared consumer-ledger helpers (manifest.py): every incremental
     # consumer must agree on the state-changing staleness rule
-    def _lake_watermark(self, pid: int) -> int:
-        return mf.state_changing_watermark(self.engine.cfg.path, pid)
+    def _lake_watermark(self, pid: int, stored: int | None = None) -> int:
+        return mf.state_changing_watermark(self.engine.cfg.path, pid, stored)
 
     def _manifest_path(self, pid: int) -> str:
         return mf.consumer_manifest_path(self.path, pid)
@@ -151,8 +151,8 @@ class DerivedTable:
         stale: list[tuple[int, int, int | None]] = []
         reused = 0
         for pid in pids:
-            wm = self._lake_watermark(pid)
             old = self._stored_watermark(pid)
+            wm = self._lake_watermark(pid, old)
             if old == wm:
                 reused += 1
             else:

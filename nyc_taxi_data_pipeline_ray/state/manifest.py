@@ -127,7 +127,9 @@ def read_manifests(lake_path: str, pid: int) -> list[dict]:
     return out
 
 
-def state_changing_watermark(lake_path: str, pid: int) -> int:
+def state_changing_watermark(
+    lake_path: str, pid: int, after_group: int | None = None
+) -> int:
     """Latest commit group that CHANGED a partition's merged state.
 
     The engine writes a manifest for every partition in every commit
@@ -137,13 +139,29 @@ def state_changing_watermark(lake_path: str, pid: int) -> int:
     incremental consumer's cached partition.  Shared by every
     incremental consumer (MaterializedView, DerivedTable/CorpusTable,
     SecondaryIndex) — they must agree on the staleness rule or reuse
-    witnesses silently diverge."""
-    wm = -1
-    for m in read_manifests(lake_path, pid):
-        c = m.get("counters", {})
+    witnesses silently diverge.
+
+    ``after_group`` is a watermark this function returned earlier (a
+    consumer's stored one).  Manifests are never rewritten and groups
+    only grow, so then only ``manifest-G.json`` with ``G >= after_group``
+    is loaded: a refresh reads the manifests committed since, not the
+    whole history.  When ``manifest-{after_group}.json`` is not a
+    state-changing commit of this partition (a watermark of another
+    lake), the whole ledger is scanned."""
+    d = partition_dir(lake_path, pid)
+    lo = -1 if after_group is None else after_group
+    wm, anchored = -1, lo < 0
+    for name in os.listdir(d) if os.path.isdir(d) else ():
+        m = _MANIFEST_RE.match(name)
+        if not m or int(m.group(1)) < lo:
+            continue
+        with open(os.path.join(d, name)) as f:
+            c = json.load(f).get("counters", {})
         if c.get("upserts", 0) or c.get("deletes", 0):
-            wm = max(wm, int(m["group_id"]))
-    return wm
+            g = int(m.group(1))
+            wm = max(wm, g)
+            anchored = anchored or g == lo
+    return wm if anchored else state_changing_watermark(lake_path, pid)
 
 
 def consumer_manifest_path(view_path: str, pid: int) -> str:

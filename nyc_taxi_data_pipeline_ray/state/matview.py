@@ -119,8 +119,8 @@ class MaterializedView:
     # ------------------------------------------------------------ watermarks
     # shared consumer-ledger helpers (manifest.py): every incremental
     # consumer must agree on the state-changing staleness rule
-    def _lake_watermark(self, pid: int) -> int:
-        return mf.state_changing_watermark(self.engine.cfg.path, pid)
+    def _lake_watermark(self, pid: int, stored: int | None = None) -> int:
+        return mf.state_changing_watermark(self.engine.cfg.path, pid, stored)
 
     def _view_manifest_path(self, pid: int) -> str:
         return mf.consumer_manifest_path(self.path, pid)
@@ -150,8 +150,9 @@ class MaterializedView:
         stale: list[tuple[int, int]] = []
         reused = 0
         for pid in pids:
-            wm = self._lake_watermark(pid)
-            if self._view_watermark(pid) == wm:
+            stored = self._view_watermark(pid)
+            wm = self._lake_watermark(pid, stored)
+            if stored == wm:
                 reused += 1
             else:
                 stale.append((pid, wm))

@@ -80,8 +80,8 @@ class SecondaryIndex:
     # ------------------------------------------------------------ watermarks
     # shared consumer-ledger helpers (manifest.py): every incremental
     # consumer must agree on the state-changing staleness rule
-    def _lake_watermark(self, pid: int) -> int:
-        return mf.state_changing_watermark(self.engine.cfg.path, pid)
+    def _lake_watermark(self, pid: int, stored: int | None = None) -> int:
+        return mf.state_changing_watermark(self.engine.cfg.path, pid, stored)
 
     def _manifest_path(self, pid: int) -> str:
         return mf.consumer_manifest_path(self.path, pid)
@@ -109,8 +109,9 @@ class SecondaryIndex:
         stale: list[tuple[int, int]] = []
         reused = 0
         for pid in pids:
-            wm = self._lake_watermark(pid)
-            if self._stored_watermark(pid) == wm:
+            stored = self._stored_watermark(pid)
+            wm = self._lake_watermark(pid, stored)
+            if stored == wm:
                 reused += 1
             else:
                 stale.append((pid, wm))

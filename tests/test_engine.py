@@ -1539,6 +1539,7 @@ def test_single_conversation_commits_every_partition(tmp_path):
     )
     eng = CdcEngine(LakeConfig.open_or_create(str(tmp_path / "lake"), num_partitions=16))
     rep = eng.apply(wal)
+    assert (rep.plan, rep.blocks) == ("fused", 1)  # one unit: one block
     _assert_ledger(eng, events, rep, 16)
     touched = [d for d in rep.details if d["rows_in"]]
     assert len(touched) == 1 and touched[0]["rows_in"] == 3
@@ -1557,6 +1558,7 @@ def test_all_invalid_epoch_lands_in_partition_zero_rejects(tmp_path):
     eng.apply(wal, max_epochs=1)
     rep = eng.apply(wal)
     assert rep.epochs == [1]
+    assert (rep.plan, rep.blocks) == ("fused", 1)
     assert rep.rejects == rep.rows_in == 12
     assert rep.upserts == rep.deletes == 0
     _assert_ledger(eng, events, rep, 8)
@@ -1738,6 +1740,7 @@ def test_apply_with_more_units_than_slots_equals_oracle(tmp_path, salt_shards):
     units = eng._stage_units(eng.discover(wal))
     assert len(units) > 4 * 2  # at least two units per slot
     rep = eng.apply(wal)
+    assert (rep.plan, rep.blocks) == ("exchange", 4)
     _assert_ledger(eng, gen.events_table(), rep, 16)
     _assert_reapply_noop(eng, wal, 16)
 
@@ -1834,3 +1837,59 @@ def test_resume_check_reads_only_manifests_that_can_cover_the_group(tmp_path):
     assert mf.committed_epoch_groups(lake, 0, min_epoch=3) == {2, 3, 4, 5}
     assert mf.committed_epoch_groups(lake, 0, min_epoch=5) == {5}
     assert mf.committed_epoch_groups(lake, 1, min_epoch=0) == set()
+
+
+# ------------------------------------------------- one-block (fused) plan
+
+
+@pytest.mark.parametrize("salt_shards", [1, 4])
+def test_fused_micro_batches_equal_oracle(tmp_path, salt_shards):
+    """One-epoch applies of one Stage-A unit each take the fused plan:
+    Stage A, the salted pre-merge and Stage B run in the one map task.
+    After every epoch the ledger and the state equal the oracle over the
+    applied prefix; losing the last epoch marker and re-applying is a
+    no-op that still equals the oracle."""
+    spec = WalSpec(
+        seed=81,
+        num_conversations=30,
+        num_epochs=4,
+        events_per_epoch=400,
+        invalid_fraction=0.03,
+        dup_fraction=0.05,
+        zipf_s=1.5,
+    )
+    gen, wal, eng = _build(str(tmp_path), spec, salt_shards=salt_shards)
+    events = gen.events_table()
+    for e in range(spec.num_epochs):
+        rep = eng.apply(wal, max_epochs=1)
+        assert rep.epochs == [e]
+        assert (rep.plan, rep.blocks) == ("fused", 1)
+        _assert_ledger(eng, events.filter(pc.less_equal(events["epoch"], e)), rep, 4)
+    assert eng.metrics()["rejects"] > 0
+    before = eng.snapshot_table()
+    os.remove(os.path.join(eng.cfg.path, "_epochs", f"epoch-{spec.num_epochs - 1:06d}.json"))
+    rep = eng.apply(wal)
+    assert rep.epochs == [spec.num_epochs - 1] and rep.plan == "fused"
+    assert rep.skipped_partitions == rep.partitions == 4
+    assert eng.snapshot_table().equals(before)
+    _assert_equal_state(eng, gen)
+    assert eng.fsck()["ok"]
+
+
+def test_rejects_feed_blocks_share_one_schema(tmp_path):
+    """Rejects sit on partition 0 only; the other partitions' empty
+    blocks and partition 0's block have the same columns in the same
+    order."""
+    import ray
+
+    T = 1_735_689_600_000_000
+    wal = str(tmp_path / "wal")
+    good = [(i, "insert", f"c{i}", 0, T + i) for i in range(20)]
+    bad = [(100 + i, "bogus", f"c{i}", 1, T + 100 + i) for i in range(5)]
+    _write_custom_wal(wal, [good + bad])
+    eng = CdcEngine(LakeConfig.open_or_create(str(tmp_path / "lake"), num_partitions=4))
+    assert eng.apply(wal).rejects == 5
+    blocks = ray.get(eng.rejects().to_arrow_refs())
+    assert len(blocks) > 1 and sum(b.num_rows for b in blocks) == 5
+    assert all(b.schema == blocks[0].schema for b in blocks)
+    assert blocks[0].schema.names[:2] == ["reject_group", "reason"]

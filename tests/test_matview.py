@@ -337,3 +337,54 @@ def test_delta_aggregate_pins_fold_to_recorded_watermark(tmp_path, monkeypatch):
     got = da.table().to_pandas()
     exp = _expected_role_stats(gen.events_table())
     pd.testing.assert_frame_equal(got, exp, check_dtype=False)
+
+
+def test_noop_refresh_reads_only_manifests_since_its_watermark(tmp_path, monkeypatch):
+    """A no-op refresh loads only the manifests at or after each
+    partition's stored watermark, so its JSON loads do not grow with the
+    lake's history."""
+    import json
+
+    spec = WalSpec(seed=12, num_conversations=40, num_epochs=15, events_per_epoch=200)
+    gen = WalGenerator(spec)
+    wal = os.path.join(str(tmp_path), "wal")
+    gen.write(wal)
+    eng = CdcEngine(LakeConfig.open_or_create(os.path.join(str(tmp_path), "lake"), num_partitions=4))
+    mv = MaterializedView(eng, os.path.join(str(tmp_path), "view"))
+    real_load = json.load
+
+    def noop_refresh_loads() -> int:
+        mv.refresh()
+        calls = []
+        monkeypatch.setattr(json, "load", lambda f, **kw: calls.append(1) or real_load(f, **kw))
+        rep = mv.refresh()
+        monkeypatch.undo()
+        assert rep["refreshed"] == 0 and rep["reused"] == 4
+        return len(calls)
+
+    for _ in range(5):
+        eng.apply(wal, max_epochs=1)
+    after_5 = noop_refresh_loads()
+    for _ in range(10):
+        eng.apply(wal, max_epochs=1)
+    assert noop_refresh_loads() == after_5
+    _assert_view_equals(mv, _expected(gen.events_table()))
+
+
+def test_state_changing_watermark_after_foreign_group_scans_all(tmp_path):
+    """``after_group`` skips older manifests only when it names a
+    state-changing commit of the partition; otherwise the whole ledger
+    decides."""
+    from nyc_taxi_data_pipeline_ray.state import manifest as mf
+
+    lake = str(tmp_path)
+    for g, upserts in ((1, 5), (3, 0), (4, 2), (6, 0)):
+        mf.atomic_write_json(
+            mf.manifest_path(lake, 0, g), {"group_id": g, "counters": {"upserts": upserts}}
+        )
+    assert mf.state_changing_watermark(lake, 0) == 4
+    assert mf.state_changing_watermark(lake, 0, after_group=1) == 4
+    assert mf.state_changing_watermark(lake, 0, after_group=4) == 4
+    for foreign in (3, 5, 9):
+        assert mf.state_changing_watermark(lake, 0, after_group=foreign) == 4
+    assert mf.state_changing_watermark(lake, 1, after_group=2) == -1

@@ -76,32 +76,3 @@ def test_query_vs_oracle(name, fn, sql):
             assert same.all(), f"{name}.{c}: mismatch\n" + str(
                 pd.DataFrame({"got": g[~same].head(), "exp": e[~same].head()})
             )
-
-
-def test_driver_window_holds_never_certified_entries():
-    """The driver certifies only the FIRST 50 registry entries each
-    round; the round-4 rotation put 50 never-yet-driver-certified
-    entries there.  Guard the composition so a later registry edit
-    can't silently push a never-certified entry back out of the window
-    in favor of one that already has a driver row."""
-    import json
-    import os
-
-    import __ray_entry__ as E
-
-    import glob
-
-    q = list(E.queries())
-    assert len(q) >= 50
-    certified = set()
-    root = os.path.dirname(os.path.abspath(E.__file__))
-    for p in glob.glob(os.path.join(root, "CORRECTNESS_r*.json")):
-        for k, v in json.load(open(p)).items():
-            # only a FULL certification (value hash checked) retires an
-            # entry from the window; a weak rows-only record (err =
-            # no_oracle) does not — an entry later upgraded to a SQL
-            # oracle earns a fresh slot (dedup_index_probe precedent)
-            if isinstance(v, dict) and v.get("rows_match") and v.get("err") is None:
-                certified.add(k)
-    overlap = [k for k in q[:50] if k in certified]
-    assert not overlap, f"already-certified entries occupy the window: {overlap}"
