@@ -1463,12 +1463,10 @@ def test_reshard_refuses_unrelated_nonempty_target(tmp_path):
 
 def test_apply_retry_discards_stale_staging(tmp_path):
     """A retry of a crashed apply() must recompute everything it reads:
-    a unit file and index staged by the failed attempt (possibly over a
+    a unit file staged by the failed attempt (possibly over a
     since-rewritten WAL segment) may not leak into the merge, even under
     the very unit name the retry stages again."""
-    import json
-
-    import pyarrow.parquet as pq
+    from nyc_taxi_data_pipeline_ray.engine import _write_staged
 
     spec = WalSpec(seed=62, num_conversations=30, num_epochs=2, events_per_epoch=300)
     gen, wal, eng = _build(str(tmp_path), spec)
@@ -1482,10 +1480,8 @@ def test_apply_retry_discards_stale_staging(tmp_path):
     bogus = bogus.set_column(
         bogus.schema.get_field_index("text"), "text", pa.array(["poison"] * 5)
     ).append_column("_nsrc", pa.array([1] * 5, pa.int64()))
-    poison = os.path.join(staging, f"unit-{unit}.parquet")
-    pq.write_table(bogus, poison)
-    with open(os.path.join(staging, f"unit-{unit}.idx.json"), "w") as f:
-        json.dump({f"{p}:0": [0] for p in range(4)}, f)
+    poison = os.path.join(staging, f"unit-{unit}.arrow")
+    _write_staged(poison, bogus.schema, bogus.to_batches())
     eng.apply(wal)
     assert not os.path.exists(poison)  # wiped before staging, not merged
     _assert_equal_state(eng, gen)
@@ -1893,3 +1889,134 @@ def test_rejects_feed_blocks_share_one_schema(tmp_path):
     assert len(blocks) > 1 and sum(b.num_rows for b in blocks) == 5
     assert all(b.schema == blocks[0].schema for b in blocks)
     assert blocks[0].schema.names[:2] == ["reject_group", "reason"]
+
+
+# ------------------------------------------------------ Arrow IPC staging
+
+
+@pytest.mark.parametrize("salt_shards", [1, 2])
+def test_staged_runs_round_trip_through_arrow_ipc(tmp_path, salt_shards):
+    """A unit staged as one Arrow IPC file reads back, per partition,
+    exactly the unit's LWW winners routed there, in staged order
+    ((salt, conv_id, turn_idx)), with each winner's source-row count;
+    every batch of the file is named by exactly one run; the invalid
+    rows come back from the dead-letter file on partition 0."""
+    import pyarrow.ipc as ipc
+    import pyarrow.parquet as pq
+
+    from nyc_taxi_data_pipeline_ray import schemas
+    from nyc_taxi_data_pipeline_ray.engine import (
+        _read_slices,
+        _StageUnits,
+        _unit_name,
+        hash_partition_ids,
+    )
+    from nyc_taxi_data_pipeline_ray.stages import validate as validate_mod
+    from nyc_taxi_data_pipeline_ray.state import merge as mg
+
+    # epoch 1 of an evolving WAL (schema v2, invalid and duplicate rows),
+    # rewritten so that ONE unit spans several WAL row groups
+    spec = WalSpec(
+        seed=91, num_conversations=40, num_epochs=2, events_per_epoch=600,
+        invalid_fraction=0.05, dup_fraction=0.1, evolve_at_epoch=1,
+    )
+    wal = str(tmp_path / "wal")
+    WalGenerator(spec).write(wal)
+    seg = glob.glob(os.path.join(wal, "epoch=000001", "*.parquet"))[0]
+    path = str(tmp_path / "seg.parquet")
+    pq.write_table(pq.read_table(seg), path, row_group_size=64)
+    n_rg = pq.ParquetFile(path).metadata.num_row_groups
+    assert n_rg > 3
+    v1 = pq.read_schema(glob.glob(os.path.join(wal, "epoch=000000", "*.parquet"))[0])
+    target = schemas.unify(v1, pq.read_schema(path))
+    unit = {"epoch": 1, "path": path, "file_idx": 0, "rg_lo": 0, "rg_hi": n_rg - 1}
+    stage = _StageUnits(
+        str(tmp_path / "staging"), target.serialize().to_pybytes(), 4, salt_shards,
+        first_unit=_unit_name(unit),
+    )
+    slices = stage(pa.Table.from_pylist([unit]))
+    t = mg.conform(pq.read_table(path), target)
+    assert "model" in t.schema.names  # the evolved column rides along
+    valid = validate_mod.validity_mask(t).to_numpy(zero_copy_only=False).astype(bool)
+    rows = t.to_pylist()
+    best, nsrc = {}, {}
+    for ok, r in zip(valid, rows):
+        if ok:
+            k = (r["conv_id"], r["turn_idx"])
+            nsrc[k] = nsrc.get(k, 0) + 1
+            if k not in best or (r["ts"], r["lsn"]) > (best[k]["ts"], best[k]["lsn"]):
+                best[k] = r
+    winners = [dict(best[k], _nsrc=nsrc[k]) for k in sorted(best)]
+    pids = hash_partition_ids(pa.array([w["conv_id"] for w in winners]), 4)
+
+    runs = slices.filter(pc.and_(pc.is_valid(slices["file"]), pc.invert(slices["rej"])))
+    assert len(set(runs["file"].to_pylist())) == 1
+    unit_file = os.path.join(stage.staging_dir, runs["file"][0].as_py())
+    listed = [i for b in runs["batches"].to_pylist() for i in b]
+    assert sorted(listed) == list(range(ipc.open_file(unit_file).num_record_batches))
+    for p in range(4):
+        got = _read_slices(stage.staging_dir, runs.filter(pc.equal(runs["pid"], p)))
+        exp = [w for w, q in zip(winners, pids) if q == p]
+        exp.sort(key=lambda w: w["lsn"] % salt_shards)  # stable: salt, then key
+        assert got.schema.names == t.schema.names + ["_nsrc"]
+        assert got.to_pylist() == exp
+
+    rej = slices.filter(slices["rej"])
+    assert rej.num_rows == 1 and rej["pid"].to_pylist() == [0]
+    bad = _read_slices(stage.staging_dir, rej)
+    assert bad.to_pylist() == [r for ok, r in zip(valid, rows) if not ok] != []
+    placeholders = slices.filter(pc.is_null(slices["file"]))
+    assert sorted(placeholders["pid"].to_pylist()) == [0, 1, 2, 3]
+    assert not glob.glob(os.path.join(stage.staging_dir, "*.tmp"))
+
+
+def test_premerge_passes_single_run_groups_through(tmp_path):
+    """Stage A2 rewrites nothing for a (pid, salt) group of one staged
+    run, and still pre-merges a group that holds runs of two epochs
+    into one file."""
+    from nyc_taxi_data_pipeline_ray.engine import (
+        _PreMergeSalts,
+        _read_slices,
+        _StageUnits,
+        _unit_name,
+    )
+
+    spec = WalSpec(seed=92, num_conversations=20, num_epochs=2, events_per_epoch=400)
+    gen = WalGenerator(spec)
+    wal = str(tmp_path / "wal")
+    gen.write(wal)
+    units = [
+        {"epoch": e, "path": glob.glob(os.path.join(wal, f"epoch={e:06d}", "*.parquet"))[0],
+         "file_idx": 0, "rg_lo": 0, "rg_hi": 0}
+        for e in range(2)
+    ]
+    staging = str(tmp_path / "staging")
+    stage = _StageUnits(staging, None, 4, 2, first_unit=_unit_name(units[0]))
+    slices = stage(pa.Table.from_pylist(units))
+    group = slices.filter(pc.and_(pc.equal(slices["pid"], 1), pc.equal(slices["salt"], 1)))
+    assert group.filter(pc.is_valid(group["file"])).num_rows == 2  # one run per epoch
+    pre = _PreMergeSalts(staging)
+
+    one = group.filter(pc.or_(pc.is_null(group["file"]), pc.match_substring(group["file"], "e000000")))
+    assert pre(one).equals(one)
+    assert not glob.glob(os.path.join(staging, "pre-*"))
+
+    out = pre(group)
+    merged = out.filter(pc.is_valid(out["file"]))
+    assert merged["file"].to_pylist() == ["pre-p0001-s01.arrow"]
+    assert glob.glob(os.path.join(staging, "pre-*")) == [os.path.join(staging, "pre-p0001-s01.arrow")]
+    both = _read_slices(staging, group.filter(pc.is_valid(group["file"])))
+    assert _read_slices(staging, merged).sort_by("lsn").equals(both.sort_by("lsn"))
+
+
+def test_apply_reports_staged_bytes_and_leaves_no_staging(tmp_path):
+    """``ApplyReport.staged_bytes`` is what the group staged; the
+    staging dir is gone after the apply, and a no-op apply stages
+    nothing."""
+    spec = WalSpec(seed=93, num_conversations=20, num_epochs=2, events_per_epoch=300)
+    gen, wal, eng = _build(str(tmp_path), spec, salt_shards=2)
+    rep = eng.apply(wal)
+    assert rep.staged_bytes > 0
+    assert os.listdir(os.path.join(eng.cfg.path, "_staging")) == []
+    assert eng.apply(wal).staged_bytes == 0
+    _assert_equal_state(eng, gen)
