@@ -42,10 +42,12 @@ class LakeConfig:
     #: bottleneck).  2 halves concurrency per node while keeping all
     #: cores busy via Arrow kernels.
     task_cpus: int = 2
-    #: rows per row group in compacted base files.  Bases are key-sorted,
-    #: so bounded groups give parquet footer min/max stats real
-    #: selectivity: point lookups read O(keys) row groups of a multi-GB
-    #: partition (engine._read_run_pruned), not the whole file.
+    #: row cap per row group of a lake run (base or delta).  Beside it,
+    #: groups are bounded at ~512 KiB of Arrow data (engine._RUN_GROUP_BYTES),
+    #: which is the bound that binds for 1-2 KB texts.  Runs are
+    #: key-sorted, so bounded groups give parquet footer min/max stats real
+    #: selectivity: a point lookup reads about one row group per run
+    #: (engine._read_run_pruned), not the whole file.
     base_row_group_rows: int = 65536
     extra: dict = field(default_factory=dict)
 

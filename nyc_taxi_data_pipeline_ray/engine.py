@@ -577,19 +577,23 @@ class CdcEngine:
                 out.add(int(m.group(1)))
         return out
 
-    def _committed_groups(self) -> set[int]:
+    def _last_group_before(self, before_group: int) -> int:
+        """The newest commit group below ``before_group`` (-1: none).
+        Every committed group G has its own ``epoch-G.json`` naming G,
+        and a group's id is its largest epoch, so the markers of the
+        epochs below ``before_group`` are scanned newest first and the
+        first one naming a group below ``before_group`` answers: an
+        apply loads O(1) markers, not the whole history."""
         d = os.path.join(self.cfg.path, "_epochs")
-        if not os.path.isdir(d):
-            return set()
-        out = set()
-        for name in os.listdir(d):
-            if re.match(r"epoch-(\d{6})\.json$", name):
-                try:
-                    with open(os.path.join(d, name)) as f:
-                        out.add(int(json.load(f)["group_id"]))
-                except (OSError, KeyError, ValueError):
-                    pass
-        return out
+        for e in sorted((e for e in self._global_committed() if e < before_group), reverse=True):
+            try:
+                with open(os.path.join(d, f"epoch-{e:06d}.json")) as f:
+                    g = int(json.load(f)["group_id"])
+            except (OSError, KeyError, ValueError):
+                continue
+            if g < before_group:
+                return g
+        return -1
 
     def _event_watermark(self, *, before_group: int) -> int | None:
         """Event-time high-water mark (max committed event ts, µs) over
@@ -599,8 +603,7 @@ class CdcEngine:
         otherwise folded from the partition manifests (authoritative),
         which is retry-deterministic because prior groups are fully
         committed under the single-writer lease."""
-        committed = [g for g in self._committed_groups() if g < before_group]
-        hi = max(committed, default=-1)
+        hi = self._last_group_before(before_group)
         try:
             with open(os.path.join(self.cfg.path, "_watermark.json")) as f:
                 d = json.load(f)
@@ -1443,7 +1446,9 @@ class CdcEngine:
            RETAINED — they must keep masking late out-of-order events
            after the move, exactly as in compaction) and splits the
            rows by ``hash(conv_id) % new_N`` into per-target fragment
-           files (tmp-named, atomic);
+           files — uncompressed Arrow IPC, like apply's staging: each is
+           written once, memory-mapped once and deleted by the same call
+           (tmp-named, atomic);
         2. each TARGET partition concatenates its fragments —
            no re-merge needed: each key lived in exactly one source
            partition and arrives already LWW-resolved, keys from
@@ -1509,11 +1514,10 @@ class CdcEngine:
                     tpids = hash_partition_ids(state["conv_id"], num_partitions)
                     for t in np.unique(tpids):
                         frag = state.take(pa.array(np.flatnonzero(tpids == t)))
-                        _atomic_write_parquet(
-                            os.path.join(
-                                stage_dir, f"t={int(t):04d}-src={pid:04d}.parquet"
-                            ),
-                            frag,
+                        _write_staged(
+                            os.path.join(stage_dir, f"t={int(t):04d}-src={pid:04d}.arrow"),
+                            frag.schema,
+                            frag.to_batches(),
                         )
                     out_pid.append(pid)
                     out_rows.append(state.num_rows)
@@ -1532,20 +1536,16 @@ class CdcEngine:
                 for t in batch["pid"].to_pylist():
                     t = int(t)
                     frags = sorted(
-                        glob.glob(os.path.join(stage_dir, f"t={t:04d}-src=*.parquet"))
+                        glob.glob(os.path.join(stage_dir, f"t={t:04d}-src=*.arrow"))
                     )
-                    parts = [pq.read_table(f) for f in frags]
+                    parts = [pa.ipc.open_file(pa.memory_map(f)).read_all() for f in frags]
                     parts = [p for p in parts if p.num_rows]
                     if not parts:
                         # nothing hashed here: the partition dir is
                         # created lazily by the first apply that hits it
                         continue
                     base = mg.sort_by_key(mg.concat_unified(parts)).combine_chunks()
-                    _atomic_write_parquet(
-                        mf.base_path(target_path, t, 1),
-                        base,
-                        row_group_rows=row_group_rows,
-                    )
+                    _write_run(mf.base_path(target_path, t, 1), base, row_group_rows)
                     _write_bloom(mf.base_path(target_path, t, 1), base["conv_id"])
                     mf.atomic_write_json(
                         mf.compact_marker_path(target_path, t, 1),
@@ -1751,9 +1751,8 @@ class CdcEngine:
             hash_partition_ids(pa.array([conv_id], pa.string()), self.cfg.num_partitions)[0]
         )
         out, _, _ = _read_keys_pruned(self.cfg.path, pid, [conv_id])
-        if out is None:
-            return schemas.empty_state()
-        return out.take(pc.sort_indices(out, sort_keys=[("turn_idx", "ascending")]))
+        # merged rows are key-sorted, so one conv_id's are in turn order
+        return schemas.empty_state() if out is None else out
 
     def get_conversations(self, conv_ids) -> rd.Dataset:
         """Bulk point lookup, partition- AND row-group-pruned: hashes
@@ -1761,10 +1760,11 @@ class CdcEngine:
         those — a lake with 10 000 partitions serving a 50-conversation
         lookup merges at most 50 partitions, and each task receives
         just the key subset it owns (no full request list broadcast).
-        Within a partition, compacted bases are key-sorted with bounded
-        row groups, so footer min/max stats narrow the read to the
-        O(keys) groups that can hold the requested conversations
-        (``_read_keys_pruned``) instead of scanning the partition.
+        Within a partition, every run (base or delta) is key-sorted in
+        row groups of at most ~512 KiB, so footer min/max stats narrow
+        the read to the O(keys) groups that can hold the requested
+        conversations (``_read_keys_pruned``) instead of scanning the
+        partition; a partition of one run only drops its tombstones.
         Rows come back (conv_id, turn_idx)-sorted within each
         partition, like :meth:`snapshot`."""
         ids = sorted(set(conv_ids))
@@ -1802,21 +1802,33 @@ class CdcEngine:
         """Physical lake statistics from parquet FOOTERS only (no data
         read): per-partition base generation, delta-run count, rows and
         bytes — the ``SHOW TABLE``/ops surface a lake operator reads
-        before deciding to compact or re-shard."""
+        before deciding to compact or re-shard.  ``row_groups`` and
+        ``max_row_group_bytes`` (uncompressed, over the base and the
+        deltas) show whether a point lookup decodes bounded groups:
+        it reads about one group per run."""
         parts = []
         for pid in self._live_pids():
             entry = {"pid": pid, "base_generation": None, "base_rows": 0,
-                     "delta_runs": 0, "delta_rows": 0, "bytes": 0}
+                     "delta_runs": 0, "delta_rows": 0, "bytes": 0,
+                     "row_groups": 0, "max_row_group_bytes": 0}
+
+            def add_run(path: str) -> int:
+                md = pq.ParquetFile(path).metadata
+                entry["bytes"] += os.path.getsize(path)
+                entry["row_groups"] += md.num_row_groups
+                entry["max_row_group_bytes"] = max(
+                    [entry["max_row_group_bytes"]]
+                    + [md.row_group(g).total_byte_size for g in range(md.num_row_groups)]
+                )
+                return md.num_rows
+
             base = mf.current_base(self.cfg.path, pid)
             if base is not None:
-                gen, path = base
-                entry["base_generation"] = gen
-                entry["base_rows"] = pq.ParquetFile(path).metadata.num_rows
-                entry["bytes"] += os.path.getsize(path)
+                entry["base_generation"] = base[0]
+                entry["base_rows"] = add_run(base[1])
             for _, path in mf.delta_runs(self.cfg.path, pid):
                 entry["delta_runs"] += 1
-                entry["delta_rows"] += pq.ParquetFile(path).metadata.num_rows
-                entry["bytes"] += os.path.getsize(path)
+                entry["delta_rows"] += add_run(path)
             parts.append(entry)
         return {
             "partitions": len(parts),
@@ -2079,7 +2091,7 @@ def _apply_partition_group(
 
     delta = mg.resolve_lww(mg.with_run_seq(good, 0), drop_tombstones=False)
     delta = delta.drop_columns([mg.RUN_SEQ, mg.NSRC])
-    _atomic_write_parquet(mf.delta_path(lake_path, pid, group_id), delta)
+    _write_run(mf.delta_path(lake_path, pid, group_id), delta, base_row_group_rows)
 
     ops = pc.fill_null(delta["op"], "insert")
     n_del = pc.sum(pc.cast(pc.equal(ops, "delete"), pa.int64())).as_py() or 0
@@ -2124,7 +2136,7 @@ def _apply_partition_group(
     _write_manifest(lake_path, pid, group_id, new_epochs, counters, alerts=alerts)
 
     # opportunistic LSM compaction when read amplification grows
-    if len(mf.delta_runs(lake_path, pid)) > max_delta_runs:
+    if _compaction_due(len(mf.delta_runs(lake_path, pid)), pid, group_id, max_delta_runs):
         _compact_partition(lake_path, pid, force=True, row_group_rows=base_row_group_rows)
 
     return _report_row(
@@ -2136,6 +2148,21 @@ def _apply_partition_group(
         deletes=n_del,
         max_ts_us=max_ts_us,
     )
+
+
+def _compaction_due(runs: int, pid: int, group_id: int, max_delta_runs: int) -> bool:
+    """Stage B's auto-compaction rule, staggered by pid.  A partition past
+    ``max_delta_runs`` delta runs compacts in a group whose id is on its
+    phase, ``(group_id + pid) % (max_delta_runs + 1) == 0``, and at
+    ``2 * max_delta_runs`` runs in any group.  In a loop of one-epoch
+    groups that touch every partition, each partition still compacts
+    every ``max_delta_runs + 1`` groups, but no longer all in the same
+    apply: about ``P / (max_delta_runs + 1)`` partitions per apply.  The
+    inputs are fixed for a given group and partition, so a retry decides
+    the same way."""
+    if runs <= max_delta_runs:
+        return False
+    return runs >= 2 * max_delta_runs or (group_id + pid) % (max_delta_runs + 1) == 0
 
 
 def _report_row(pid: int, *, skipped: bool, **counts) -> pa.Table:
@@ -2202,7 +2229,27 @@ def _dict_cols(schema: pa.Schema) -> list[str]:
 #: in-process (8 x 12.5k events, 43 MB of WAL, 1 CPU), staged bytes and
 #: task time: LZ4 parquet 20.5 MB / 993 ms, LZ4 Arrow IPC 20.8 MB /
 #: 812 ms, uncompressed Arrow IPC 51.2 MB / 605 ms.
+#:
+#: Lake runs (:func:`_write_run`) cut row groups at _RUN_GROUP_BYTES of
+#: Arrow data and keep min/max statistics on the key columns only.  One
+#: follow-sized base partition (1 496 rows, 652 817 B as one group with
+#: every column's statistics): 512-row groups cost +2.3 % with all
+#: statistics but -1.4 % with key statistics only, and the byte-bounded
+#: groups (4 of them) -1.0 % — ``text``'s min/max (up to 4 KB each, in
+#: the footer and in every page header) was the overhead.
 _LAKE_CODEC = "lz4"
+
+#: Arrow bytes per lake-run row group.  A point lookup decodes the groups
+#: whose key range can hold its key — about one per run — so this bounds
+#: a lookup's decode work per run.  Measured on the follow-sized base
+#: above, one-key pruned read p50 (1 CPU, in-process): one group
+#: 2.92 ms, 1024-row groups 1.86 ms, 512 rows 1.73 ms, 256 rows 1.50 ms,
+#: these byte-bounded groups (~374 rows each) 1.77 ms.
+_RUN_GROUP_BYTES = 512 << 10
+
+#: the columns readers prune lake runs on (:func:`_read_run_pruned`);
+#: the only ones whose footer statistics a lake run keeps
+_RUN_STATS_COLUMNS = ("conv_id", "turn_idx")
 
 
 def _atomic_write_parquet(
@@ -2217,6 +2264,49 @@ def _atomic_write_parquet(
         compression=_LAKE_CODEC,
         **({"row_group_size": row_group_rows} if row_group_rows else {}),
     )
+    os.replace(tmp, path)
+
+
+def _run_group_ends(table: pa.Table, row_group_rows: int) -> list[int]:
+    """Row-group end offsets for a lake run: each group holds at most
+    ``row_group_rows`` rows and at most :data:`_RUN_GROUP_BYTES` Arrow
+    bytes (or one row, if a row is larger).  A row's bytes are its string
+    values' lengths plus an even share of the rest (fixed-width values,
+    offsets); a table that fits one group skips that sum.  Groups are cut
+    on cumulative bytes, not at a mean row count: with mean-sized groups,
+    one ran 531 410 B of 524 288."""
+    n, nbytes = table.num_rows, table.nbytes
+    var = np.zeros(n, np.int64)
+    for col in table.columns if nbytes > _RUN_GROUP_BYTES else ():
+        if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+            var += pc.fill_null(pc.binary_length(col), 0).to_numpy().astype(np.int64)
+    cum = np.cumsum(var + (nbytes - int(var.sum())) / max(n, 1))
+    ends, start = [], 0
+    while start < n:
+        before = cum[start - 1] if start else 0.0
+        end = int(np.searchsorted(cum, before + _RUN_GROUP_BYTES, side="right"))
+        start = min(max(end, start + 1), start + row_group_rows)
+        ends.append(start)
+    return ends
+
+
+def _write_run(path: str, table: pa.Table, row_group_rows: int) -> None:
+    """Write a lake run (delta or base) atomically, in the byte-bounded
+    row groups of :func:`_run_group_ends`, with footer statistics on
+    :data:`_RUN_STATS_COLUMNS` only."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = path + ".tmp"
+    with pq.ParquetWriter(
+        tmp,
+        table.schema,
+        use_dictionary=_dict_cols(table.schema),
+        compression=_LAKE_CODEC,
+        write_statistics=[c for c in _RUN_STATS_COLUMNS if c in table.schema.names],
+    ) as w:
+        start = 0
+        for end in _run_group_ends(table, row_group_rows):
+            w.write_table(table.slice(start, end - start), row_group_size=end - start)
+            start = end
     os.replace(tmp, path)
 
 
@@ -2405,16 +2495,26 @@ def _fold_md5_xor(enc) -> np.uint64:
     return x
 
 
+def _merge_lake_runs(runs: list[pa.Table]) -> pa.Table:
+    """Live LWW state of lake runs listed oldest-first, without the
+    internal columns.  Every lake run is already unique and key-sorted
+    (its writer is ``resolve_lww``, ``merge_runs`` or reshard's
+    ``sort_by_key``), and row filters keep that, so a single run only
+    drops its tombstones — no LWW sort."""
+    if len(runs) == 1:
+        merged = mg.live_rows(runs[0])
+    else:
+        merged = mg.merge_runs(runs, drop_tombstones=True)
+    return merged.drop_columns(
+        [c for c in schemas.INTERNAL_COLUMNS if c in merged.schema.names]
+    )
+
+
 def _read_partition_state(
     lake_path: str, pid: int, as_of_epoch: int | None = None
 ) -> pa.Table | None:
     runs = _partition_runs(lake_path, pid, as_of_epoch)
-    if not runs:
-        return None
-    merged = mg.merge_runs(runs, drop_tombstones=True)
-    return merged.drop_columns(
-        [c for c in schemas.INTERNAL_COLUMNS if c in merged.schema.names]
-    )
+    return _merge_lake_runs(runs) if runs else None
 
 
 def _partition_run_paths(lake_path: str, pid: int) -> list[str]:
@@ -2446,8 +2546,11 @@ def _bloom_path(base_path: str) -> str:
 def _bloom_positions(keys: np.ndarray, m: int) -> np.ndarray:
     """(len(keys), K) bit positions via double hashing of two
     independent deterministic 64-bit key hashes."""
-    h1 = pd.util.hash_array(keys, hash_key=_BLOOM_H1)
-    h2 = pd.util.hash_array(keys, hash_key=_BLOOM_H2) | np.uint64(1)
+    # categorize=False: no factorize pass first (a one-key probe hashes
+    # in ~0.03 ms instead of ~0.17 ms); the hashes are the same, so
+    # sidecars written either way agree
+    h1 = pd.util.hash_array(keys, hash_key=_BLOOM_H1, categorize=False)
+    h2 = pd.util.hash_array(keys, hash_key=_BLOOM_H2, categorize=False) | np.uint64(1)
     i = np.arange(_BLOOM_K, dtype=np.uint64)
     return ((h1[:, None] + i[None, :] * h2[:, None]) % np.uint64(m)).astype(np.int64)
 
@@ -2488,9 +2591,10 @@ def _read_run_pruned(
 ) -> tuple[pa.Table | None, int, int]:
     """Row-group-pruned run read for point lookups: parquet footer
     min/max statistics on ``column`` select only the groups a requested
-    key can live in (compacted bases are key-sorted and written with
-    bounded row groups, so a k-key lookup touches O(k) groups of a
-    multi-GB partition instead of scanning it).  Returns
+    key can live in.  Lake runs are key-sorted and written in groups of
+    at most ~512 KiB (:func:`_write_run`), so a k-key lookup decodes
+    O(k) bounded groups of a multi-GB partition instead of scanning it;
+    a run written as one large group (older lakes) is read whole.  Returns
     ``(rows, groups_read, groups_total)``; rows are already filtered to
     the requested keys.  Parquet string stats may be truncated, but
     truncation keeps them valid bounds, so pruning is always safe —
@@ -2556,16 +2660,7 @@ def _read_keys_pruned_once(
         total += n
         if t is not None:
             runs.append(t)
-    if not runs:
-        return None, read, total
-    merged = mg.merge_runs(runs, drop_tombstones=True)
-    return (
-        merged.drop_columns(
-            [c for c in schemas.INTERNAL_COLUMNS if c in merged.schema.names]
-        ),
-        read,
-        total,
-    )
+    return (_merge_lake_runs(runs) if runs else None), read, total
 
 
 def _compact_partition(
@@ -2596,9 +2691,7 @@ def _compact_partition(
     through = max((ep for ep, _ in deltas), default=-1)
     if base is not None:
         through = max(through, mf.compact_through(lake_path, pid, base[0]))
-    _atomic_write_parquet(
-        mf.base_path(lake_path, pid, gen), merged, row_group_rows=row_group_rows
-    )
+    _write_run(mf.base_path(lake_path, pid, gen), merged, row_group_rows)
     _write_bloom(mf.base_path(lake_path, pid, gen), merged["conv_id"])
     mf.atomic_write_json(
         mf.compact_marker_path(lake_path, pid, gen),

@@ -88,9 +88,12 @@ def resolve_lww(table: pa.Table, *, drop_tombstones: bool) -> pa.Table:
         out = out.set_column(
             out.schema.get_field_index(NSRC), NSRC, pa.array(sums, pa.int64())
         )
-    if drop_tombstones:
-        out = out.filter(pc.not_equal(pc.fill_null(out["op"], "insert"), "delete"))
-    return out
+    return live_rows(out) if drop_tombstones else out
+
+
+def live_rows(table: pa.Table) -> pa.Table:
+    """``table`` without its tombstones (rows whose ``op`` is 'delete')."""
+    return table.filter(pc.not_equal(pc.fill_null(table["op"], "insert"), "delete"))
 
 
 def with_run_seq(table: pa.Table, seq: int) -> pa.Table:

@@ -2020,3 +2020,280 @@ def test_apply_reports_staged_bytes_and_leaves_no_staging(tmp_path):
     assert os.listdir(os.path.join(eng.cfg.path, "_staging")) == []
     assert eng.apply(wal).staged_bytes == 0
     _assert_equal_state(eng, gen)
+
+
+# ------------------------------------------- byte-bounded lake row groups
+
+
+BOUNDED_SPEC = WalSpec(seed=31, num_conversations=300, num_epochs=2, events_per_epoch=5000)
+
+
+def test_compacted_bases_have_byte_bounded_row_groups(tmp_path):
+    """On a default-config lake whose partitions hold more than two
+    groups' worth of bytes, compaction cuts every base into groups of at
+    most ``_RUN_GROUP_BYTES``, with footer statistics on the key columns
+    only; ``describe()`` shows the bound; a one-key lookup reads at most
+    two groups of a base and equals the oracle."""
+    import pyarrow.parquet as pq
+
+    from nyc_taxi_data_pipeline_ray.engine import (
+        _RUN_GROUP_BYTES,
+        _read_keys_pruned,
+        _read_run_pruned,
+        hash_partition_ids,
+    )
+    from nyc_taxi_data_pipeline_ray.state import manifest as mf
+
+    B = _RUN_GROUP_BYTES
+    gen, wal, eng = _build(str(tmp_path), BOUNDED_SPEC)
+    eng.apply(wal)
+    eng.compact()
+    snap = _assert_equal_state(eng, gen)
+    d = eng.describe()
+    assert d["max_delta_runs"] == 0
+    for p in d["per_partition"]:
+        base = mf.current_base(eng.cfg.path, p["pid"])[1]
+        md = pq.ParquetFile(base).metadata
+        groups = [md.row_group(g) for g in range(md.num_row_groups)]
+        assert pq.read_table(base).nbytes > 2 * B
+        assert md.num_row_groups >= 2
+        assert max(g.total_byte_size for g in groups) <= B
+        assert (p["row_groups"], p["max_row_group_bytes"]) == (
+            md.num_row_groups,
+            max(g.total_byte_size for g in groups),
+        )
+        for g in groups:
+            stats = {
+                g.column(c).path_in_schema: g.column(c).statistics is not None
+                for c in range(g.num_columns)
+            }
+            assert stats.pop("conv_id") and stats.pop("turn_idx")
+            assert not any(stats.values()), stats  # text's 4 KB min/max are gone
+
+    for conv in sorted(set(snap["conv_id"].to_pylist()))[::17]:
+        pid = int(hash_partition_ids(pa.array([conv]), eng.cfg.num_partitions)[0])
+        base = mf.current_base(eng.cfg.path, pid)[1]
+        _, read, total = _read_run_pruned(base, [conv])
+        assert 1 <= read <= 2 <= total
+        got, read, _ = _read_keys_pruned(eng.cfg.path, pid, [conv])
+        assert read <= 2
+        want = snap.filter(pc.equal(snap["conv_id"], conv))
+        cols = sorted(want.schema.names)
+        assert got.select(cols).equals(want.select(cols))
+        assert eng.get_conversation(conv).select(cols).equals(want.select(cols))
+
+
+def test_old_layout_base_reads_identically(tmp_path):
+    """A base written the old way — one row group, statistics on every
+    column — reads exactly like the bounded one, through point lookups
+    (with and without a delta on top) and snapshots."""
+    import pyarrow.parquet as pq
+
+    from nyc_taxi_data_pipeline_ray.state import manifest as mf
+
+    gen, wal, eng = _build(str(tmp_path), BOUNDED_SPEC)
+    eng.apply(wal, max_epochs=1)
+    eng.compact()
+    convs = sorted(set(gen.events_table()["conv_id"].to_pylist()))[::9]
+
+    def reads():
+        return eng.snapshot_table(), [eng.get_conversation(c) for c in convs]
+
+    for step in range(2):
+        if step:
+            eng.apply(wal)  # a delta over the base: the merge path
+        new_snap, new_hits = reads()
+        for pid in eng._live_pids():
+            base = mf.current_base(eng.cfg.path, pid)[1]
+            pq.write_table(pq.read_table(base), base)  # one group, all statistics
+            assert pq.ParquetFile(base).metadata.num_row_groups == 1
+        old_snap, old_hits = reads()
+        assert old_snap.equals(new_snap)
+        for a, b in zip(old_hits, new_hits):
+            assert a.equals(b)
+            assert a["turn_idx"].to_pylist() == sorted(a["turn_idx"].to_pylist())
+        eng.compact()  # bounded again for the next step
+    _assert_equal_state(eng, gen)
+
+
+def test_one_run_read_equals_merge_path_with_tombstones(tmp_path):
+    """A compacted partition keeps its tombstones; reading it (one run)
+    only drops them, and gives the very rows ``merge_runs`` gives, equal
+    to the oracle, for the whole partition and for a pruned key set."""
+    from nyc_taxi_data_pipeline_ray import schemas
+    from nyc_taxi_data_pipeline_ray.engine import (
+        _partition_runs,
+        _read_keys_pruned,
+        _read_partition_state,
+        hash_partition_ids,
+    )
+    from nyc_taxi_data_pipeline_ray.state import merge as mg
+
+    spec = WalSpec(seed=33, num_conversations=60, num_epochs=3, events_per_epoch=800, p_delete=0.2)
+    gen, wal, eng = _build(str(tmp_path), spec)
+    eng.apply(wal)
+    eng.compact()
+    _assert_equal_state(eng, gen)
+    snap = eng.snapshot_table()
+    n_tomb = 0
+    for pid in eng._live_pids():
+        (run,) = _partition_runs(eng.cfg.path, pid)
+        n_tomb += run.num_rows - mg.live_rows(run).num_rows
+        via_merge = mg.merge_runs([run], drop_tombstones=True).drop_columns(
+            list(schemas.INTERNAL_COLUMNS)
+        )
+        assert _read_partition_state(eng.cfg.path, pid).equals(via_merge)
+        keys = sorted(set(run["conv_id"].to_pylist()))[::3]
+        got, _, _ = _read_keys_pruned(eng.cfg.path, pid, keys)
+        want = via_merge.filter(pc.is_in(via_merge["conv_id"], value_set=pa.array(keys)))
+        assert got.equals(want)
+        in_pid = hash_partition_ids(snap["conv_id"], eng.cfg.num_partitions) == pid
+        exp = snap.filter(pa.array(in_pid))
+        assert got.equals(exp.filter(pc.is_in(exp["conv_id"], value_set=pa.array(keys))))
+    assert n_tomb > 0  # the partitions really kept tombstones
+
+
+def test_bloom_hashes_do_not_depend_on_categorize():
+    """The bloom probe hashes without pandas' factorize pass; the bit
+    positions are the ones sidecars were written with before."""
+    import numpy as np
+    import pandas as pd
+
+    from nyc_taxi_data_pipeline_ray.engine import _BLOOM_H1, _BLOOM_H2, _bloom_positions
+
+    keys = np.asarray([f"c{i:08d}" for i in range(0, 5000, 7)] + ["c00000000"], dtype=object)
+    m = 1 << 14
+    h1 = pd.util.hash_array(keys, hash_key=_BLOOM_H1)
+    h2 = pd.util.hash_array(keys, hash_key=_BLOOM_H2) | np.uint64(1)
+    i = np.arange(6, dtype=np.uint64)
+    old = ((h1[:, None] + i[None, :] * h2[:, None]) % np.uint64(m)).astype(np.int64)
+    assert np.array_equal(_bloom_positions(keys, m), old)
+
+
+# --------------------------------------------- staggered auto-compaction
+
+
+def test_compaction_due_staggers_partitions():
+    """Simulated one-epoch groups that touch every partition: each apply
+    compacts at most ``ceil(P / (max_delta_runs + 1))`` partitions once
+    past the first cycle, and no partition ever holds more than
+    ``2 * max_delta_runs`` delta runs after an apply.  (At
+    ``max_delta_runs`` 0 or 1 that cap is the threshold itself, so there
+    is nothing to stagger.)"""
+    from nyc_taxi_data_pipeline_ray.engine import _compaction_due
+
+    for P, k in ((8, 8), (16, 8), (4, 2), (3, 1), (5, 0)):
+        runs = [0] * P
+        per_group = []
+        for g in range(1, 200):
+            fired = 0
+            for pid in range(P):
+                runs[pid] += 1
+                if _compaction_due(runs[pid], pid, g, k):
+                    runs[pid], fired = 0, fired + 1
+                assert runs[pid] <= 2 * k
+            per_group.append(fired)
+        if k >= 2:
+            assert max(per_group[2 * k:]) <= -(-P // (k + 1)), (P, k, per_group)
+
+
+def test_follow_loop_without_compact_equals_oracle(tmp_path):
+    """One-epoch applies with no explicit compact: auto-compaction keeps
+    every partition at or below ``2 * max_delta_runs`` delta runs, never
+    compacts every partition in the same apply, and the state equals
+    the oracle after every apply."""
+    from nyc_taxi_data_pipeline_ray.state import manifest as mf
+
+    spec = WalSpec(seed=35, num_conversations=60, num_epochs=10, events_per_epoch=300, p_delete=0.1)
+    gen, wal, eng = _build(str(tmp_path), spec, max_delta_runs=2)
+    events = gen.events_table()
+    gens = {}
+    for e in range(spec.num_epochs):
+        assert eng.apply(wal, max_epochs=1).epochs == [e]
+        now = {p: (mf.current_base(eng.cfg.path, p) or (0,))[0] for p in eng._live_pids()}
+        compacted = [p for p in now if now[p] != gens.get(p, 0)]
+        assert len(compacted) < 4, (e, compacted)
+        gens = now
+        assert eng.describe()["max_delta_runs"] <= 2 * eng.cfg.max_delta_runs
+        exp = oracle.replay(events.filter(pc.less_equal(events["epoch"], e)))
+        cols = sorted(exp.schema.names)
+        assert eng.snapshot_table().select(cols).equals(exp.select(cols))
+    assert any(gens.values())  # auto-compaction did run
+    assert eng.fsck()["ok"]
+
+
+# ------------------------------------------------ epoch markers per apply
+
+
+def test_apply_loads_constant_epoch_markers(tmp_path, monkeypatch):
+    """The event-time watermark needs the newest group below the one
+    being applied; finding it loads O(1) ``_epochs`` markers, so the JSON
+    loads one apply makes here do not grow with the lake's history."""
+    import json
+
+    spec = WalSpec(seed=12, num_conversations=40, num_epochs=16, events_per_epoch=200)
+    gen, wal, eng = _build(str(tmp_path), spec, max_delta_runs=100)
+    real_load = json.load
+
+    def loads_of_one_apply() -> int:
+        calls = []
+        monkeypatch.setattr(json, "load", lambda f, **kw: calls.append(1) or real_load(f, **kw))
+        assert len(eng.apply(wal, max_epochs=1).epochs) == 1
+        monkeypatch.undo()
+        return len(calls)
+
+    for _ in range(4):
+        eng.apply(wal, max_epochs=1)
+    after_5 = loads_of_one_apply()
+    for _ in range(9):
+        eng.apply(wal, max_epochs=1)
+    assert loads_of_one_apply() == after_5
+
+
+def _full_scan_last_group(eng, before_group: int) -> int:
+    """The newest committed group below ``before_group`` by loading every
+    epoch marker."""
+    import json
+
+    groups = []
+    for f in glob.glob(os.path.join(eng.cfg.path, "_epochs", "epoch-*.json")):
+        with open(f) as fh:
+            groups.append(int(json.load(fh)["group_id"]))
+    return max((g for g in groups if g < before_group), default=-1)
+
+
+def test_event_watermark_after_lost_markers_equals_full_scan(tmp_path):
+    """Markers lost from a multi-epoch group (a crash before all of them
+    landed): the newest-first marker scan still finds the group the full
+    scan finds for every ``before_group``, and the re-apply's watermark
+    and ``late_upserts`` equal those of a lake that lost nothing."""
+    spec = WalSpec(seed=37, num_conversations=40, num_epochs=8, events_per_epoch=300, ooo_fraction=0.3)
+    gen = WalGenerator(spec)
+    wal = str(tmp_path / "wal")
+    gen.write(wal)
+    lakes = [
+        CdcEngine(LakeConfig.open_or_create(str(tmp_path / name), num_partitions=4))
+        for name in ("intact", "lossy")
+    ]
+    for eng in lakes:
+        eng.apply(wal, max_epochs=2)  # group 1 = {0, 1}
+        eng.apply(wal, max_epochs=3)  # group 4 = {2, 3, 4}
+    lossy = lakes[1]
+    os.remove(os.path.join(lossy.cfg.path, "_epochs", "epoch-000002.json"))
+    os.remove(os.path.join(lossy.cfg.path, "_watermark.json"))
+    for bg in range(0, 10):
+        assert lossy._last_group_before(bg) == _full_scan_last_group(lossy, bg), bg
+    # the lossy lake re-discovers epoch 2: group 5 = {2, 5}, whose
+    # partitions skip the already committed epoch 2
+    assert lossy.apply(wal, max_epochs=2).epochs == [2, 5]
+    assert lakes[0].apply(wal, max_epochs=1).epochs == [5]
+    for eng in lakes:
+        assert eng.apply(wal).epochs == [6, 7]
+    for bg in range(0, 10):
+        assert lossy._last_group_before(bg) == _full_scan_last_group(lossy, bg), bg
+    w = [e._event_watermark(before_group=99) for e in lakes]
+    assert w[0] is not None and w[0] == w[1]
+    m = [e.metrics() for e in lakes]
+    assert m[0]["late_upserts"] == m[1]["late_upserts"] and m[0]["late_upserts"] > 0
+    for eng in lakes:
+        _assert_equal_state(eng, gen)
