@@ -467,6 +467,14 @@ def main(argv: list[str] | None = None) -> int:
 
             from nyc_taxi_data_pipeline_ray.state.dedup_index import MinHashIndex
 
+            if args.cmd == "index-merge":
+                # opening a MinHashIndex CREATES it when missing — a
+                # mistyped target would become a new index, a mistyped
+                # source would silently merge nothing
+                for path in (args.index, args.from_):
+                    if not os.path.exists(os.path.join(path, "meta.json")):
+                        print(json.dumps({"error": f"no dedup index at {path!r}"}))
+                        return 1
             idx = MinHashIndex(
                 args.index, scope_col=getattr(args, "scope_col", None)
             )
@@ -508,11 +516,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(json.dumps(rep))
                 return 0 if rep["ok"] else 1
             elif args.cmd == "index-merge":
-                # opening a MinHashIndex CREATES it when missing — a
-                # mistyped source path would silently merge nothing
-                if not os.path.exists(os.path.join(args.from_, "meta.json")):
-                    print(json.dumps({"error": f"no dedup index at {args.from_!r}"}))
-                    return 1
                 src = MinHashIndex(args.from_)
                 print(json.dumps(idx.merge_from(src, segment_id=args.segment)))
             else:
@@ -527,7 +530,7 @@ def main(argv: list[str] | None = None) -> int:
 
             from nyc_taxi_data_pipeline_ray.state.ann_index import (
                 IvfIndex,
-                _normalize_rows,
+                normalize_rows,
             )
 
             if args.cmd in ("ann-add", "ann-ingest") and not os.path.exists(
@@ -549,13 +552,19 @@ def main(argv: list[str] | None = None) -> int:
                     )
                     return 1
                 cent = _kmeans_lite(
-                    _normalize_rows(np.stack(sample).astype(np.float64)), args.ncells
+                    normalize_rows(np.stack(sample).astype(np.float64)), args.ncells
                 )
                 idx = IvfIndex(
                     args.index,
                     centroids=cent,
                     attr_col=getattr(args, "attr_col", None),
                 )
+            elif args.cmd == "ann-merge":
+                try:
+                    idx, src = IvfIndex(args.index), IvfIndex(args.from_)
+                except FileNotFoundError as e:
+                    print(json.dumps({"error": str(e)}))
+                    return 1
             else:
                 idx = IvfIndex(args.index)
             # an attr-declared index stores its metadata column in every
@@ -594,7 +603,7 @@ def main(argv: list[str] | None = None) -> int:
             elif args.cmd == "ann-probe":
                 qt = pq.read_table(args.queries, columns=["vec_id", "embedding"])
                 qids = qt["vec_id"].to_numpy(zero_copy_only=False)
-                qmat = _normalize_rows(
+                qmat = normalize_rows(
                     np.stack(qt["embedding"].to_numpy(zero_copy_only=False)).astype(
                         np.float64
                     )
@@ -640,11 +649,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(json.dumps(rep))
                 return 0 if rep["ok"] else 1
             elif args.cmd == "ann-merge":
-                try:
-                    src = IvfIndex(args.from_)
-                except FileNotFoundError as e:
-                    print(json.dumps({"error": str(e)}))
-                    return 1
                 print(json.dumps(idx.merge_from(src, segment_id=args.segment)))
             else:
                 print(json.dumps(idx.compact()))

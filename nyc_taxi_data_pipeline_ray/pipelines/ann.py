@@ -54,7 +54,9 @@ def _vectors_where_id_below(sf_dir: str, upper: int) -> tuple[np.ndarray, np.nda
 
 # one canonical row normalization for index build AND probe (a skew
 # between the two would silently degrade IVF cell assignment)
-from nyc_taxi_data_pipeline_ray.state.ann_index import _normalize_rows  # noqa: E402
+from nyc_taxi_data_pipeline_ray.state.ann_index import (  # noqa: E402
+    normalize_rows as _normalize_rows,
+)
 
 
 def q_ann_bruteforce(sf_dir: str, *, k: int = 5, num_queries: int = 5) -> pd.DataFrame:
@@ -1219,7 +1221,7 @@ def q_ann_index_release(
         _fold_sem_dups(hits, k=k, threshold=threshold, dup_map=dup_of)
         if compact_every and (e + 1) % compact_every == 0 and e + 1 < n_epochs:
             idx.compact()
-    if compact_every and idx._base() is None:
+    if compact_every and idx.ledger.base() is None:
         raise RuntimeError("compaction witness never compacted")
 
     dup_ref = ray.put(dup_of)
@@ -1318,8 +1320,9 @@ def q_admission_replay(
             raise RuntimeError(f"live ingest of epoch {e} unexpectedly skipped")
         _fold_sem_dups(hits, k=k, threshold=threshold, dup_map=live_dup)
         idx.compact()  # adversarial: fold after EVERY epoch
-    if idx._base() is None or idx._base()[1] != n_epochs - 1:
-        raise RuntimeError(f"fold watermark wrong: {idx._base()}")
+    base = idx.ledger.base()
+    if base is None or base[1] != n_epochs - 1:
+        raise RuntimeError(f"fold watermark wrong: {base}")
 
     # ---- the resume: every epoch answers from its sidecar, verbatim
     replay_dup: dict[int, int] = {}

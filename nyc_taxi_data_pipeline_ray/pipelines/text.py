@@ -983,7 +983,7 @@ def q_dedup_index_release(
             )
         if compact_every and (e + 1) % compact_every == 0 and e + 1 < n_epochs:
             idx.compact()
-    if compact_every and idx._base() is None:
+    if compact_every and idx.ledger.base() is None:
         # witness-critical: a real raise, not an assert (python -O)
         raise RuntimeError("compaction witness never compacted")
 

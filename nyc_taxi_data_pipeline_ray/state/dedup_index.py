@@ -9,37 +9,32 @@ O(new docs): signatures of accepted docs are persisted once, as banded
 LSH rows hash-partitioned into bucket files, and a probe reads only
 the bucket files its own band hashes touch.
 
-Storage layout under ``path/`` (the engine's ledger idiom, reused):
+Payload under ``path/`` (the segments, bases, tombstones, markers and
+admission sidecars around it are :mod:`state.segment_ledger`'s):
 
-- ``seg-NNNNNN/bucket=BB.parquet``  band rows of segment N in bucket B
-- ``seg-NNNNNN.json``               commit marker (segment is invisible
-                                    until it lands; tmp+rename before)
 - ``meta.json``                     write-once hash params, so every
                                     opener agrees on num_perm/bands
-
-Exactly-once: ``add()`` with an already-committed segment id is a
-no-op, so WAL-epoch-driven updates can be replayed safely.  A crashed
-``add`` leaves orphan parquet that the next attempt overwrites.
+- ``*/bucket=BB.parquet``           band rows (band, band_hash, doc_id,
+                                    sig[, scope]) whose band hash falls
+                                    in bucket BB
 
 Scale notes: update is a single bounded shuffle of the NEW docs' band
 rows (num_buckets files); probe is partition-pruned to the probe set's
 buckets and each bucket task's work is its fine-group pair expansion —
 the same bounded-bucket containment as the batch pipeline.  Segments
-accumulate per epoch; :meth:`DedupIndex.compact` folds them (concat per
-bucket across segments) when file counts grow, and the read path merges
-live segments either way.
+accumulate per epoch; :meth:`MinHashIndex.compact` folds them (concat
+per bucket across segments) when file counts grow, and the read path
+merges live segments either way.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import shutil
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
 import ray.data as rd
 
 from nyc_taxi_data_pipeline_ray.pipelines.text import (
@@ -48,17 +43,7 @@ from nyc_taxi_data_pipeline_ray.pipelines.text import (
     _ragged_pair_indices,
 )
 from nyc_taxi_data_pipeline_ray.state import manifest as mf
-from nyc_taxi_data_pipeline_ray.state.ann_index import (
-    _check_add_replay,
-    _check_tombstone_replay,
-    _dead_mask,
-    _eff_seg,
-    _ledger_describe,
-    _ledger_fsck,
-    _ledger_run_dirs_as_of,
-    _ledger_vacuum,
-    _tombstones_for,
-)
+from nyc_taxi_data_pipeline_ray.state.segment_ledger import SegmentLedger, read_live_part
 
 PAIR_SCHEMA = pa.schema(
     [
@@ -67,13 +52,6 @@ PAIR_SCHEMA = pa.schema(
         ("est_jaccard", pa.float64()),
     ]
 )
-
-
-_is_file_not_found = mf.is_file_not_found
-
-
-def _empty_pairs() -> pa.Table:
-    return pa.table({f.name: pa.array([], f.type) for f in PAIR_SCHEMA})
 
 
 def _band_rows(
@@ -135,6 +113,10 @@ class MinHashIndex:
     ):
         self.path = path
         os.makedirs(path, exist_ok=True)
+        # the segment protocol; this class keeps only the band-row payload
+        self.ledger = SegmentLedger(
+            path, key="bucket", key_digits=2, id_col="doc_id", hits_schema=PAIR_SCHEMA
+        )
         meta_path = os.path.join(path, "meta.json")
         if os.path.exists(meta_path):
             with open(meta_path) as f:
@@ -164,60 +146,16 @@ class MinHashIndex:
             )
 
     # ---------------------------------------------------------------- ledger
-    def _manifest_path(self, segment_id: int) -> str:
-        return os.path.join(self.path, f"seg-{segment_id:06d}.json")
-
     def segments(self) -> list[int]:
         """Every committed segment id, INCLUDING ones folded into a
-        base — manifests are the ledger (idempotent add needs them)."""
-        out = []
-        for name in os.listdir(self.path):
-            if name.startswith("seg-") and name.endswith(".json"):
-                out.append(int(name[4:-5]))
-        return sorted(out)
-
-    def _base(self) -> tuple[int, int] | None:
-        """Newest valid base: (generation, through_segment) or None."""
-        best = None
-        for name in os.listdir(self.path):
-            if name.startswith("base-") and name.endswith(".json"):
-                with open(os.path.join(self.path, name)) as f:
-                    m = json.load(f)
-                if best is None or m["generation"] > best[0]:
-                    best = (int(m["generation"]), int(m["through_segment"]))
-        return best
-
-    def _read_runs(self) -> tuple[str | None, list[int]]:
-        """(base_dir, live_segment_ids) — what probe actually reads."""
-        base = self._base()
-        if base is None:
-            return None, self.segments()
-        gen, through = base
-        live = [s for s in self.segments() if s > through]
-        return os.path.join(self.path, f"base-{gen:06d}"), live
-
-    def _eff_seg(self, run_dir: str) -> int:
-        """See :func:`state.ann_index._eff_seg` (shared ledger layout)."""
-        return _eff_seg(run_dir)
-
-    def _run_dirs_as_of(self, as_of_segment: int) -> list[str]:
-        """See :func:`state.ann_index._ledger_run_dirs_as_of` (shared
-        ledger layout: later adds/tombstones invisible; raises once a
-        compact has folded past the watermark)."""
-        return _ledger_run_dirs_as_of(
-            self.path, self._base(), self.segments(), as_of_segment
-        )
+        base — markers are the ledger (idempotent add needs them)."""
+        return self.ledger.segments()
 
     def describe(self) -> dict:
-        """Operational snapshot (see
-        :func:`state.ann_index._ledger_describe`) plus this index's
-        frozen configuration."""
-        base_dir, live = self._read_runs()
-        run_dirs = ([base_dir] if base_dir else []) + [
-            os.path.join(self.path, f"seg-{s:06d}") for s in live
-        ]
+        """Operational snapshot (see :meth:`SegmentLedger.describe`)
+        plus this index's frozen configuration."""
         return {
-            **_ledger_describe(self.path, run_dirs),
+            **self.ledger.describe(),
             "num_perm": self.num_perm,
             "bands": self.bands,
             "num_buckets": self.num_buckets,
@@ -225,15 +163,8 @@ class MinHashIndex:
         }
 
     def fsck(self) -> dict:
-        """Ledger consistency check — see
-        :func:`state.ann_index._ledger_fsck`."""
-        return _ledger_fsck(self.path)
-
-    def _tombstones_for(
-        self, run_dirs: list[str], eff: dict[str, int] | None = None
-    ) -> list[tuple[int, np.ndarray]]:
-        """See :func:`state.ann_index._tombstones_for`."""
-        return _tombstones_for(run_dirs, "doc_id", eff)
+        """Ledger consistency check — see :meth:`SegmentLedger.fsck`."""
+        return self.ledger.fsck()
 
     # ---------------------------------------------------------------- delete
     def delete(self, doc_ids, segment_id: int) -> dict:
@@ -249,38 +180,15 @@ class MinHashIndex:
         A replay is only skipped when ``segment_id`` was committed as
         the SAME tombstone set; a collision with a prior ADD (or a
         delete of different ids) raises instead of silently reporting
-        ``skipped`` (see :func:`state.ann_index._check_tombstone_replay`)."""
-        ids = np.unique(np.asarray(doc_ids, np.int64))
-        if segment_id in self.segments():
-            _check_tombstone_replay(
-                self.path, self._manifest_path(segment_id), segment_id, ids, "doc_id"
-            )
-            return {"segment": segment_id, "skipped": True}
-        base = self._base()
-        if base is not None and base[1] >= segment_id:
-            raise ValueError(
-                f"segment {segment_id} is at or below base generation "
-                f"{base[0]}'s fold watermark ({base[1]}); its tombstones "
-                "would be invisible to readers"
-            )
-        seg_dir = os.path.join(self.path, f"seg-{segment_id:06d}")
-        shutil.rmtree(seg_dir, ignore_errors=True)
-        os.makedirs(seg_dir, exist_ok=True)
-        p = os.path.join(seg_dir, "tombstones.parquet")
-        pq.write_table(pa.table({"doc_id": pa.array(ids, pa.int64())}), p + ".tmp")
-        os.replace(p + ".tmp", p)
-        mf.atomic_write_json(
-            self._manifest_path(segment_id),
-            {"segment": segment_id, "tombstones": int(len(ids))},
-        )
-        return {"segment": segment_id, "skipped": False, "tombstones": int(len(ids))}
+        ``skipped`` (see :meth:`SegmentLedger.delete`)."""
+        return self.ledger.delete(doc_ids, segment_id)
 
     # --------------------------------------------------------------- compact
     def vacuum(self) -> dict:
         """Remove run DIRECTORIES already folded into the newest base,
         plus a crashed compact's partial output — see
-        :func:`state.ann_index._ledger_vacuum` (shared with IvfIndex)."""
-        return _ledger_vacuum(self.path, self._base())
+        :meth:`SegmentLedger.vacuum`."""
+        return self.ledger.vacuum()
 
     def compact(self) -> dict:
         """Fold the base + all live segments into one new base
@@ -292,73 +200,15 @@ class MinHashIndex:
         its marker, and a crash before the marker leaves the old runs
         authoritative.  Starts with a :meth:`vacuum` so a previously
         crashed compact's orphans are reclaimed first."""
-        self.vacuum()
-        base_dir, live = self._read_runs()
-        if not live and base_dir is not None:
-            return {"compacted": False, "reason": "single base, no live segments"}
-        if not live and base_dir is None:
-            return {"compacted": False, "reason": "empty index"}
-        prior = self._base()
-        gen = (prior[0] + 1) if prior else 1
-        through = max(live)
-        new_dir = os.path.join(self.path, f"base-{gen:06d}")
-        os.makedirs(new_dir, exist_ok=True)
-        index_path, nb = self.path, self.num_buckets
-        seg_dirs = ([base_dir] if base_dir else []) + [
-            os.path.join(index_path, f"seg-{s:06d}") for s in live
-        ]
-        # tombstones are APPLIED here (physical removal) and dropped:
-        # every future add's segment is newer than any folded tombstone
-        eff = {d: _eff_seg(d) for d in seg_dirs}
-        seg_effs = [eff[d] for d in seg_dirs]
-        tombs = self._tombstones_for(seg_dirs, eff)
-
-        def fold_bucket(batch: pa.Table) -> pa.Table:
-            rows = []
-            for b in batch["bucket"].to_pylist():
-                parts = []
-                for d, seg in zip(seg_dirs, seg_effs):
-                    p = os.path.join(d, f"bucket={int(b):02d}.parquet")
-                    if os.path.exists(p):
-                        part = pq.read_table(p)
-                        if tombs:
-                            dead = _dead_mask(
-                                part["doc_id"].to_numpy(zero_copy_only=False),
-                                seg,
-                                tombs,
-                            )
-                            if dead.any():
-                                part = part.filter(pa.array(~dead))
-                        if part.num_rows:
-                            parts.append(part)
-                if not parts:
-                    rows.append(0)
-                    continue
-                t = pa.concat_tables(parts)
-                out = os.path.join(new_dir, f"bucket={int(b):02d}.parquet")
-                tmp = out + ".tmp"
-                pq.write_table(t, tmp)
-                os.replace(tmp, out)
-                rows.append(t.num_rows)
-            return pa.table(
-                {"bucket": batch["bucket"], "rows": pa.array(rows, pa.int64())}
-            )
-
-        work = pa.table({"bucket": pa.array(range(nb), pa.int32())})
-        (
-            rd.from_arrow(work)
-            .repartition(min(nb, 16))
-            .map_batches(fold_bucket, batch_format="pyarrow", batch_size=None)
-            .count()
-        )
-        mf.atomic_write_json(
-            os.path.join(self.path, f"base-{gen:06d}.json"),
-            {"generation": gen, "through_segment": through},
-        )
-        # best-effort cleanup of folded runs (manifests stay)
-        for d in seg_dirs:
-            shutil.rmtree(d, ignore_errors=True)
-        return {"compacted": True, "generation": gen, "through_segment": through}
+        r = self.ledger.compact(fold_lone_segment=True)
+        if not r["folded"]:
+            reason = "single base, no live segments" if r["runs"] else "empty index"
+            return {"compacted": False, "reason": reason}
+        return {
+            "compacted": True,
+            "generation": r["generation"],
+            "through_segment": r["through_segment"],
+        }
 
     # ------------------------------------------------------------------- add
     def _band_rows_of(self, docs: rd.Dataset) -> rd.Dataset:
@@ -378,46 +228,16 @@ class MinHashIndex:
         would silently drop the documents), as does an uncommitted id
         at or below the fold watermark (its dir would be invisible to
         every reader — live runs are ``s > through``)."""
-        if segment_id in self.segments():
-            _check_add_replay(self._manifest_path(segment_id), segment_id)
+        if self.ledger.committed(segment_id):
             return {"segment": segment_id, "skipped": True}
-        base = self._base()
-        if base is not None and base[1] >= segment_id:
-            raise ValueError(
-                f"segment {segment_id} was never committed and is at or "
-                f"below base generation {base[0]}'s fold watermark "
-                f"({base[1]}); adding it now would be invisible to readers"
-            )
-        return self._commit_rows(self._band_rows_of(docs), segment_id)
+        return self._commit(self._band_rows_of(docs), segment_id)
 
-    def _commit_rows(self, rows: rd.Dataset, segment_id: int) -> dict:
-        seg_dir = os.path.join(self.path, f"seg-{segment_id:06d}")
-        # wipe, don't reuse: a crashed add may have left bucket files for
-        # a DIFFERENT batch; a retry whose docs hash to other buckets
-        # would otherwise commit those phantom rows under its manifest
-        # (invisible until the manifest lands, so the wipe is safe)
-        shutil.rmtree(seg_dir, ignore_errors=True)
-        os.makedirs(seg_dir, exist_ok=True)
-
-        def write_bucket(g: pa.Table) -> pa.Table:
-            b = int(g["bucket"][0].as_py())
-            path = os.path.join(seg_dir, f"bucket={b:02d}.parquet")
-            tmp = path + ".tmp"
-            pq.write_table(g.drop_columns(["bucket"]), tmp)
-            os.replace(tmp, path)
-            return pa.table({"bucket": pa.array([b], pa.int32()), "rows": [g.num_rows]})
-
-        stats = (
-            rows.groupby("bucket")
-            .map_groups(write_bucket, batch_format="pyarrow")
-            .to_pandas()  # <= num_buckets rows
+    def _commit(self, rows: rd.Dataset | None, segment_id: int) -> dict:
+        bands = self.bands
+        n = self.ledger.commit_rows(
+            rows, segment_id, lambda n: {"band_rows": n, "docs": n // bands}
         )
-        band_rows = int(stats["rows"].sum()) if len(stats) else 0
-        mf.atomic_write_json(
-            self._manifest_path(segment_id),
-            {"segment": segment_id, "band_rows": band_rows, "docs": band_rows // self.bands},
-        )
-        return {"segment": segment_id, "skipped": False, "docs": band_rows // self.bands}
+        return {"segment": segment_id, "skipped": False, "docs": n // bands}
 
     # ----------------------------------------------------------------- merge
     def merge_from(self, other: "MinHashIndex", segment_id: int) -> dict:
@@ -442,86 +262,11 @@ class MinHashIndex:
                 f"scope_col) = {ours}, source = {theirs}; band rows are "
                 "only portable between identical configurations"
             )
-        if segment_id in self.segments():
-            _check_add_replay(self._manifest_path(segment_id), segment_id)
+        if self.ledger.committed(segment_id):
             return {"segment": segment_id, "skipped": True}
-        base_dir, live = other._read_runs()
-        run_dirs = ([base_dir] if base_dir else []) + [
-            os.path.join(other.path, f"seg-{s:06d}") for s in live
-        ]
-        eff = {d: _eff_seg(d) for d in run_dirs}
-        tombs = other._tombstones_for(run_dirs, eff)
-        files = [
-            (p, eff[d], b)
-            for d in run_dirs
-            for b in range(other.num_buckets)
-            for p in [os.path.join(d, f"bucket={b:02d}.parquet")]
-            if os.path.exists(p)
-        ]
-        if not files:
-            base = self._base()
-            if base is not None and base[1] >= segment_id:
-                raise ValueError(
-                    f"segment {segment_id} was never committed and is at or "
-                    f"below base generation {base[0]}'s fold watermark "
-                    f"({base[1]}); adding it now would be invisible to readers"
-                )
-            seg_dir = os.path.join(self.path, f"seg-{segment_id:06d}")
-            shutil.rmtree(seg_dir, ignore_errors=True)
-            os.makedirs(seg_dir, exist_ok=True)
-            manifest = {"segment": segment_id, "band_rows": 0, "docs": 0}
-            mf.atomic_write_json(self._manifest_path(segment_id), manifest)
-            return {"segment": segment_id, "skipped": False, "docs": 0}
-        base = self._base()
-        if base is not None and base[1] >= segment_id:
-            raise ValueError(
-                f"segment {segment_id} was never committed and is at or "
-                f"below base generation {base[0]}'s fold watermark "
-                f"({base[1]}); adding it now would be invisible to readers"
-            )
         # stored bucket files drop the 'bucket' column (it lives in the
-        # filename); restore it so _commit_rows can re-group
-        stored = pq.read_schema(files[0][0])
-        empty = pa.schema(
-            list(stored) + [pa.field("bucket", pa.int32())]
-        ).empty_table()
-
-        def read_live(t: pa.Table) -> pa.Table:
-            parts = []
-            for row in t.to_pylist():  # one row per (path, seg, bucket)
-                part = pq.read_table(row["path"])
-                if tombs:
-                    dead = _dead_mask(
-                        part["doc_id"].to_numpy(zero_copy_only=False),
-                        int(row["seg"]),
-                        tombs,
-                    )
-                    if dead.any():
-                        part = part.filter(pa.array(~dead))
-                if part.num_rows:
-                    parts.append(
-                        part.append_column(
-                            "bucket",
-                            pa.array(
-                                np.full(part.num_rows, int(row["bucket"]), np.int32)
-                            ),
-                        )
-                    )
-            return pa.concat_tables(parts) if parts else empty
-
-        work = pa.table(
-            {
-                "path": pa.array([p for p, _, _ in files]),
-                "seg": pa.array([s for _, s, _ in files], pa.int64()),
-                "bucket": pa.array([b for _, _, b in files], pa.int32()),
-            }
-        )
-        rows = (
-            rd.from_arrow(work)
-            .repartition(min(len(files), 16))
-            .map_batches(read_live, batch_format="pyarrow", batch_size=None)
-        )
-        return self._commit_rows(rows, segment_id)
+        # filename); with_key restores it so the commit can re-group
+        return self._commit(other.ledger.read_live(with_key=True), segment_id)
 
     # ----------------------------------------------------------------- probe
     def probe(
@@ -550,70 +295,12 @@ class MinHashIndex:
         reads a consistent newer view — the same one-retry idiom as
         :meth:`IvfIndex.probe`."""
 
-        def _run_dirs() -> list[str]:
-            if as_of_segment is not None:
-                return self._run_dirs_as_of(as_of_segment)
-            base_dir, live = self._read_runs()
-            return ([base_dir] if base_dir else []) + [
-                os.path.join(self.path, f"seg-{s:06d}") for s in live
-            ]
+        def read(run_dirs: list[str]) -> pd.DataFrame:
+            if not run_dirs:
+                return self.ledger.empty_hits()
+            return self._probe_band_rows(self._band_rows_of(docs), threshold, run_dirs)
 
-        run_dirs = _run_dirs()
-        if not run_dirs:
-            return _empty_pairs().to_pandas()
-        rows = self._band_rows_of(docs)
-        try:
-            return self._probe_band_rows(rows, threshold, run_dirs)
-        except Exception as e:
-            if not _is_file_not_found(e):
-                raise
-            return self._probe_band_rows(rows, threshold, _run_dirs())
-
-    # ------------------------------------------------------- admission hits
-    def _hits_path(self, segment_id: int) -> str:
-        return os.path.join(self.path, "_admissions", f"epoch-{segment_id:06d}.parquet")
-
-    def _load_hits(self, segment_id: int) -> pd.DataFrame | None:
-        p = self._hits_path(segment_id)
-        return pq.read_table(p).to_pandas() if os.path.exists(p) else None
-
-    def _persist_hits(
-        self, segment_id: int, df: pd.DataFrame, params: dict | None = None
-    ) -> None:
-        """Write the epoch's probe candidates as a sidecar UNDER the
-        index, tmp+rename, BEFORE the segment marker lands — completing
-        the ``probe_and_add`` contract: once persisted, the original
-        admission decision survives any later ``compact()`` (the
-        ``_admissions/`` dir is invisible to compaction, which only
-        touches ``base-*`` / ``seg-*``)."""
-        os.makedirs(os.path.join(self.path, "_admissions"), exist_ok=True)
-        t = (
-            pa.Table.from_pandas(
-                df[[f.name for f in PAIR_SCHEMA]], preserve_index=False
-            ).cast(PAIR_SCHEMA)
-            if len(df)
-            else _empty_pairs()
-        )
-        if params:
-            t = t.replace_schema_metadata(
-                {
-                    **(t.schema.metadata or {}),
-                    **{str(k).encode(): str(v).encode() for k, v in params.items()},
-                }
-            )
-        p = self._hits_path(segment_id)
-        pq.write_table(t, p + ".tmp")
-        os.replace(p + ".tmp", p)
-
-    def _hits_params(self, segment_id: int) -> dict[str, str]:
-        """Probe parameters recorded in the sidecar's schema metadata
-        (empty for sidecars written before params were recorded)."""
-        md = pq.read_schema(self._hits_path(segment_id)).metadata or {}
-        return {
-            k.decode(): v.decode()
-            for k, v in md.items()
-            if k in (b"k", b"nprobe", b"threshold")
-        }
+        return self.ledger.read_view(read, as_of_segment)
 
     def probe_and_add(
         self,
@@ -654,139 +341,35 @@ class MinHashIndex:
         ``segment_id`` at or below the fold watermark raises: its
         segment dir would be invisible to every reader (live runs are
         ``s > through``), silently losing the documents."""
-        if segment_id in self.segments():
-            # a collision with a TOMBSTONE segment is never a benign
-            # replay: every committed-replay skip path below would
-            # silently drop the batch's documents (and a persist_hits
-            # backfill would cement a sidecar for the delete) — the
-            # same guard _commit_rows applies on its direct path
-            _check_add_replay(self._manifest_path(segment_id), segment_id)
-        base = self._base()
-        if base is not None and base[1] >= segment_id:
-            if segment_id in self.segments():
-                replay = self._load_hits(segment_id)
-                if replay is not None:
-                    return replay, {
-                        "segment": segment_id,
-                        "skipped": True,
-                        "folded": True,
-                        "replayed_hits": True,
-                    }
-                import warnings
-
-                warnings.warn(
-                    f"replaying segment {segment_id} after compact() folded "
-                    f"past it: original candidates are NOT reproducible; "
-                    "returning empty (persist per-epoch hits before "
-                    "compacting past them)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                return _empty_pairs().to_pandas(), {
-                    "segment": segment_id,
-                    "skipped": True,
-                    "folded": True,
-                }
-            raise ValueError(
-                f"segment {segment_id} was never committed and is at or below "
-                f"base generation {base[0]}'s fold watermark ({base[1]}); "
-                "adding it now would be invisible to readers"
-            )
-        if segment_id in self.segments():
-            replay = self._load_hits(segment_id)
-            if replay is not None and self._hits_params(segment_id) == {
-                "threshold": str(threshold)
-            }:
-                # committed epoch with a sidecar from the SAME probe
-                # parameters: skip the (deterministic but not free)
-                # re-probe entirely.  A parameter mismatch falls through
-                # to a fresh re-probe — the earlier view is still intact
-                # here, so the caller's threshold is honored; the
-                # original sidecar decision stays untouched.
-                return replay, {
-                    "segment": segment_id,
-                    "skipped": True,
-                    "replayed_hits": True,
-                }
-
-        def _earlier_run_dirs() -> list[str]:
-            # strictly-earlier committed view; re-listable so a probe
-            # that raced a concurrent compact() can retry against the
-            # folded (still < segment_id, per the watermark guard above)
-            # newer layout — mirrors IvfIndex.probe_and_add
-            base_dir, live = self._read_runs()
-            return ([base_dir] if base_dir else []) + [
-                os.path.join(self.path, f"seg-{s:06d}")
-                for s in live
-                if s < segment_id
-            ]
-
-        run_dirs = _earlier_run_dirs()
-        rows = self._band_rows_of(docs).materialize()
-        if run_dirs:
-            try:
-                cand = self._probe_band_rows(rows, threshold, run_dirs)
-            except Exception as e:
-                if not _is_file_not_found(e):
-                    raise
-                cand = self._probe_band_rows(rows, threshold, _earlier_run_dirs())
-        else:
-            cand = _empty_pairs().to_pandas()
-        params = {"threshold": threshold}
-        if segment_id in self.segments():
-            rep = {"segment": segment_id, "skipped": True}
-            if persist_hits and self._load_hits(segment_id) is None:
-                # backfill durability for an epoch committed WITHOUT a
-                # sidecar: the candidates above were just recomputed from
-                # the intact strictly-earlier view, so persisting them is
-                # what the caller asked for — without it the request
-                # would be silently dropped and lost at the next fold
-                self._persist_hits(segment_id, cand, params)
-                rep["hits_persisted"] = True
-            return cand, rep
-        if persist_hits:
-            # sidecar BEFORE the marker: a commit implies its admission
-            # decision is durable, so compaction can never orphan it
-            self._persist_hits(segment_id, cand, params)
-        return cand, self._commit_rows(rows, segment_id)
+        return self.ledger.probe_and_add(
+            segment_id,
+            params={"threshold": threshold},
+            persist_hits=persist_hits,
+            prepare=lambda: self._band_rows_of(docs).materialize(),
+            probe=lambda rows, run_dirs: self._probe_band_rows(rows, threshold, run_dirs),
+            commit=lambda rows: self._commit(rows, segment_id),
+        )
 
     def _probe_band_rows(
         self, probe_rows: rd.Dataset, threshold: float, run_dirs: list[str]
     ) -> pd.DataFrame:
-        eff = {d: _eff_seg(d) for d in run_dirs}
-        run_segs = [eff[d] for d in run_dirs]
-        tombs = self._tombstones_for(run_dirs, eff)
+        segs, tombs = self.ledger.view(run_dirs)
         scope_name = self.scope_col
 
         def match_bucket(g: pa.Table) -> pa.Table:
             b = int(g["bucket"][0].as_py())
-            stored = []
-            for d, seg in zip(run_dirs, run_segs):
-                p = os.path.join(d, f"bucket={b:02d}.parquet")
-                if os.path.exists(p):
-                    part = pq.read_table(p)
-                    if tombs:
-                        # tombstone exclusion: a LATER delete segment
-                        # kills this run's rows (delete-then-re-add
-                        # resurrects; see MinHashIndex.delete)
-                        dead = _dead_mask(
-                            part["doc_id"].to_numpy(zero_copy_only=False),
-                            seg,
-                            tombs,
-                        )
-                        if dead.any():
-                            part = part.filter(pa.array(~dead))
-                    if part.num_rows:
-                        stored.append(part)
-                elif not os.path.isdir(d):
-                    # a missing bucket FILE is normal (no rows hashed
-                    # there); a missing run DIR means a concurrent
-                    # compact() folded it mid-probe — raise so the
-                    # caller's one-retry re-lists instead of silently
-                    # dropping the folded rows' candidates
-                    raise FileNotFoundError(f"run dir vanished mid-probe: {d}")
+            # tombstone exclusion: a LATER delete segment kills a run's
+            # rows (delete-then-re-add resurrects; see delete); a run
+            # dir folded away mid-probe raises for the caller's retry
+            name = f"bucket={b:02d}.parquet"
+            stored = [
+                part
+                for d, seg in zip(run_dirs, segs)
+                for part in [read_live_part(os.path.join(d, name), seg, tombs, "doc_id")]
+                if part is not None
+            ]
             if not stored:
-                return _empty_pairs()
+                return PAIR_SCHEMA.empty_table()
             st = pa.concat_tables(stored)
             band = np.concatenate(
                 [st["band"].to_numpy(zero_copy_only=False), g["band"].to_numpy(zero_copy_only=False)]
@@ -828,7 +411,7 @@ class MinHashIndex:
             sizes = _group_sizes_by_boundary(band, bh)
             ia, ib = _ragged_pair_indices(sizes)
             if not len(ia):
-                return _empty_pairs()
+                return PAIR_SCHEMA.empty_table()
             cross = side[ia] != side[ib]
             if sc is not None:
                 # scoped dedup: a candidate pair must AGREE on the scope
@@ -836,7 +419,7 @@ class MinHashIndex:
                 cross &= sc[ia] == sc[ib]
             ia, ib = ia[cross], ib[cross]
             if not len(ia):
-                return _empty_pairs()
+                return PAIR_SCHEMA.empty_table()
             est = (sig[ia] == sig[ib]).mean(axis=1)
             keep = est >= threshold
             ia, ib, est = ia[keep], ib[keep], est[keep]
@@ -857,7 +440,7 @@ class MinHashIndex:
             .to_pandas()
         )
         if df.empty:
-            return _empty_pairs().to_pandas()
+            return self.ledger.empty_hits()
         df = (
             df.drop_duplicates(["probe_doc", "indexed_doc"], ignore_index=True)
             .sort_values(["probe_doc", "indexed_doc"], ignore_index=True)

@@ -1,0 +1,690 @@
+"""Segment ledger: the commit protocol behind both persisted indexes.
+
+:class:`~state.dedup_index.MinHashIndex` (band rows in ``bucket=BB``
+files) and :class:`~state.ann_index.IvfIndex` (vectors in ``cell=CCCC``
+files) each compose one :class:`SegmentLedger`.  The split follows
+Delta Lake's (VLDB 2020): one log protocol, and each table format
+decides only what its data files hold.  The ledger owns the layout, the
+commit order, the replay and fold-watermark guards, compaction, the
+admission-hit sidecars and the read view; an index owns its config, the
+kernel that maps rows to file keys, and its probe kernel.
+
+Storage layout under ``path/``:
+
+- ``meta.json``                      the index's write-once params
+                                     (written by the index, not here)
+- ``seg-NNNNNN/<key>=KK.parquet``    rows of segment N with file key KK
+- ``seg-NNNNNN/tombstones.parquet``  the ids a DELETE segment kills
+- ``seg-NNNNNN.json``                commit marker: the segment is
+                                     invisible until it lands (tmp+rename,
+                                     after its files).  An ADD marker
+                                     carries the index's row counts, a
+                                     DELETE marker ``tombstones``
+- ``base-GGGGGG/<key>=KK.parquet``   generation G of the compacted runs,
+  + ``base-GGGGGG.json``             committed by ``{"generation",
+                                     "through_segment", ...}``
+- ``_admissions/epoch-NNNNNN.parquet``  one epoch's persisted probe hits
+
+Protocol:
+
+- A segment id is one ledger entry.  Replaying an ADD of a committed ADD
+  id is a no-op; a replay that collides with the other kind raises.
+  Markers are never removed, so replays stay idempotent after a fold.
+- The read view is the newest base plus every committed segment above
+  its fold watermark (``through_segment``).  An uncommitted id at or
+  below the watermark is refused: its dir would be invisible.
+- Segment order is the CDC order: a tombstone kills rows of EARLIER
+  segments only, so delete-then-re-add resurrects.  ``compact`` applies
+  tombstones and drops them; every later segment is newer than they are.
+- Single writer per index.  Readers race a compactor safely: folded runs
+  are removed only after the new base marker lands, and a reader that
+  lost a listed run re-lists once (:meth:`SegmentLedger.read_view`).
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import shutil
+import warnings
+from typing import Callable
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
+import ray.data as rd
+
+from nyc_taxi_data_pipeline_ray.io import fan_out
+from nyc_taxi_data_pipeline_ray.state import manifest as mf
+
+Tombstones = list[tuple[int, np.ndarray]]
+
+
+def _write_atomic(t: pa.Table, path: str) -> None:
+    pq.write_table(t, path + ".tmp")
+    os.replace(path + ".tmp", path)
+
+
+def dead_mask(ids: np.ndarray, row_seg: int, tombs: Tombstones) -> np.ndarray:
+    """Which of ``ids`` (stored rows from effective segment ``row_seg``)
+    are killed by a tombstone from a LATER segment.  ``tombs`` entries
+    are (tombstone_segment, sorted ids)."""
+    dead = np.zeros(len(ids), bool)
+    for t_seg, t_ids in tombs:
+        if t_seg <= row_seg or not len(t_ids):
+            continue
+        idx = np.searchsorted(t_ids, ids)
+        idx[idx == len(t_ids)] = len(t_ids) - 1
+        dead |= t_ids[idx] == ids
+    return dead
+
+
+def read_live_part(
+    path: str, seg: int, tombs: Tombstones, id_col: str, columns=None
+) -> pa.Table | None:
+    """The rows of one run file that no later tombstone kills, or None
+    when nothing survives or the run has no such file (no row mapped to
+    that key).  A missing run DIR raises FileNotFoundError: a concurrent
+    ``compact()`` folded it mid-read, and the caller's one retry
+    re-lists instead of silently dropping the folded rows."""
+    if not os.path.exists(path):
+        if not os.path.isdir(os.path.dirname(path)):
+            raise FileNotFoundError(f"run dir vanished mid-read: {path}")
+        return None
+    part = pq.read_table(path, columns=columns)
+    if tombs:
+        dead = dead_mask(part[id_col].to_numpy(zero_copy_only=False), seg, tombs)
+        if dead.any():
+            part = part.filter(pa.array(~dead))
+    return part if part.num_rows else None
+
+
+class SegmentLedger:
+    """The segment/base/tombstone ledger of one index directory.
+
+    ``key`` names the file-key column (``bucket`` / ``cell``; stored in
+    the file NAME, dropped from the file), ``key_digits`` its zero
+    padding, ``id_col`` the row id that tombstones name, and
+    ``hits_schema`` the admission sidecars' schema."""
+
+    def __init__(
+        self, path: str, *, key: str, key_digits: int, id_col: str, hits_schema: pa.Schema
+    ):
+        self.path, self.key, self.key_digits = path, key, key_digits
+        self.id_col, self.hits_schema = id_col, hits_schema
+
+    # ---------------------------------------------------------------- layout
+    def _seg_dir(self, segment_id: int) -> str:
+        return os.path.join(self.path, f"seg-{segment_id:06d}")
+
+    def file_name(self, key: int) -> str:
+        return f"{self.key}={key:0{self.key_digits}d}.parquet"
+
+    def file_keys(self, run_dir: str) -> list[int]:
+        """Keys of the data files in one run dir, ascending."""
+        pre = self.key + "="
+        return sorted(
+            int(f[len(pre) : -8])
+            for f in os.listdir(run_dir)
+            if f.startswith(pre) and f.endswith(".parquet")
+        )
+
+    def _markers(self) -> dict[int, dict]:
+        out = {}
+        for s in self.segments():
+            with open(self._seg_dir(s) + ".json") as f:
+                out[s] = json.load(f)
+        return out
+
+    def segments(self) -> list[int]:
+        """Every committed segment id, INCLUDING ones folded into a
+        base — markers are the ledger (idempotent add needs them)."""
+        return sorted(
+            int(name[4:-5])
+            for name in os.listdir(self.path)
+            if name.startswith("seg-") and name.endswith(".json")
+        )
+
+    def base(self) -> tuple[int, int] | None:
+        """Newest committed base: (generation, through_segment) or None."""
+        best = None
+        for name in os.listdir(self.path):
+            if name.startswith("base-") and name.endswith(".json"):
+                with open(os.path.join(self.path, name)) as f:
+                    m = json.load(f)
+                if best is None or m["generation"] > best[0]:
+                    best = (int(m["generation"]), int(m["through_segment"]))
+        return best
+
+    def run_dirs(self, as_of_segment: int | None = None) -> list[str]:
+        """The run dirs a reader reads: the newest base, then every
+        committed segment above its fold watermark.  With
+        ``as_of_segment=N`` only segments up to N — the index as it
+        stood after N committed (later adds AND tombstones invisible),
+        the index-level analog of the lake's ``as_of`` read.  That
+        raises once a ``compact()`` folded PAST N: the base merged later
+        segments irreversibly (post-fold replay reads the admission
+        sidecars instead)."""
+        base = self.base()
+        through = base[1] if base else -1
+        if as_of_segment is not None and through > as_of_segment:
+            raise ValueError(
+                f"history folded: base generation {base[0]} merged through "
+                f"segment {through} > as_of_segment {as_of_segment}"
+            )
+        top = math.inf if as_of_segment is None else as_of_segment
+        return ([os.path.join(self.path, f"base-{base[0]:06d}")] if base else []) + [
+            self._seg_dir(s) for s in self.segments() if through < s <= top
+        ]
+
+    def _eff_seg(self, run_dir: str) -> int:
+        """Effective segment of a run dir for tombstone ordering: a
+        segment is its own id; a base is its fold watermark (every row
+        in it was added at a segment <= through, and every live
+        tombstone has a segment > through)."""
+        name = os.path.basename(run_dir)
+        if name.startswith("seg-"):
+            return int(name[4:])
+        with open(run_dir + ".json") as f:
+            return int(json.load(f)["through_segment"])
+
+    def view(self, run_dirs: list[str]) -> tuple[list[int], Tombstones]:
+        """(effective segment per run dir, tombstones among them as
+        (segment, sorted ids)).  Tombstones live only in seg dirs —
+        compact applies and drops them.  A DELETE segment whose file is
+        gone (a concurrent compact's rmtree) raises FileNotFoundError so
+        the caller's one retry re-lists; otherwise its exclusion set
+        would silently vanish and deleted rows resurface."""
+        segs = [self._eff_seg(d) for d in run_dirs]
+        tombs = []
+        for d, seg in zip(run_dirs, segs):
+            p = os.path.join(d, "tombstones.parquet")
+            if os.path.exists(p):
+                ids = pq.read_table(p)[self.id_col].to_numpy(zero_copy_only=False)
+                tombs.append((seg, np.sort(ids.astype(np.int64))))
+            elif os.path.basename(d).startswith("seg-"):
+                with open(d + ".json") as f:
+                    if "tombstones" in json.load(f):
+                        raise FileNotFoundError(
+                            f"tombstone file vanished mid-probe (compact race): {p}"
+                        )
+        return segs, tombs
+
+    def read_view(self, read: Callable[[list[str]], object], as_of_segment=None):
+        """``read(run_dirs(as_of_segment))``, re-listed and retried once
+        when a concurrent ``compact()`` removed a listed run mid-read."""
+        try:
+            return read(self.run_dirs(as_of_segment))
+        except Exception as e:
+            if not mf.is_file_not_found(e):
+                raise
+            return read(self.run_dirs(as_of_segment))
+
+    # ---------------------------------------------------------------- guards
+    def committed(self, segment_id: int) -> bool:
+        """Whether ``segment_id`` is already committed as an ADD — a
+        replay the caller skips.  Raises when it was committed as a
+        DELETE: skipping would silently drop the batch's rows while
+        reporting success."""
+        if segment_id not in self.segments():
+            return False
+        with open(self._seg_dir(segment_id) + ".json") as f:
+            man = json.load(f)
+        if "tombstones" in man:
+            raise ValueError(
+                f"segment {segment_id} was already committed as a DELETE "
+                f"({man}); refusing to skip this add as a replay — use a "
+                "fresh segment id so CDC order stays explicit"
+            )
+        return True
+
+    def _check_watermark(self, segment_id: int, *, delete: bool = False) -> None:
+        base = self.base()
+        if base is not None and base[1] >= segment_id:
+            if delete:
+                raise ValueError(
+                    f"segment {segment_id} is at or below base generation "
+                    f"{base[0]}'s fold watermark ({base[1]}); its tombstones "
+                    "would be invisible to readers"
+                )
+            raise ValueError(
+                f"segment {segment_id} was never committed and is at or "
+                f"below base generation {base[0]}'s fold watermark "
+                f"({base[1]}); adding it now would be invisible to readers"
+            )
+
+    def _fresh_seg_dir(self, segment_id: int) -> str:
+        # wipe, don't reuse: a crashed attempt may have left files for a
+        # DIFFERENT batch, and a retry that maps to other keys would
+        # commit those phantom rows under its marker.  The dir is
+        # invisible until the marker lands, so the wipe is safe.
+        d = self._seg_dir(segment_id)
+        shutil.rmtree(d, ignore_errors=True)
+        os.makedirs(d, exist_ok=True)
+        return d
+
+    # ---------------------------------------------------------------- writes
+    def commit_rows(
+        self, rows: rd.Dataset | None, segment_id: int, marker: Callable[[int], dict]
+    ) -> int:
+        """Commit ``rows`` (carrying the ``key`` column) as segment
+        ``segment_id``: one exchange on the key, one file per key, then
+        the marker ``{"segment": id, **marker(n_rows)}``.  ``rows=None``
+        commits an empty segment (a merge of an empty source still
+        consumes its id exactly once).  Returns the row count."""
+        self._check_watermark(segment_id)
+        seg_dir = self._fresh_seg_dir(segment_id)
+        n = 0
+        if rows is not None:
+            key, digits = self.key, self.key_digits
+
+            def write_file(g: pa.Table) -> pa.Table:
+                k = int(g[key][0].as_py())
+                name = f"{key}={k:0{digits}d}.parquet"
+                _write_atomic(g.drop_columns([key]), os.path.join(seg_dir, name))
+                return pa.table({key: pa.array([k], pa.int32()), "rows": [g.num_rows]})
+
+            stats = (
+                rows.groupby(key)
+                .map_groups(write_file, batch_format="pyarrow")
+                .to_pandas()  # one row per key
+            )
+            n = int(stats["rows"].sum()) if len(stats) else 0
+        mf.atomic_write_json(seg_dir + ".json", {"segment": segment_id, **marker(n)})
+        return n
+
+    def delete(self, ids, segment_id: int) -> dict:
+        """Commit a tombstone segment for ``ids``.  A replay is only
+        skipped when ``segment_id`` was committed as the SAME tombstone
+        set; a collision with a prior ADD (or a delete of different ids)
+        raises instead of silently reporting ``skipped`` — otherwise a
+        CDC epoch that mapped both upserts and deletes to one segment id
+        would drop the takedown forever."""
+        ids = np.unique(np.asarray(ids, np.int64))
+        if segment_id in self.segments():
+            self._check_tombstone_replay(segment_id, ids)
+            return {"segment": segment_id, "skipped": True}
+        self._check_watermark(segment_id, delete=True)
+        seg_dir = self._fresh_seg_dir(segment_id)
+        _write_atomic(
+            pa.table({self.id_col: pa.array(ids, pa.int64())}),
+            os.path.join(seg_dir, "tombstones.parquet"),
+        )
+        mf.atomic_write_json(
+            seg_dir + ".json", {"segment": segment_id, "tombstones": int(len(ids))}
+        )
+        return {"segment": segment_id, "skipped": False, "tombstones": int(len(ids))}
+
+    def _check_tombstone_replay(self, segment_id: int, ids: np.ndarray) -> None:
+        """After a compact the seg dir (and its exact id list) is gone,
+        so the check degrades to the marker's kind + count; before it,
+        ids are compared exactly."""
+        with open(self._seg_dir(segment_id) + ".json") as f:
+            man = json.load(f)
+        if "tombstones" not in man:
+            raise ValueError(
+                f"segment {segment_id} was already committed as an ADD "
+                f"({man}); refusing to treat delete({self.id_col}s, {segment_id}) "
+                "as a replay — use a fresh segment id for the tombstones"
+            )
+        if int(man["tombstones"]) != len(ids):
+            raise ValueError(
+                f"segment {segment_id} was committed with "
+                f"{man['tombstones']} tombstones, but this delete carries "
+                f"{len(ids)} — not a replay; use a fresh segment id"
+            )
+        p = os.path.join(self._seg_dir(segment_id), "tombstones.parquet")
+        if os.path.exists(p):
+            committed = pq.read_table(p)[self.id_col].to_numpy(zero_copy_only=False)
+            if not np.array_equal(np.sort(committed.astype(np.int64)), ids):
+                raise ValueError(
+                    f"segment {segment_id}'s committed tombstone ids differ "
+                    "from this delete's — not a replay; use a fresh segment id"
+                )
+
+    # --------------------------------------------------------------- compact
+    def vacuum(self) -> dict:
+        """Remove run DIRECTORIES already folded into the newest base,
+        stale non-newest base dirs, and — when NO base marker exists —
+        any partial ``base-*/`` dir a crashed FIRST compact left.  That
+        last case matters: a retried compact would otherwise reuse the
+        partial dir and commit its stale files under the new marker —
+        files that may hold rows a tombstone has since deleted,
+        resurrecting them forever."""
+        base = self.base()
+        removed = 0
+        for name in os.listdir(self.path):
+            full = os.path.join(self.path, name)
+            if not os.path.isdir(full):
+                continue
+            if base is None:
+                dead = name.startswith("base-")
+            else:
+                dead = (name.startswith("base-") and name != f"base-{base[0]:06d}") or (
+                    name.startswith("seg-") and int(name[4:]) <= base[1]
+                )
+            if dead:
+                shutil.rmtree(full, ignore_errors=True)
+                removed += 1
+        return {"removed": removed}
+
+    def compact(
+        self,
+        *,
+        fold_lone_segment: bool,
+        fold: Callable[[pa.Table], pa.Table] | None = None,
+        keys_field: str | None = None,
+    ) -> dict:
+        """Fold the base + every live segment into one new base
+        generation, one file key at a time in parallel tasks (the LSM
+        step: a probe reads one file per key again).  Tombstones are
+        applied (physical removal) and dropped.  ``fold`` post-processes
+        each key's merged rows; ``keys_field`` names a base-marker field
+        that records the number of keys written.
+
+        Starts with a :meth:`vacuum`.  Nothing is folded without a live
+        segment, nor — unless ``fold_lone_segment`` — when the view is a
+        single run.  Returns ``{"folded": False, "runs": n}`` then, else
+        ``{"folded": True, "generation", "through_segment", "keys"}``.
+        Idempotent: the generation is committed by its marker, a crash
+        before it leaves the old runs authoritative, and the folded runs
+        are removed only after it lands (their markers stay)."""
+        self.vacuum()
+        base = self.base()
+        runs = self.run_dirs()
+        if len(runs) == (base is not None) or (not fold_lone_segment and len(runs) <= 1):
+            return {"folded": False, "runs": len(runs)}
+        gen = base[0] + 1 if base else 1
+        through = max(self.segments())
+        new_dir = os.path.join(self.path, f"base-{gen:06d}")
+        os.makedirs(new_dir, exist_ok=True)
+        keys = sorted({k for d in runs for k in self.file_keys(d)})
+        if keys:
+            segs, tombs = self.view(runs)
+            names = {k: self.file_name(k) for k in keys}
+            id_col = self.id_col
+
+            def fold_keys(batch: pa.Table) -> pa.Table:
+                for k in batch["key"].to_pylist():
+                    parts = [
+                        p
+                        for d, seg in zip(runs, segs)
+                        for p in [read_live_part(os.path.join(d, names[k]), seg, tombs, id_col)]
+                        if p is not None
+                    ]
+                    if parts:
+                        t = pa.concat_tables(parts, promote_options="default")
+                        _write_atomic(fold(t) if fold else t, os.path.join(new_dir, names[k]))
+                return batch
+
+            fan_out([{"key": k} for k in keys]).map_batches(
+                fold_keys, batch_format="pyarrow", batch_size=None
+            ).count()
+        marker = {"generation": gen, "through_segment": through}
+        if keys_field:
+            marker[keys_field] = len(keys)
+        mf.atomic_write_json(new_dir + ".json", marker)
+        for d in runs:
+            shutil.rmtree(d, ignore_errors=True)
+        return {"folded": True, "generation": gen, "through_segment": through, "keys": len(keys)}
+
+    # ----------------------------------------------------------------- reads
+    def read_live(self, columns: list[str] | None = None, with_key: bool = False):
+        """The current live rows (tombstones applied) as a Dataset, or
+        None when no run holds a data file — the read half of
+        ``merge_from``.  ``columns`` prunes the read; ``with_key``
+        restores the file-key column from the file name."""
+        runs = self.run_dirs()
+        segs, tombs = self.view(runs)
+        files = [
+            {"path": os.path.join(d, self.file_name(k)), "seg": seg, "key": k}
+            for d, seg in zip(runs, segs)
+            for k in self.file_keys(d)
+        ]
+        if not files:
+            return None
+        stored = pq.read_schema(files[0]["path"])
+        fields = [stored.field(c) for c in columns] if columns else list(stored)
+        if with_key:
+            fields.append(pa.field(self.key, pa.int32()))
+        empty = pa.schema(fields).empty_table()
+        key, id_col = self.key, self.id_col
+
+        def read(batch: pa.Table) -> pa.Table:
+            parts = []
+            for row in batch.to_pylist():
+                part = read_live_part(row["path"], row["seg"], tombs, id_col, columns)
+                if part is None:
+                    continue
+                if with_key:
+                    part = part.append_column(
+                        key, pa.array(np.full(part.num_rows, row["key"], np.int32))
+                    )
+                parts.append(part)
+            return pa.concat_tables(parts) if parts else empty
+
+        return fan_out(files).map_batches(read, batch_format="pyarrow", batch_size=None)
+
+    # ---------------------------------------------------------------- report
+    def describe(self) -> dict:
+        """Operational snapshot: committed segment counts by kind, the
+        newest base generation/fold watermark, the live run layout, the
+        on-disk data footprint and the persisted admission sidecars.
+        ``rows_committed`` sums the ADD markers' logical counts (the
+        ledger history — not the live count, which tombstones and folds
+        reduce)."""
+        markers = self._markers().values()
+        dels = [m for m in markers if "tombstones" in m]
+        adds = [m for m in markers if "tombstones" not in m]
+        base = self.base()
+        runs = self.run_dirs()
+        files = [
+            os.path.join(d, f)
+            for d in runs
+            if os.path.isdir(d)
+            for f in os.listdir(d)
+            if f.endswith(".parquet")
+        ]
+        adm = os.path.join(self.path, "_admissions")
+        return {
+            "segments_committed": len(adds) + len(dels),
+            "add_segments": len(adds),
+            "delete_segments": len(dels),
+            "rows_committed": sum(int(m.get("vectors", m.get("docs", 0))) for m in adds),
+            "tombstones_committed": sum(int(m["tombstones"]) for m in dels),
+            "base": base and {"generation": base[0], "through_segment": base[1]},
+            "live_runs": len(runs),
+            "data_files": len(files),
+            "data_bytes": sum(os.path.getsize(f) for f in files),
+            "admission_sidecars": (
+                sum(1 for f in os.listdir(adm) if f.endswith(".parquet"))
+                if os.path.isdir(adm)
+                else 0
+            ),
+        }
+
+    def fsck(self) -> dict:
+        """Consistency check (the index-level analog of the lake's
+        ``fsck``).  FATAL issues mean probes would return wrong or
+        failing answers: a committed segment above the fold watermark
+        whose run dir (or tombstone file) is gone, the newest base
+        marker without its dir, or an unreadable parquet footer in a
+        live run or sidecar.  WARNINGS are crash leftovers the ledger
+        makes invisible to readers — uncommitted run dirs, stale base
+        generations, ``*.tmp`` files — all reclaimable via ``vacuum()``."""
+        issues: list[dict] = []
+
+        def issue(severity: str, kind: str, **kw) -> None:
+            issues.append({"severity": severity, "kind": kind, **kw})
+
+        names = sorted(os.listdir(self.path))
+        for name in names:
+            if name.endswith(".tmp"):
+                issue("warning", "tmp_file", file=name)
+        markers = self._markers()
+        newest = self.base()
+        through = newest[1] if newest else -1
+        live_dirs = []
+        if newest is not None:
+            bdir = os.path.join(self.path, f"base-{newest[0]:06d}")
+            if not os.path.isdir(bdir):
+                issue("fatal", "missing_base_dir", generation=newest[0])
+            else:
+                live_dirs.append(bdir)
+        for s, man in markers.items():
+            if s <= through:
+                continue  # folded into the base; its dir is legitimately gone
+            d = self._seg_dir(s)
+            if not os.path.isdir(d):
+                issue("fatal", "missing_run_dir", segment=s)
+                continue
+            live_dirs.append(d)
+            if "tombstones" in man and not os.path.exists(
+                os.path.join(d, "tombstones.parquet")
+            ):
+                issue("fatal", "missing_tombstone_file", segment=s)
+        for name in names:
+            if not os.path.isdir(os.path.join(self.path, name)):
+                continue
+            if name.startswith("seg-") and int(name[4:]) not in markers:
+                issue("warning", "uncommitted_run_dir", dir=name)
+            elif name.startswith("base-") and (newest is None or int(name[5:]) != newest[0]):
+                # crashed/folded compact leftovers — vacuum reclaims
+                issue("warning", "stale_base_dir", dir=name)
+
+        files_checked = 0
+        adm = os.path.join(self.path, "_admissions")
+        for d in live_dirs + ([adm] if os.path.isdir(adm) else []):
+            for f in sorted(os.listdir(d)):
+                rel = os.path.join(os.path.basename(d), f)
+                if f.endswith(".parquet"):
+                    files_checked += 1
+                    try:
+                        pq.read_schema(os.path.join(d, f))
+                    except Exception as e:
+                        issue("fatal", "unreadable_file", file=rel, error=str(e)[:200])
+                elif f.endswith(".tmp") and d != adm:
+                    issue("warning", "tmp_file", file=rel)
+        return {
+            "ok": not any(i["severity"] == "fatal" for i in issues),
+            "issues": issues,
+            "segments_checked": len(markers),
+            "files_checked": files_checked,
+        }
+
+    # -------------------------------------------------------- admission hits
+    def _hits_path(self, segment_id: int) -> str:
+        return os.path.join(self.path, "_admissions", f"epoch-{segment_id:06d}.parquet")
+
+    def empty_hits(self) -> pd.DataFrame:
+        return self.hits_schema.empty_table().to_pandas()
+
+    def load_hits(self, segment_id: int) -> pd.DataFrame | None:
+        """The epoch's persisted probe decision, or None without a
+        sidecar."""
+        p = self._hits_path(segment_id)
+        return pq.read_table(p).to_pandas() if os.path.exists(p) else None
+
+    def persist_hits(self, segment_id: int, df: pd.DataFrame, params: dict) -> None:
+        """Write the epoch's probe hits as a sidecar, tmp+rename, with
+        the probe parameters in its schema metadata.  ``_admissions/``
+        is invisible to vacuum/compact, which only touch ``base-*`` /
+        ``seg-*``, so a persisted decision survives every later fold."""
+        os.makedirs(os.path.join(self.path, "_admissions"), exist_ok=True)
+        t = (
+            pa.Table.from_pandas(
+                df[self.hits_schema.names], preserve_index=False
+            ).cast(self.hits_schema)
+            if len(df)
+            else self.hits_schema.empty_table()
+        )
+        t = t.replace_schema_metadata(
+            {
+                **(t.schema.metadata or {}),
+                **{str(k).encode(): str(v).encode() for k, v in params.items()},
+            }
+        )
+        _write_atomic(t, self._hits_path(segment_id))
+
+    def hits_params(self, segment_id: int) -> dict[str, str]:
+        """Probe parameters recorded in the sidecar's schema metadata
+        (empty for sidecars written before params were recorded)."""
+        md = pq.read_schema(self._hits_path(segment_id)).metadata or {}
+        return {
+            k.decode(): v.decode()
+            for k, v in md.items()
+            if k in (b"k", b"nprobe", b"threshold")
+        }
+
+    def probe_and_add(
+        self,
+        segment_id: int,
+        *,
+        params: dict,
+        persist_hits: bool,
+        prepare: Callable[[], object],
+        probe: Callable[[object, list[str]], pd.DataFrame],
+        commit: Callable[[object], dict],
+    ) -> tuple[pd.DataFrame, dict]:
+        """The protocol half of an index's ``probe_and_add``: probe a
+        batch against the STRICTLY-EARLIER committed segments, then
+        commit it as ``segment_id``.  ``prepare()`` materializes the
+        batch once, ``probe(batch, run_dirs)`` runs the index's probe
+        kernel over a non-empty view, and ``commit(batch)`` returns the
+        add report.
+
+        - Folded (``segment_id`` at or below the watermark): a committed
+          epoch replays its sidecar, else warns and returns empty hits
+          with ``folded``; an uncommitted one raises.
+        - Committed, with a sidecar recorded under the same ``params``:
+          the sidecar is returned without a re-probe.  Other parameters
+          re-probe the intact earlier view.
+        - Otherwise probe; a committed epoch skips the add (backfilling
+          a missing sidecar when ``persist_hits``), an uncommitted one
+          writes its sidecar BEFORE the marker, so a commit implies its
+          admission decision is durable."""
+        committed = self.committed(segment_id)
+        base = self.base()
+        if base is not None and base[1] >= segment_id:
+            if not committed:
+                self._check_watermark(segment_id)  # raises: invisible if added
+            replay = self.load_hits(segment_id)
+            rep = {"segment": segment_id, "skipped": True, "folded": True}
+            if replay is not None:
+                return replay, {**rep, "replayed_hits": True}
+            warnings.warn(
+                f"replaying segment {segment_id} after compact() folded "
+                f"past it: original hits are NOT reproducible; returning "
+                "empty (persist per-epoch hits before compacting past them)",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            return self.empty_hits(), rep
+        if committed:
+            replay = self.load_hits(segment_id)
+            if replay is not None and self.hits_params(segment_id) == {
+                k: str(v) for k, v in params.items()
+            }:
+                return replay, {
+                    "segment": segment_id,
+                    "skipped": True,
+                    "replayed_hits": True,
+                }
+        batch = prepare()
+        hits = self.read_view(
+            lambda dirs: probe(batch, dirs) if dirs else self.empty_hits(),
+            segment_id - 1,
+        )
+        if committed:
+            rep = {"segment": segment_id, "skipped": True}
+            if persist_hits and self.load_hits(segment_id) is None:
+                # backfill an epoch committed WITHOUT a sidecar: the hits
+                # were just recomputed from the intact earlier view
+                self.persist_hits(segment_id, hits, params)
+                rep["hits_persisted"] = True
+            return hits, rep
+        if persist_hits:
+            self.persist_hits(segment_id, hits, params)
+        return hits, commit(batch)

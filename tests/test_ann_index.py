@@ -220,7 +220,7 @@ def test_vacuum_reclaims_crashed_compact_orphans(tmp_path):
     # new base + marker written, folded runs never removed)
     import shutil as _sh
 
-    folded = idx._read_runs()
+    folded = idx.ledger.run_dirs()
     real_rmtree = _sh.rmtree
     try:
         _sh.rmtree = lambda p, **k: None
@@ -246,16 +246,16 @@ def test_probe_retries_on_compactor_race(tmp_path):
     qids, qmat = ids[:3], mat[:3]
     expect, _ = idx.probe(qids, qmat, k=5, nprobe=idx.ncells)
 
-    real = idx._read_runs
+    real = idx.ledger.run_dirs
     state = {"first": True}
 
-    def stale_then_real():
+    def stale_then_real(*args):
         if state["first"]:
             state["first"] = False
             return [os.path.join(str(tmp_path), "ivf", "seg-000099")]  # vanished dir
-        return real()
+        return real(*args)
 
-    idx._read_runs = stale_then_real
+    idx.ledger.run_dirs = stale_then_real
     got, _ = idx.probe(qids, qmat, k=5, nprobe=idx.ncells)
     assert not state["first"]  # retry actually happened
     _assert_topk(expect, got)
@@ -502,13 +502,13 @@ def test_persist_hits_backfills_committed_epoch(tmp_path):
     live, rep = idx.probe_and_add(
         _ds(ids[half:], mat[half:]), segment_id=1, k=3, nprobe=8
     )  # committed WITHOUT a sidecar
-    assert not rep["skipped"] and idx._load_hits(1) is None
+    assert not rep["skipped"] and idx.ledger.load_hits(1) is None
 
     got, rep2 = idx.probe_and_add(
         _ds(ids[half:], mat[half:]), segment_id=1, k=3, nprobe=8, persist_hits=True
     )
     assert rep2["skipped"] and rep2["hits_persisted"]
-    assert got.equals(live) and idx._load_hits(1) is not None
+    assert got.equals(live) and idx.ledger.load_hits(1) is not None
     # the backfilled decision now survives compaction
     assert idx.compact()["skipped"] is False
     replay, rep3 = idx.probe_and_add(_ds(ids[half:], mat[half:]), segment_id=1, k=3)
@@ -529,7 +529,7 @@ def test_unfolded_replay_honors_new_params(tmp_path):
     small, _ = idx.probe_and_add(
         _ds(ids[half:], mat[half:]), segment_id=1, k=3, nprobe=8, persist_hits=True
     )
-    assert idx._hits_params(1) == {"k": "3", "nprobe": "8"}
+    assert idx.ledger.hits_params(1) == {"k": "3", "nprobe": "8"}
 
     # same params -> sidecar fast path
     same, rep_same = idx.probe_and_add(
@@ -544,8 +544,8 @@ def test_unfolded_replay_honors_new_params(tmp_path):
     assert rep_big == {"segment": 1, "skipped": True}
     assert big.groupby("qid").size().max() == 7
     # original decision untouched
-    assert idx._hits_params(1) == {"k": "3", "nprobe": "8"}
-    pd.testing.assert_frame_equal(idx._load_hits(1), small)
+    assert idx.ledger.hits_params(1) == {"k": "3", "nprobe": "8"}
+    pd.testing.assert_frame_equal(idx.ledger.load_hits(1), small)
 
 
 def test_code_dtype_overflow_guard(tmp_path):
@@ -759,7 +759,7 @@ def test_delete_replay_checks_survive_compaction(tmp_path):
 def test_add_below_fold_watermark_raises(tmp_path):
     """plain add() now has probe_and_add's guard: an UNcommitted
     segment at or below the fold watermark would be invisible to every
-    reader (``_read_runs`` lists only ``s > through``) — silently lost
+    reader (the read view lists only ``s > through``) — silently lost
     data, so it raises instead."""
     import pytest
 
@@ -1229,6 +1229,14 @@ def test_merge_from_empty_source_commits_empty_segment(tmp_path):
     rep = a.merge_from(b, segment_id=1)
     assert rep == {"segment": 1, "skipped": False, "vectors": 0}
     assert a.merge_from(b, segment_id=1) == {"segment": 1, "skipped": True}
+    # a source whose live view is entirely tombstoned (cell files on
+    # disk, every row deleted, no compact) imports nothing either
+    c = IvfIndex(os.path.join(str(tmp_path), "c"), centroids=cent)
+    c.add(_ds(ids[:10], mat[:10]), segment_id=0)
+    c.delete(ids[:10], segment_id=1)
+    rep = a.merge_from(c, segment_id=2)
+    assert rep == {"segment": 2, "skipped": False, "vectors": 0}
+    assert a.fsck()["ok"]
     qids, qmat = ids[:3], mat[:3]
     got, _ = a.probe(
         qids, _normalize_rows(qmat.astype(np.float64)), k=5, nprobe=a.ncells

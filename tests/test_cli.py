@@ -640,6 +640,13 @@ def test_cli_index_merge_federation(tmp_path, capsys):
     assert main(["index-add", "--index", b, "--docs", d1, "--segment", "0"]) == 0
     assert main(["index-merge", "--index", a, "--from", str(tmp_path / "nope"),
                  "--segment", "1"]) == 1
+    # a mistyped TARGET errors the same way and creates nothing
+    typo = str(tmp_path / "typo")
+    assert main(["index-merge", "--index", typo, "--from", b, "--segment", "1"]) == 1
+    assert _json.loads(capsys.readouterr().out.strip().splitlines()[-1]) == {
+        "error": f"no dedup index at {typo!r}"
+    }
+    assert not (tmp_path / "typo").exists()
     assert main(["index-merge", "--index", a, "--from", b, "--segment", "1"]) == 0
     rep = _json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert rep == {"segment": 1, "skipped": False, "docs": 20}
@@ -677,6 +684,11 @@ def test_cli_index_merge_federation(tmp_path, capsys):
                  "--ncells", "4"]) == 0
     assert main(["ann-merge", "--index", ia, "--from", str(tmp_path / "nope"),
                  "--segment", "1"]) == 1
+    ivf_typo = str(tmp_path / "ivf_typo")
+    assert main(["ann-merge", "--index", ivf_typo, "--from", ib,
+                 "--segment", "1"]) == 1
+    assert "error" in _json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert not (tmp_path / "ivf_typo").exists()
     assert main(["ann-merge", "--index", ia, "--from", ib, "--segment", "1"]) == 0
     rep = _json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert rep == {"segment": 1, "skipped": False, "vectors": 30}

@@ -303,16 +303,17 @@ def test_probe_retries_on_compactor_race(tmp_path, corpus):
     expect = idx.probe(rd.from_arrow(arrivals), threshold=0.5)
     assert len(expect)  # planted dups: the race must not shrink this
 
-    real = idx._read_runs
+    real = idx.ledger.run_dirs
     state = {"first": True}
 
-    def stale_then_real():
+    def stale_then_real(*args):
         if state["first"]:
             state["first"] = False
-            return None, [99]  # seg-000099 never existed -> vanished dir
-        return real()
+            # seg-000099 never existed -> vanished dir
+            return [os.path.join(idx.path, "seg-000099")]
+        return real(*args)
 
-    idx._read_runs = stale_then_real
+    idx.ledger.run_dirs = stale_then_real
     got = idx.probe(rd.from_arrow(arrivals), threshold=0.5)
     assert not state["first"]  # retry actually happened
     pd.testing.assert_frame_equal(
@@ -374,10 +375,7 @@ def test_vacuum_reclaims_crashed_compact_orphans(tmp_path, corpus):
 
     import shutil as _sh
 
-    base_dir, live = idx._read_runs()
-    folded = ([base_dir] if base_dir else []) + [
-        os.path.join(idx.path, f"seg-{s:06d}") for s in live
-    ]
+    folded = idx.ledger.run_dirs()
     real_rmtree = _sh.rmtree
     try:
         _sh.rmtree = lambda p, **k: None
@@ -479,7 +477,7 @@ def test_probe_and_add_refuses_tombstone_segment_collision(tmp_path, corpus):
     idx.delete([1, 2], segment_id=1)
     with pytest.raises(ValueError, match="committed as a DELETE"):
         idx.probe_and_add(rd.from_arrow(arrivals), segment_id=1, persist_hits=True)
-    assert idx._load_hits(1) is None, "sidecar cemented for a delete segment"
+    assert idx.ledger.load_hits(1) is None, "sidecar cemented for a delete segment"
     idx.compact()
     with pytest.raises(ValueError, match="committed as a DELETE"):
         idx.probe_and_add(rd.from_arrow(arrivals), segment_id=1)
@@ -688,6 +686,14 @@ def test_merge_from_empty_source_commits_empty_segment(tmp_path, corpus):
     rep = a.merge_from(b, segment_id=1)
     assert rep == {"segment": 1, "skipped": False, "docs": 0}
     assert a.merge_from(b, segment_id=1) == {"segment": 1, "skipped": True}
+    # a source whose live view is entirely tombstoned (bucket files on
+    # disk, every doc deleted, no compact) imports nothing either
+    c = MinHashIndex(str(tmp_path / "c"))
+    c.add(rd.from_arrow(base), segment_id=0)
+    c.delete(base["doc_id"].to_numpy(), segment_id=1)
+    rep = a.merge_from(c, segment_id=2)
+    assert rep == {"segment": 2, "skipped": False, "docs": 0}
+    assert a.fsck()["ok"]
     whole = MinHashIndex(str(tmp_path / "whole"))
     whole.add(rd.from_arrow(base), segment_id=0)
     assert _probe_pairs(a, arrivals) == _probe_pairs(whole, arrivals)
