@@ -467,11 +467,13 @@ def main(argv: list[str] | None = None) -> int:
 
             from nyc_taxi_data_pipeline_ray.state.dedup_index import MinHashIndex
 
-            if args.cmd == "index-merge":
-                # opening a MinHashIndex CREATES it when missing — a
-                # mistyped target would become a new index, a mistyped
-                # source would silently merge nothing
-                for path in (args.index, args.from_):
+            if args.cmd not in ("index-add", "index-ingest"):
+                # opening a MinHashIndex CREATES it when missing — only
+                # add/ingest may do that; a mistyped path anywhere else
+                # would become a new index (or, as a merge source,
+                # silently merge nothing)
+                merge = args.cmd == "index-merge"
+                for path in [args.index] + ([args.from_] if merge else []):
                     if not os.path.exists(os.path.join(path, "meta.json")):
                         print(json.dumps({"error": f"no dedup index at {path!r}"}))
                         return 1
@@ -559,14 +561,14 @@ def main(argv: list[str] | None = None) -> int:
                     centroids=cent,
                     attr_col=getattr(args, "attr_col", None),
                 )
-            elif args.cmd == "ann-merge":
+            else:
                 try:
-                    idx, src = IvfIndex(args.index), IvfIndex(args.from_)
+                    idx = IvfIndex(args.index)
+                    if args.cmd == "ann-merge":
+                        src = IvfIndex(args.from_)
                 except FileNotFoundError as e:
                     print(json.dumps({"error": str(e)}))
                     return 1
-            else:
-                idx = IvfIndex(args.index)
             # an attr-declared index stores its metadata column in every
             # cell file — the read must not prune it away
             vec_cols = ["vec_id", "embedding"] + (

@@ -47,7 +47,7 @@ class LakeConfig:
     #: which is the bound that binds for 1-2 KB texts.  Runs are
     #: key-sorted, so bounded groups give parquet footer min/max stats real
     #: selectivity: a point lookup reads about one row group per run
-    #: (engine._read_run_pruned), not the whole file.
+    #: (engine.read_run_pruned), not the whole file.
     base_row_group_rows: int = 65536
     extra: dict = field(default_factory=dict)
 

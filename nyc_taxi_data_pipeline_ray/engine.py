@@ -76,6 +76,7 @@ import json
 import os
 import re
 import shutil
+import sys
 import time
 import uuid
 from dataclasses import dataclass, field
@@ -595,6 +596,14 @@ class CdcEngine:
                 return g
         return -1
 
+    def last_committed_group(self) -> int:
+        """The newest commit group every partition has landed (-1: none):
+        the group named by the newest global ``_epochs`` marker.  ``apply``
+        writes a group's markers only after all its partitions
+        committed, so a group that landed in some partitions only (a
+        crash, or an apply still running) does not count yet."""
+        return self._last_group_before(sys.maxsize)
+
     def _event_watermark(self, *, before_group: int) -> int | None:
         """Event-time high-water mark (max committed event ts, µs) over
         all groups committed BEFORE ``before_group`` — the lateness
@@ -613,7 +622,7 @@ class CdcEngine:
         except (OSError, ValueError):
             pass
         w: int | None = None
-        for pid in self._live_pids():
+        for pid in self.live_pids():
             for m in mf.read_manifests(self.cfg.path, pid):
                 if int(m["group_id"]) >= before_group:
                     continue
@@ -884,7 +893,7 @@ class CdcEngine:
         epoch can still deliver an older write) — the event-time
         watermark decision belongs to the operator, not the engine.
         """
-        pids = pids if pids is not None else self._live_pids()
+        pids = pids if pids is not None else self.live_pids()
         if not pids:
             return 0
         lake_path = self.cfg.path
@@ -910,7 +919,7 @@ class CdcEngine:
             ds = _fan_out_pids(pids).map_batches(compact_one, batch_format="pyarrow")
             return sum(1 for r in ds.take_all() if r["compacted"])
 
-    def _live_pids(self) -> list[int]:
+    def live_pids(self) -> list[int]:
         out = []
         if not os.path.isdir(self.cfg.path):
             return out
@@ -940,7 +949,7 @@ class CdcEngine:
         equality oracle requires is obtained with a final global sort by
         the caller when needed.
         """
-        pids = self._live_pids()
+        pids = self.live_pids()
         lake_path = self.cfg.path
 
         def select(t: pa.Table) -> pa.Table:
@@ -953,7 +962,7 @@ class CdcEngine:
 
         def read_one(batch: pa.Table):
             states = (
-                _read_partition_state(lake_path, int(pid), as_of_epoch)
+                read_partition_state(lake_path, int(pid), as_of_epoch)
                 for pid in batch["pid"].to_pylist()
             )
             yield from map(select, _rows_or_empty(states, schemas.empty_state()))
@@ -988,7 +997,7 @@ class CdcEngine:
         below a partition's compaction watermark (those deltas were
         folded into the base — re-sync from a snapshot) or if a window
         edge cuts through a multi-epoch commit group."""
-        pids = self._live_pids()
+        pids = self.live_pids()
         lake_path = self.cfg.path
         feed_schema = pa.schema(
             [("lsn", pa.int64()), ("op", pa.string())]
@@ -1058,7 +1067,7 @@ class CdcEngine:
         full audit history stays readable regardless of the lake's
         compaction watermark.
         """
-        pids = self._live_pids()
+        pids = self.live_pids()
         lake_path = self.cfg.path
         feed_schema = pa.schema(
             [("reject_group", pa.int32()), ("reason", pa.string())]
@@ -1112,7 +1121,7 @@ class CdcEngine:
         time-travel constraints: raises below the compaction watermark
         or inside a multi-epoch commit group.
         """
-        pids = self._live_pids()
+        pids = self.live_pids()
         lake_path = self.cfg.path
         if not pids:
             return rd.from_arrow(_empty_diff())
@@ -1387,13 +1396,13 @@ class CdcEngine:
         except OSError:
             pass
         lake_path = self.cfg.path
-        pids = self._live_pids()
+        pids = self.live_pids()
 
         def export_one(batch: pa.Table) -> pa.Table:
             out_pid, out_rows = [], []
             for pid in batch["pid"].to_pylist():
                 pid = int(pid)
-                state = _read_partition_state(lake_path, pid, as_of_epoch)
+                state = read_partition_state(lake_path, pid, as_of_epoch)
                 if state is None:
                     state = schemas.empty_state()
                 keep = [
@@ -1401,7 +1410,7 @@ class CdcEngine:
                     for c in state.schema.names
                     if c not in (*schemas.INTERNAL_COLUMNS, mg.NSRC)
                 ]
-                _atomic_write_parquet(
+                atomic_write_parquet(
                     os.path.join(out_dir, f"part-p{pid:04d}.parquet"),
                     state.select(keep),
                 )
@@ -1497,7 +1506,7 @@ class CdcEngine:
         with _LakeLease(src.path):
             applied = sorted(self._global_committed())
             watermark = applied[-1] if applied else -1
-            src_pids = self._live_pids()
+            src_pids = self.live_pids()
             lake_path = src.path
             stage_dir = os.path.join(target_path, "_reshard")
             os.makedirs(stage_dir, exist_ok=True)
@@ -1629,7 +1638,7 @@ class CdcEngine:
         def _collect() -> list[pa.Table]:
             outs = []
             for path in _partition_run_paths(self.cfg.path, pid):
-                t, _, _ = _read_run_pruned(path, [conv_id])
+                t, _, _ = read_run_pruned(path, [conv_id])
                 if t is not None and t.num_rows:
                     outs.append(
                         t.drop_columns(
@@ -1674,14 +1683,14 @@ class CdcEngine:
         equals the XOR of these)."""
         cols = [f.name for f in schemas.TRANSCRIPT_SCHEMA]
         lake_path = self.cfg.path
-        pids = self._live_pids()
+        pids = self.live_pids()
         if not pids:
             return {}
 
         def one(batch: pa.Table) -> pa.Table:
             out_pid, out_x, out_n = [], [], []
             for pid in batch["pid"].to_pylist():
-                state = _read_partition_state(lake_path, int(pid))
+                state = read_partition_state(lake_path, int(pid))
                 x = np.uint64(0)
                 n = 0
                 if state is not None and state.num_rows:
@@ -1774,7 +1783,7 @@ class CdcEngine:
                 schemas.empty_state()
             )
         pids = hash_partition_ids(pa.array(ids, pa.string()), self.cfg.num_partitions)
-        live = set(self._live_pids())
+        live = set(self.live_pids())
         by_pid: dict[int, list[str]] = {}
         for cid, pid in zip(ids, pids):
             if int(pid) in live:
@@ -1807,7 +1816,7 @@ class CdcEngine:
         deltas) show whether a point lookup decodes bounded groups:
         it reads about one group per run."""
         parts = []
-        for pid in self._live_pids():
+        for pid in self.live_pids():
             entry = {"pid": pid, "base_generation": None, "base_rows": 0,
                      "delta_runs": 0, "delta_rows": 0, "bytes": 0,
                      "row_groups": 0, "max_row_group_bytes": 0}
@@ -1860,7 +1869,7 @@ class CdcEngine:
         design."""
         issues: list[dict] = []
         reclaimable: list[dict] = []
-        for pid in self._live_pids():
+        for pid in self.live_pids():
             d = mf.partition_dir(self.cfg.path, pid)
             base = mf.current_base(self.cfg.path, pid)
             through = -1
@@ -1908,7 +1917,7 @@ class CdcEngine:
             "ok": not issues,
             "issues": issues,
             "reclaimable": reclaimable,
-            "partitions": len(self._live_pids()),
+            "partitions": len(self.live_pids()),
         }
 
     def vacuum(self) -> dict:
@@ -1939,10 +1948,10 @@ class CdcEngine:
         partition-epoch manifests (the Redis-dashboard analog,
         ``streaming/dashboard/utils/redis_client.py:22-138``)."""
         all_manifests = []
-        for pid in self._live_pids():
+        for pid in self.live_pids():
             all_manifests.extend(mf.read_manifests(self.cfg.path, pid))
         counters = mf.merge_counters(all_manifests)
-        counters["partitions"] = len(self._live_pids())
+        counters["partitions"] = len(self.live_pids())
         counters["committed_epochs"] = len(self._global_committed())
         # keep-last-K alert ring (the capped Redis fraud-alert list analog)
         counters["recent_rejects"] = mf.merge_alert_ring(all_manifests)
@@ -1980,9 +1989,9 @@ def _diff_partitions(a_path: str, a_epoch, b_path: str, b_epoch):
     def diff_batch(batch: pa.Table):
         yield from _rows_or_empty(
             (
-                _diff_states(
-                    _read_partition_state(a_path, int(pid), a_epoch),
-                    _read_partition_state(b_path, int(pid), b_epoch),
+                diff_states(
+                    read_partition_state(a_path, int(pid), a_epoch),
+                    read_partition_state(b_path, int(pid), b_epoch),
                 )
                 for pid in batch["pid"].to_pylist()
             ),
@@ -2086,7 +2095,7 @@ def _apply_partition_group(
 
     alerts: list[dict] = []
     if bad is not None and bad.num_rows:
-        _atomic_write_parquet(mf.rejects_path(lake_path, pid, group_id), bad)
+        atomic_write_parquet(mf.rejects_path(lake_path, pid, group_id), bad)
         alerts = _alert_ring_entries(bad, mf.ALERT_RING_K)
 
     delta = mg.resolve_lww(mg.with_run_seq(good, 0), drop_tombstones=False)
@@ -2247,12 +2256,12 @@ _LAKE_CODEC = "lz4"
 #: these byte-bounded groups (~374 rows each) 1.77 ms.
 _RUN_GROUP_BYTES = 512 << 10
 
-#: the columns readers prune lake runs on (:func:`_read_run_pruned`);
+#: the columns readers prune lake runs on (:func:`read_run_pruned`);
 #: the only ones whose footer statistics a lake run keeps
 _RUN_STATS_COLUMNS = ("conv_id", "turn_idx")
 
 
-def _atomic_write_parquet(
+def atomic_write_parquet(
     path: str, table: pa.Table, *, row_group_rows: int | None = None
 ) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -2391,7 +2400,7 @@ def _empty_diff() -> pa.Table:
     return pa.table({f.name: pa.array([], f.type) for f in DIFF_SCHEMA})
 
 
-def _diff_states(a: pa.Table | None, b: pa.Table | None) -> pa.Table:
+def diff_states(a: pa.Table | None, b: pa.Table | None) -> pa.Table:
     """Classify key-level changes between two merged partition states.
 
     Vectorized outer join on the merge key; a key changed iff its
@@ -2510,7 +2519,7 @@ def _merge_lake_runs(runs: list[pa.Table]) -> pa.Table:
     )
 
 
-def _read_partition_state(
+def read_partition_state(
     lake_path: str, pid: int, as_of_epoch: int | None = None
 ) -> pa.Table | None:
     runs = _partition_runs(lake_path, pid, as_of_epoch)
@@ -2586,7 +2595,7 @@ def _bloom_filter_keys(base_path: str, keys: list[str]) -> list[str] | None:
     return [k for k, ok in zip(keys, hit.all(axis=1)) if ok]
 
 
-def _read_run_pruned(
+def read_run_pruned(
     path: str, keys: list[str], column: str = "conv_id"
 ) -> tuple[pa.Table | None, int, int]:
     """Row-group-pruned run read for point lookups: parquet footer
@@ -2655,7 +2664,7 @@ def _read_keys_pruned_once(
             if not surviving:  # bloom proves no requested key is here
                 continue
             run_keys = surviving
-        t, r, n = _read_run_pruned(path, run_keys)
+        t, r, n = read_run_pruned(path, run_keys)
         read += r
         total += n
         if t is not None:

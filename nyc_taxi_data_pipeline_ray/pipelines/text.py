@@ -81,7 +81,7 @@ def _tokens(text_col) -> pa.ListArray:
     return out
 
 
-def _ragged_pair_indices(group_sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def ragged_pair_indices(group_sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All within-group unordered index pairs (i < j), for groups laid
     out contiguously with the given sizes — one vectorized shot, no
     per-group Python.  This is how bucket-pair enumeration stays fast
@@ -100,7 +100,7 @@ def _ragged_pair_indices(group_sizes: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return starts[grp_of_j] + ar, rep_j
 
 
-def _group_sizes_by_boundary(*key_cols: np.ndarray) -> np.ndarray:
+def group_sizes_by_boundary(*key_cols: np.ndarray) -> np.ndarray:
     """Sizes of consecutive equal-key runs (rows already sorted by the
     keys).  Works on any mix of numeric/object columns."""
     n = len(key_cols[0])
@@ -310,10 +310,10 @@ def q_char_jaccard_pairs(sf_dir: str, threshold: float = 1.0) -> pd.DataFrame:
             ).view(np.uint64)
             order = np.lexsort((ids, p64[:, 3], p64[:, 2], p64[:, 1], p64[:, 0], langs))
             langs, ids, p64 = langs[order], ids[order], p64[order]
-            sizes = _group_sizes_by_boundary(
+            sizes = group_sizes_by_boundary(
                 langs, p64[:, 0], p64[:, 1], p64[:, 2], p64[:, 3]
             )
-            ia, ib = _ragged_pair_indices(sizes)
+            ia, ib = ragged_pair_indices(sizes)
             return pa.table(
                 {
                     "lang": pa.array(langs[ia], pa.string()),
@@ -528,7 +528,7 @@ def _assert_minhash_sql_domain(t: pa.Table) -> pa.Table:
 
 
 @functools.lru_cache(maxsize=4)
-def _cached_minhasher(num_perm: int) -> "MinHasher":
+def cached_minhasher(num_perm: int) -> "MinHasher":
     """Per-worker-process MinHasher cache (params are seed-deterministic,
     so every worker builds the identical instance)."""
     return MinHasher(num_perm=num_perm)
@@ -580,7 +580,7 @@ def q_minhash_near_dups(
     # spawns per query (measured: actor pool cost >> signature compute
     # at this corpus size)
     sigs = ds.map_batches(
-        lambda t: _cached_minhasher(num_perm)(_assert_minhash_sql_domain(t)),
+        lambda t: cached_minhasher(num_perm)(_assert_minhash_sql_domain(t)),
         batch_format="pyarrow",
     )
     rows_per_band = num_perm // bands
@@ -633,8 +633,8 @@ def q_minhash_near_dups(
         sig = np.stack(g["sig"].to_numpy(zero_copy_only=False))
         order = np.lexsort((ids, bh, band))
         band, bh, ids, sig = band[order], bh[order], ids[order], sig[order]
-        sizes = _group_sizes_by_boundary(band, bh)
-        ia, ib = _ragged_pair_indices(sizes)
+        sizes = group_sizes_by_boundary(band, bh)
+        ia, ib = ragged_pair_indices(sizes)
         if not len(ia):
             return empty
         # mean of 64 booleans = k/64: exactly representable, emitted
@@ -1231,7 +1231,7 @@ def q_simhash_near_dups(sf_dir: str, *, max_hamming: int = 3) -> pd.DataFrame:
         sh = g["sh"].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.lexsort((ids, bv, band))
         band, bv, ids, sh = band[order], bv[order], ids[order], sh[order]
-        ia, ib = _ragged_pair_indices(_group_sizes_by_boundary(band, bv))
+        ia, ib = ragged_pair_indices(group_sizes_by_boundary(band, bv))
         if not len(ia):
             return empty
         x = np.bitwise_xor(sh[ia], sh[ib]).view(np.uint8).reshape(len(ia), 8)
@@ -1612,8 +1612,8 @@ def _ngram_jaccard_cached(sf_dir: str, n: int, threshold: float) -> pd.DataFrame
         ids = g["doc_id"].to_numpy(zero_copy_only=False)
         order = np.lexsort((ids, hs, langs))
         langs, hs, ids = langs[order], hs[order], ids[order]
-        sizes = _group_sizes_by_boundary(langs, hs)
-        ia, ib = _ragged_pair_indices(sizes)
+        sizes = group_sizes_by_boundary(langs, hs)
+        ia, ib = ragged_pair_indices(sizes)
         if not len(ia):
             return empty
         return pa.table(
@@ -2919,7 +2919,7 @@ def q_triangle_count(sf_dir: str, *, n_buckets: int = 64) -> pd.DataFrame:
         b = df["b"].to_numpy(np.int64)
         cut = np.concatenate([[0], np.flatnonzero(a[1:] != a[:-1]) + 1, [len(a)]])
         sizes = np.diff(cut)
-        ia, ib = _ragged_pair_indices(sizes)
+        ia, ib = ragged_pair_indices(sizes)
         y, z = b[ia], b[ib]  # neighbor lists are b-sorted: y < z
         bk = (
             pd.util.hash_array(y * np.int64(1_000_003) + z) % np.uint64(n_buckets)

@@ -38,9 +38,9 @@ import pyarrow as pa
 import ray.data as rd
 
 from nyc_taxi_data_pipeline_ray.pipelines.text import (
-    _cached_minhasher,
-    _group_sizes_by_boundary,
-    _ragged_pair_indices,
+    cached_minhasher,
+    group_sizes_by_boundary,
+    ragged_pair_indices,
 )
 from nyc_taxi_data_pipeline_ray.state import manifest as mf
 from nyc_taxi_data_pipeline_ray.state.segment_ledger import SegmentLedger, read_live_part
@@ -63,7 +63,7 @@ def _band_rows(
     band id), so index hits reproduce the batch join's candidates.
     With ``scope_col`` the column rides along (tiled per band) so probes
     can require pair-wise scope equality (per-language/domain dedup)."""
-    mh = _cached_minhasher(num_perm)
+    mh = cached_minhasher(num_perm)
     rows_per_band = num_perm // bands
     sig = np.stack([mh.signature(s) for s in t["text"].to_pylist()])
     n = sig.shape[0]
@@ -408,8 +408,8 @@ class MinHashIndex:
             )
             if sc is not None:
                 sc = sc[order]
-            sizes = _group_sizes_by_boundary(band, bh)
-            ia, ib = _ragged_pair_indices(sizes)
+            sizes = group_sizes_by_boundary(band, bh)
+            ia, ib = ragged_pair_indices(sizes)
             if not len(ia):
                 return PAIR_SCHEMA.empty_table()
             cross = side[ia] != side[ib]

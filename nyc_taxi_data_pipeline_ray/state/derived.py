@@ -15,19 +15,19 @@ scoring, tokenization).
 How it scales / stays correct:
 
 - Conversations are partition-local (the lake hash-partitions on
-  ``conv_id``), so a refresh is an embarrassingly parallel map over
-  stale partitions with no shuffle.  Per partition the changed-key set
-  comes from the engine's diff machinery (before/after winner compare,
-  ``engine._diff_states``), the full-schema after rows are fetched
+  ``conv_id``), so the table is one consumer of the shared consumer
+  ledger (:mod:`state.consumer`), which owns staleness, the
+  per-partition commit and crash-resume; this module only builds a
+  stale partition (:func:`build_derived`).  The changed-key set comes
+  from the engine's diff machinery (before/after winner compare,
+  ``engine.diff_states``), the full-schema after rows are fetched
   from current state by a vectorized key semi-join (so evolved columns
   flow through without the transform contract changing), and the old
   derived file is patched: drop changed keys, append
   ``transform(changed rows)``, keep everything else byte-identical.
 - Transform cost is O(|changed rows|); the per-partition rewrite is
   O(|partition|) I/O, the floor any immutable columnar format imposes.
-- Exactly-once / crash-resume mirrors the lake ledger: tmp+rename data
-  file plus a per-partition manifest recording the lake watermark it
-  reflects.  The patch step is idempotent — "set changed keys to
+- The patch step is idempotent — "set changed keys to
   transform(current state)" applied twice yields the same bytes — so a
   crash between data write and manifest write just re-patches.
 - If the previous watermark predates the compaction watermark (diff
@@ -44,8 +44,7 @@ for reshaping ops).  It must accept an empty input table.
 
 from __future__ import annotations
 
-import json
-import os
+import functools
 
 import numpy as np
 import pyarrow as pa
@@ -54,8 +53,8 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 from nyc_taxi_data_pipeline_ray import schemas
-from nyc_taxi_data_pipeline_ray.io import fan_out
-from nyc_taxi_data_pipeline_ray.state import manifest as mf
+from nyc_taxi_data_pipeline_ray.engine import diff_states, read_partition_state
+from nyc_taxi_data_pipeline_ray.state.consumer import ConsumerLedger
 
 KEY = ("conv_id", "turn_idx")
 
@@ -75,6 +74,39 @@ def _key_of(t: pa.Table) -> pa.Array:
         ":",
     )
     return k.combine_chunks() if isinstance(k, pa.ChunkedArray) else k
+
+
+def build_derived(
+    cls, transform, lake_path: str, pid: int, old: int | None, prev_path: str
+) -> tuple[pa.Table, int]:
+    """Consumer build step for :class:`DerivedTable` (granularity knobs
+    from ``cls``): patch the previous output by the keys whose LWW
+    winner changed since ``old``, or rebuild in full on a first build or
+    when ``old`` is below the compaction watermark.  Work = transform
+    input rows (output rows when ``cls._COUNT_OUTPUT``)."""
+    now = read_partition_state(lake_path, pid)
+    if now is None:
+        now = _empty_state()
+    before = None
+    if old is not None:
+        try:
+            before = read_partition_state(lake_path, pid, int(old))
+        except Exception:
+            before = None  # below compaction watermark: full rebuild
+    if before is None:
+        derived = transform(now)
+        n_work = derived.num_rows if cls._COUNT_OUTPUT else now.num_rows
+    else:
+        changed = cls._changed_keys(diff_states(before, now))
+        prev = pq.read_table(prev_path)
+        keep = prev.filter(
+            pc.invert(pc.is_in(cls._match_key(prev), value_set=changed))
+        )
+        hit = now.filter(pc.is_in(cls._match_key(now), value_set=changed))
+        patch = transform(hit)
+        n_work = patch.num_rows if cls._COUNT_OUTPUT else hit.num_rows
+        derived = pa.concat_tables([keep, patch], promote_options="default")
+    return derived.sort_by(list(cls._SORT_KEYS)).combine_chunks(), n_work
 
 
 class DerivedTable:
@@ -106,24 +138,8 @@ class DerivedTable:
         self.path = path
         self.transform = transform
         self.name = name
-        os.makedirs(path, exist_ok=True)
+        self.ledger = ConsumerLedger(engine, path)
 
-    # ------------------------------------------------------------ watermarks
-    # shared consumer-ledger helpers (manifest.py): every incremental
-    # consumer must agree on the state-changing staleness rule
-    def _lake_watermark(self, pid: int, stored: int | None = None) -> int:
-        return mf.state_changing_watermark(self.engine.cfg.path, pid, stored)
-
-    def _manifest_path(self, pid: int) -> str:
-        return mf.consumer_manifest_path(self.path, pid)
-
-    def _data_path(self, pid: int) -> str:
-        return mf.consumer_data_path(self.path, pid)
-
-    def _stored_watermark(self, pid: int) -> int | None:
-        return mf.consumer_stored_watermark(self.path, pid)
-
-    # --------------------------------------------------------------- refresh
     def refresh(self) -> dict:
         """Bring the derived table up to the lake ledger.  Returns
         ``{"refreshed", "reused", <witness>, "rows"}`` where the
@@ -131,133 +147,20 @@ class DerivedTable:
         :class:`CorpusTable`) is the incrementality guarantee: on a
         second refresh after a small epoch it counts only the changed
         work, not the table size."""
-        from nyc_taxi_data_pipeline_ray.engine import (
-            _atomic_write_parquet,
-            _diff_states,
-            _read_partition_state,
+        cls = type(self)
+        return self.ledger.refresh(
+            functools.partial(build_derived, cls, self.transform),
+            witness=(cls._WITNESS_FIELD, cls._REPORT_KEY),
         )
 
-        lake_path = self.engine.cfg.path
-        view_path = self.path
-        transform = self.transform
-        # granularity knobs as locals: the Ray closure must not capture
-        # self (it would drag the engine along into every task)
-        changed_keys = type(self)._changed_keys
-        match_key = type(self)._match_key
-        sort_keys = list(type(self)._SORT_KEYS)
-        count_output = type(self)._COUNT_OUTPUT
-        witness_field = type(self)._WITNESS_FIELD
-        pids = self.engine._live_pids()
-        stale: list[tuple[int, int, int | None]] = []
-        reused = 0
-        for pid in pids:
-            old = self._stored_watermark(pid)
-            wm = self._lake_watermark(pid, old)
-            if old == wm:
-                reused += 1
-            else:
-                stale.append((pid, wm, old))
-
-        witness_total = 0
-        if stale:
-
-            def refresh_one(batch: pa.Table) -> pa.Table:
-                out_pid, out_n = [], []
-                for pid, wm, old in zip(
-                    batch["pid"].to_pylist(),
-                    batch["wm"].to_pylist(),
-                    batch["old"].to_pylist(),
-                ):
-                    pid = int(pid)
-                    now = _read_partition_state(lake_path, pid)
-                    if now is None:
-                        now = _empty_state()
-                    before = None
-                    if old is not None:
-                        try:
-                            before = _read_partition_state(lake_path, pid, int(old))
-                        except Exception:
-                            before = None  # below compaction watermark
-                    data_path = mf.consumer_data_path(view_path, pid)
-                    if before is None and old is not None:
-                        old = None  # full rebuild fallback
-                    if old is None:
-                        derived = transform(now)
-                        n_work = derived.num_rows if count_output else now.num_rows
-                    else:
-                        d = _diff_states(before, now)
-                        changed = changed_keys(d)
-                        prev = pq.read_table(data_path)
-                        keep = prev.filter(
-                            pc.invert(pc.is_in(match_key(prev), value_set=changed))
-                        )
-                        hit = now.filter(pc.is_in(match_key(now), value_set=changed))
-                        patch = transform(hit)
-                        n_work = patch.num_rows if count_output else hit.num_rows
-                        derived = pa.concat_tables(
-                            [keep, patch], promote_options="default"
-                        )
-                    derived = derived.sort_by(sort_keys).combine_chunks()
-                    _atomic_write_parquet(data_path, derived)
-                    mf.atomic_write_json(
-                        mf.consumer_manifest_path(view_path, pid),
-                        {
-                            "pid": pid,
-                            "watermark": int(wm),
-                            "rows": derived.num_rows,
-                            witness_field: int(n_work),
-                        },
-                    )
-                    out_pid.append(pid)
-                    out_n.append(int(n_work))
-                return pa.table(
-                    {
-                        "pid": pa.array(out_pid, pa.int32()),
-                        "work": pa.array(out_n, pa.int64()),
-                    }
-                )
-
-            work = [{"pid": p, "wm": w, "old": o} for p, w, o in stale]
-            res = fan_out(work).map_batches(refresh_one, batch_format="pyarrow").to_pandas()
-            witness_total = int(res["work"].sum())
-
-        rows = 0
-        for pid in pids:
-            try:
-                with open(self._manifest_path(pid)) as f:
-                    rows += int(json.load(f)["rows"])
-            except (OSError, ValueError, KeyError):
-                pass
-        return {
-            "refreshed": len(stale),
-            "reused": reused,
-            type(self)._REPORT_KEY: witness_total,
-            "rows": rows,
-        }
-
-    # ----------------------------------------------------------------- reads
     def read(self) -> rd.Dataset:
         """The derived table as a streaming Dataset (committed
         partitions only)."""
-        paths = [
-            self._data_path(pid)
-            for pid in self.engine._live_pids()
-            if self._stored_watermark(pid) is not None
-            and os.path.exists(self._data_path(pid))
-        ]
-        if not paths:
-            return rd.from_arrow(self.transform(_empty_state()))
-        return rd.read_parquet(paths)
+        return self.ledger.read(self.transform(_empty_state()))
 
     def table(self) -> pa.Table:
         """Materialized, key-sorted derived table (tests / small lakes)."""
-        batches = [
-            b if isinstance(b, pa.Table) else pa.table(b)
-            for b in self.read().iter_batches(batch_format="pyarrow")
-        ]
-        if not batches:
-            batches = [self.transform(_empty_state())]
-        t = pa.concat_tables(batches, promote_options="default")
+        t = self.ledger.table(self.transform(_empty_state()))
         return t.sort_by(list(type(self)._SORT_KEYS)).combine_chunks()
 
 

@@ -136,10 +136,8 @@ def state_changing_watermark(
     group (the exactly-once ledger needs that), but a group that
     delivered no upserts/deletes there (empty slice, or rejects-only)
     leaves the merged state untouched, so it must not invalidate an
-    incremental consumer's cached partition.  Shared by every
-    incremental consumer (MaterializedView, DerivedTable/CorpusTable,
-    SecondaryIndex) — they must agree on the staleness rule or reuse
-    witnesses silently diverge.
+    incremental consumer's cached partition.  The staleness rule of the
+    consumer ledger (:mod:`state.consumer`).
 
     ``after_group`` is a watermark this function returned earlier (a
     consumer's stored one).  Manifests are never rewritten and groups
@@ -162,28 +160,6 @@ def state_changing_watermark(
             wm = max(wm, g)
             anchored = anchored or g == lo
     return wm if anchored else state_changing_watermark(lake_path, pid)
-
-
-def consumer_manifest_path(view_path: str, pid: int) -> str:
-    """Per-partition manifest of an incremental consumer's own output
-    (records the lake watermark the partition's file reflects)."""
-    return os.path.join(view_path, f"p={pid:04d}.json")
-
-
-def consumer_data_path(view_path: str, pid: int) -> str:
-    return os.path.join(view_path, f"p={pid:04d}.parquet")
-
-
-def consumer_stored_watermark(view_path: str, pid: int) -> int | None:
-    """Watermark recorded by a consumer's committed partition manifest,
-    or None when missing/corrupt (treated as stale)."""
-    try:
-        with open(consumer_manifest_path(view_path, pid)) as f:
-            return int(json.load(f)["watermark"])
-    except (OSError, ValueError, KeyError, TypeError):
-        # TypeError: valid JSON of the wrong shape (null, a list,
-        # {"watermark": null}) — corrupt means stale, never a crash
-        return None
 
 
 def delta_runs(lake_path: str, pid: int) -> list[tuple[int, str]]:

@@ -9,38 +9,32 @@ advanced since the view's last refresh.
 
 Why this shape scales:
 
-- The lake hash-partitions on ``conv_id``, so every conversation's
-  turns live in exactly one partition and per-conversation aggregates
-  are partition-local.  A refresh is an embarrassingly parallel map
-  over stale partitions with NO shuffle; untouched partitions' view
-  files are reused byte-for-byte.  At 10^10 events / 256 nodes an
-  incremental epoch touches only the partitions its WAL slice hit.
+- Per-conversation aggregates are partition-local (the lake
+  hash-partitions on ``conv_id``), so the view is one consumer of the
+  shared consumer ledger (:mod:`state.consumer`), which owns staleness,
+  the per-partition commit and crash-resume; this module only builds a
+  partition's view.  At 10^10 events / 256 nodes an incremental epoch
+  touches only the partitions its WAL slice hit.
 - Update/delete-safe WITHOUT before-images: the view recomputes a
   touched partition from merged LWW state (tombstones dropped) instead
   of folding raw change rows into aggregates, which would need
   retractions (old values) for updates/deletes.  That is the explicit
   trade: partition-granular incrementality (cheap, correct under any
   op mix, no enriched feed needed) over row-level delta folding.
-- Exactly-once / crash-resume mirrors the lake's own ledger: each
-  partition's view file is written tmp+rename and committed by a
-  per-partition view manifest recording the lake watermark (max
-  committed commit group) it reflects.  A crashed refresh re-runs only
-  partitions whose manifest is missing or stale; re-running a
-  committed partition deterministically rewrites identical bytes.
 """
 
 from __future__ import annotations
 
 import json
-import os
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from nyc_taxi_data_pipeline_ray.io import fan_out
+from nyc_taxi_data_pipeline_ray.engine import read_partition_state
 from nyc_taxi_data_pipeline_ray.state import manifest as mf
+from nyc_taxi_data_pipeline_ray.state.consumer import ConsumerLedger
 
 #: Per-conversation aggregate row.
 VIEW_SCHEMA = pa.schema(
@@ -107,6 +101,15 @@ def aggregate_state(state: pa.Table | None) -> pa.Table:
     return out.sort_by("conv_id").combine_chunks()
 
 
+def build_view(
+    lake_path: str, pid: int, old, prev_path: str
+) -> tuple[pa.Table, int]:
+    """Consumer build step: the partition's aggregates, recomputed from
+    its merged state (work = view rows)."""
+    view = aggregate_state(read_partition_state(lake_path, pid))
+    return view, view.num_rows
+
+
 class MaterializedView:
     """Per-conversation stats table maintained incrementally from the
     lake's commit ledger (see module docstring for the design)."""
@@ -114,98 +117,22 @@ class MaterializedView:
     def __init__(self, engine, path: str):
         self.engine = engine
         self.path = path
-        os.makedirs(path, exist_ok=True)
+        self.ledger = ConsumerLedger(engine, path)
 
-    # ------------------------------------------------------------ watermarks
-    # shared consumer-ledger helpers (manifest.py): every incremental
-    # consumer must agree on the state-changing staleness rule
-    def _lake_watermark(self, pid: int, stored: int | None = None) -> int:
-        return mf.state_changing_watermark(self.engine.cfg.path, pid, stored)
-
-    def _view_manifest_path(self, pid: int) -> str:
-        return mf.consumer_manifest_path(self.path, pid)
-
-    def _view_data_path(self, pid: int) -> str:
-        return mf.consumer_data_path(self.path, pid)
-
-    def _view_watermark(self, pid: int) -> int | None:
-        return mf.consumer_stored_watermark(self.path, pid)
-
-    # --------------------------------------------------------------- refresh
     def refresh(self) -> dict:
         """Bring the view up to the lake's current ledger.  Returns
         ``{"refreshed": n, "reused": n, "rows": total_view_rows}`` —
         the ``reused`` count is the incrementality witness tests assert
-        on.  Stale partitions are recomputed in parallel Ray tasks
-        (one merge-read + Arrow group-by each); the driver only reads
-        tiny JSON manifests to decide staleness."""
-        from nyc_taxi_data_pipeline_ray.engine import (
-            _atomic_write_parquet,
-            _read_partition_state,
-        )
+        on.  Each stale partition costs one merge-read + Arrow group-by."""
+        return self.ledger.refresh(build_view)
 
-        lake_path = self.engine.cfg.path
-        view_path = self.path
-        pids = self.engine._live_pids()
-        stale: list[tuple[int, int]] = []
-        reused = 0
-        for pid in pids:
-            stored = self._view_watermark(pid)
-            wm = self._lake_watermark(pid, stored)
-            if stored == wm:
-                reused += 1
-            else:
-                stale.append((pid, wm))
-
-        if stale:
-
-            def refresh_one(batch: pa.Table) -> pa.Table:
-                rows = []
-                for pid, wm in zip(
-                    batch["pid"].to_pylist(), batch["wm"].to_pylist()
-                ):
-                    view = aggregate_state(_read_partition_state(lake_path, pid))
-                    _atomic_write_parquet(
-                        mf.consumer_data_path(view_path, pid), view
-                    )
-                    mf.atomic_write_json(
-                        mf.consumer_manifest_path(view_path, pid),
-                        {"pid": pid, "watermark": wm, "rows": view.num_rows},
-                    )
-                    rows.append(view.num_rows)
-                return pa.table({"pid": batch["pid"], "rows": pa.array(rows, pa.int64())})
-
-            work = [{"pid": p, "wm": w} for p, w in stale]
-            fan_out(work).map_batches(refresh_one, batch_format="pyarrow").count()
-
-        total = 0
-        for pid in pids:
-            try:
-                with open(self._view_manifest_path(pid)) as f:
-                    total += int(json.load(f)["rows"])
-            except (OSError, ValueError, KeyError):
-                pass
-        return {"refreshed": len(stale), "reused": reused, "rows": total}
-
-    # ----------------------------------------------------------------- reads
     def read(self) -> rd.Dataset:
         """The view as a streaming Dataset (committed partitions only)."""
-        paths = [
-            self._view_data_path(pid)
-            for pid in self.engine._live_pids()
-            if self._view_watermark(pid) is not None
-        ]
-        if not paths:
-            return rd.from_arrow(_empty_view())
-        return rd.read_parquet(paths)
+        return self.ledger.read(_empty_view())
 
     def table(self) -> pa.Table:
         """Materialized, conv_id-sorted view (tests / small lakes)."""
-        batches = [
-            b if isinstance(b, pa.Table) else pa.table(b)
-            for b in self.read().iter_batches(batch_format="pyarrow")
-        ]
-        t = pa.concat_tables(batches or [_empty_view()], promote_options="default")
+        t = self.ledger.table(_empty_view())
         return t.cast(VIEW_SCHEMA).sort_by("conv_id").combine_chunks()
 
 
@@ -303,11 +230,10 @@ class DeltaAggregate:
             return None
 
     def _watermark_now(self) -> int:
-        wm = -1
-        for pid in self.engine._live_pids():
-            groups = mf.committed_epoch_groups(self.engine.cfg.path, pid)
-            wm = max(wm, max(groups, default=-1))
-        return wm
+        # fully committed groups only: a group that has landed in some
+        # partitions (a crash, or an apply still running) folded now
+        # would be recorded as done and never folded in full
+        return self.engine.last_committed_group()
 
     # --------------------------------------------------------------- refresh
     def refresh(self) -> dict:

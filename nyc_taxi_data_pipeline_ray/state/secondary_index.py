@@ -7,23 +7,21 @@ partitions.  This module keeps a value-sorted projection
 queries read O(hits) row groups instead of the lake:
 
 - **Maintenance** is partition-granular recompute-on-touch (the
-  MaterializedView strategy): an update can move a key between ANY two
+  MaterializedView strategy) through the shared consumer ledger
+  (:mod:`state.consumer`), which owns staleness, the per-partition
+  commit and crash-resume: an update can move a key between ANY two
   values, so per-value delta math needs before-images for every change;
   recomputing only the touched partition's projection from merged LWW
   state is cheap (a projection, not an aggregate) and correct under any
-  op mix.  Untouched partitions' index files are reused byte-for-byte.
+  op mix.
 - **Lookup** reuses the engine's row-group pruning: index files are
   written sorted by ``(value, conv_id, turn_idx)`` with bounded row
   groups, so footer min/max stats on ``value`` narrow each partition's
   read to the groups that can hold the probe values
-  (``engine._read_run_pruned(column="value")``) — the same machinery
+  (``engine.read_run_pruned(column="value")``) — the same machinery
   point lookups use on ``conv_id``.  Hits come back as lake keys; the
   caller joins them to full rows with
   :meth:`CdcEngine.get_conversations` when payloads are needed.
-- **Exactly-once / crash-resume** mirrors the other incremental
-  consumers: tmp+rename data file plus a per-partition manifest
-  recording the lake watermark; a deterministic rewrite makes re-runs
-  idempotent.
 
 The reference has no secondary access path at all (every dashboard
 query re-filters Snowflake tables, e.g. the zone drilldowns in
@@ -32,15 +30,15 @@ query re-filters Snowflake tables, e.g. the zone drilldowns in
 
 from __future__ import annotations
 
-import json
-import os
+import functools
 
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
+from nyc_taxi_data_pipeline_ray.engine import read_partition_state, read_run_pruned
 from nyc_taxi_data_pipeline_ray.io import fan_out
-from nyc_taxi_data_pipeline_ray.state import manifest as mf
+from nyc_taxi_data_pipeline_ray.state import consumer
 
 
 def _canon_probe_values(values) -> list[str]:
@@ -57,14 +55,32 @@ def _canon_probe_values(values) -> list[str]:
     return sorted(set(pc.cast(pa.array(vals), pa.string()).to_pylist()))
 
 
-def _index_schema(value_type: pa.DataType = pa.string()) -> pa.Schema:
-    return pa.schema(
-        [
-            ("value", value_type),
-            ("conv_id", pa.string()),
-            ("turn_idx", pa.int32()),
-        ]
-    )
+#: One index row: a lake key under its column value, rendered as a string.
+_INDEX_SCHEMA = pa.schema(
+    [("value", pa.string()), ("conv_id", pa.string()), ("turn_idx", pa.int32())]
+)
+
+
+def build_index(
+    column: str, lake_path: str, pid: int, old, prev_path: str
+) -> tuple[pa.Table, int]:
+    """Consumer build step: the partition's value-sorted projection of
+    ``column``, recomputed from its merged state (work = index rows)."""
+    state = read_partition_state(lake_path, pid)
+    if state is None or column not in state.schema.names:
+        idx = _INDEX_SCHEMA.empty_table()
+    else:
+        idx = pa.table(
+            {
+                "value": pc.cast(state[column], pa.string()),
+                "conv_id": state["conv_id"],
+                "turn_idx": state["turn_idx"],
+            }
+        )
+        idx = idx.filter(pc.is_valid(idx["value"]))
+        order = [(c, "ascending") for c in ("value", "conv_id", "turn_idx")]
+        idx = idx.sort_by(order).combine_chunks()
+    return idx, idx.num_rows
 
 
 class SecondaryIndex:
@@ -75,123 +91,34 @@ class SecondaryIndex:
         self.engine = engine
         self.path = path
         self.column = column
-        os.makedirs(path, exist_ok=True)
+        self.ledger = consumer.ConsumerLedger(engine, path)
 
-    # ------------------------------------------------------------ watermarks
-    # shared consumer-ledger helpers (manifest.py): every incremental
-    # consumer must agree on the state-changing staleness rule
-    def _lake_watermark(self, pid: int, stored: int | None = None) -> int:
-        return mf.state_changing_watermark(self.engine.cfg.path, pid, stored)
-
-    def _manifest_path(self, pid: int) -> str:
-        return mf.consumer_manifest_path(self.path, pid)
-
-    def _data_path(self, pid: int) -> str:
-        return mf.consumer_data_path(self.path, pid)
-
-    def _stored_watermark(self, pid: int) -> int | None:
-        return mf.consumer_stored_watermark(self.path, pid)
-
-    # --------------------------------------------------------------- refresh
     def refresh(self) -> dict:
         """Recompute stale partitions' index files in parallel Ray
         tasks; returns ``{"refreshed", "reused", "rows"}``."""
-        from nyc_taxi_data_pipeline_ray.engine import (
-            _atomic_write_parquet,
-            _read_partition_state,
+        return self.ledger.refresh(
+            functools.partial(build_index, self.column),
+            row_group_rows=self.engine.cfg.base_row_group_rows,
         )
-
-        lake_path = self.engine.cfg.path
-        view_path = self.path
-        column = self.column
-        row_group_rows = self.engine.cfg.base_row_group_rows
-        pids = self.engine._live_pids()
-        stale: list[tuple[int, int]] = []
-        reused = 0
-        for pid in pids:
-            stored = self._stored_watermark(pid)
-            wm = self._lake_watermark(pid, stored)
-            if stored == wm:
-                reused += 1
-            else:
-                stale.append((pid, wm))
-
-        if stale:
-
-            def refresh_one(batch: pa.Table) -> pa.Table:
-                rows = []
-                for pid, wm in zip(batch["pid"].to_pylist(), batch["wm"].to_pylist()):
-                    pid = int(pid)
-                    state = _read_partition_state(lake_path, pid)
-                    if state is None or column not in state.schema.names:
-                        idx = pa.table(
-                            {f.name: pa.array([], f.type) for f in _index_schema()}
-                        )
-                    else:
-                        idx = pa.table(
-                            {
-                                "value": pc.cast(state[column], pa.string()),
-                                "conv_id": state["conv_id"],
-                                "turn_idx": state["turn_idx"],
-                            }
-                        )
-                        idx = idx.filter(pc.is_valid(idx["value"]))
-                        idx = idx.sort_by(
-                            [
-                                ("value", "ascending"),
-                                ("conv_id", "ascending"),
-                                ("turn_idx", "ascending"),
-                            ]
-                        ).combine_chunks()
-                    _atomic_write_parquet(
-                        mf.consumer_data_path(view_path, pid),
-                        idx,
-                        row_group_rows=row_group_rows,
-                    )
-                    mf.atomic_write_json(
-                        mf.consumer_manifest_path(view_path, pid),
-                        {"pid": pid, "watermark": int(wm), "rows": idx.num_rows},
-                    )
-                    rows.append(idx.num_rows)
-                return pa.table(
-                    {"pid": batch["pid"], "rows": pa.array(rows, pa.int64())}
-                )
-
-            work = [{"pid": p, "wm": w} for p, w in stale]
-            fan_out(work).map_batches(refresh_one, batch_format="pyarrow").count()
-
-        rows = 0
-        for pid in pids:
-            try:
-                with open(self._manifest_path(pid)) as f:
-                    rows += int(json.load(f)["rows"])
-            except (OSError, ValueError, KeyError):
-                pass
-        return {"refreshed": len(stale), "reused": reused, "rows": rows}
 
     # ----------------------------------------------------------------- reads
     def lookup(self, values) -> rd.Dataset:
         """All lake keys whose ``column`` equals any requested value —
         one row-group-pruned read per partition, in parallel Ray
         tasks."""
-        from nyc_taxi_data_pipeline_ray.engine import _read_run_pruned
-
         vals = _canon_probe_values(values)
         view_path = self.path
-        pids = [
-            pid
-            for pid in self.engine._live_pids()
-            if self._stored_watermark(pid) is not None
-        ]
-        empty = pa.table({f.name: pa.array([], f.type) for f in _index_schema()})
+        pids = self.ledger.committed_pids()
+        empty = _INDEX_SCHEMA.empty_table()
         if not pids or not vals:
             return rd.from_arrow(empty)
 
         def read_one(batch: pa.Table) -> pa.Table:
             outs = []
             for pid in batch["pid"].to_pylist():
-                path = mf.consumer_data_path(view_path, int(pid))
-                t, _, _ = _read_run_pruned(path, vals, column="value")
+                t, _, _ = read_run_pruned(
+                    consumer.data_path(view_path, int(pid)), vals, column="value"
+                )
                 if t is not None:
                     outs.append(t)
             # promote: partitions refreshed around a schema evolution
@@ -205,14 +132,10 @@ class SecondaryIndex:
     def lookup_stats(self, values) -> dict:
         """Driver-side pruning witness: groups read vs total across all
         partitions for a probe (tests assert read < total)."""
-        from nyc_taxi_data_pipeline_ray.engine import _read_run_pruned
-
         vals = _canon_probe_values(values)
         read = total = hits = 0
-        for pid in self.engine._live_pids():
-            if self._stored_watermark(pid) is None:
-                continue
-            t, r, n = _read_run_pruned(self._data_path(pid), vals, column="value")
+        for pid in self.ledger.committed_pids():
+            t, r, n = read_run_pruned(self.ledger.data_path(pid), vals, column="value")
             read += r
             total += n
             hits += t.num_rows if t is not None else 0

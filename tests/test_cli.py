@@ -601,6 +601,44 @@ def test_cli_fsck_verbs(tmp_path, capsys):
     assert main(["index-fsck", "--index", lsh]) == 0
 
 
+def test_cli_index_verbs_refuse_missing_index(tmp_path, capsys):
+    """Only index-add/-ingest and ann-add/-ingest may create an index:
+    every other index-*/ann-* verb on a mistyped path prints a JSON
+    error, exits 1 and leaves no directory behind."""
+    import json as _json
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from nyc_taxi_data_pipeline_ray.__main__ import main
+
+    docs = str(tmp_path / "docs.parquet")
+    pq.write_table(pa.table({"doc_id": pa.array([1], pa.int64()), "text": ["a b"]}), docs)
+    out = str(tmp_path / "out.parquet")
+    typo = str(tmp_path / "typo")
+    verbs = [
+        ["index-probe", "--docs", docs, "--out", out],
+        ["index-describe"],
+        ["index-fsck"],
+        ["index-delete", "--ids", docs, "--segment", "1"],
+        ["index-compact"],
+        ["ann-probe", "--queries", docs, "--out", out],
+        ["ann-describe"],
+        ["ann-fsck"],
+        ["ann-delete", "--ids", docs, "--segment", "1"],
+        ["ann-compact"],
+        ["ann-replay", "--segment", "0", "--out", out],
+    ]
+    for verb, *rest in verbs:
+        assert main([verb, "--index", typo, *rest]) == 1, verb
+        rep = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        if verb.startswith("index-"):
+            assert rep == {"error": f"no dedup index at {typo!r}"}, verb
+        else:
+            assert "no IvfIndex at" in rep["error"], verb
+        assert not (tmp_path / "typo").exists(), verb
+
+
 def test_cli_index_merge_federation(tmp_path, capsys):
     """index-merge / ann-merge: a second shard index merges into the
     target as one committed segment; a missing source path errors

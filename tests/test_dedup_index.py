@@ -11,7 +11,7 @@ import pyarrow.parquet as pq
 import pytest
 import ray.data as rd
 
-from nyc_taxi_data_pipeline_ray.pipelines.text import _cached_minhasher
+from nyc_taxi_data_pipeline_ray.pipelines.text import cached_minhasher
 from nyc_taxi_data_pipeline_ray.state.dedup_index import MinHashIndex
 
 SF_DIR = "/root/testdata/sf0.01"
@@ -56,7 +56,7 @@ def test_index_probe_planted(tmp_path, corpus):
     assert not any(p >= 3000 for p, _ in found)
 
     # every reported estimate equals the direct signature comparison
-    mh = _cached_minhasher(64)
+    mh = cached_minhasher(64)
     sig = {
         int(d): mh.signature(t)
         for d, t in zip(

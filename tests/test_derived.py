@@ -123,7 +123,7 @@ def test_derived_crash_resume_idempotent(tmp_path):
     expected = dt.table()
     # simulate the crash: roll one partition's manifest back to the
     # epoch-1 watermark while its data file stays current
-    p = dt._manifest_path(0)
+    p = dt.ledger.manifest_path(0)
     m = json.load(open(p))
     stale = dict(m, watermark=0)
     with open(p, "w") as f:

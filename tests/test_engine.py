@@ -590,7 +590,7 @@ def test_export_snapshot_exactly_once(tmp_path):
     r1 = eng.export_snapshot(out)
     assert not r1["skipped"]
     files = sorted(_glob.glob(os.path.join(out, "part-p*.parquet")))
-    assert len(files) == len(eng._live_pids())  # one file per partition
+    assert len(files) == len(eng.live_pids())  # one file per partition
     got = pa.concat_tables([pq.read_table(f) for f in files], promote_options="default")
     snap = eng.snapshot_table()
     cols = sorted(c for c in snap.schema.names if not c.startswith("_"))
@@ -622,7 +622,7 @@ def test_export_snapshot_exactly_once(tmp_path):
     r5 = eng2.export_snapshot(out)
     assert not r5["skipped"] and r5["checksum"] == r4["checksum"]
     files2 = sorted(_glob.glob(os.path.join(out, "part-p*.parquet")))
-    assert len(files2) == len(eng2._live_pids()) <= 2
+    assert len(files2) == len(eng2.live_pids()) <= 2
     got2 = pa.concat_tables(
         [pq.read_table(f) for f in files2], promote_options="default"
     )
@@ -724,7 +724,7 @@ def test_bloom_sidecar_skips_absent_keys(tmp_path):
     ghost = present[0] + "-ghost"
     assert present[0] < ghost < present[-1]
 
-    for pid in eng._live_pids():
+    for pid in eng.live_pids():
         paths = _partition_run_paths(eng.cfg.path, pid)
         base = paths[0]
         assert os.path.exists(_bloom_path(base)), "compaction must write the sidecar"
@@ -756,7 +756,7 @@ def test_row_group_pruned_lookup(tmp_path):
     from nyc_taxi_data_pipeline_ray.engine import (
         _partition_run_paths,
         _read_keys_pruned,
-        _read_run_pruned,
+        read_run_pruned,
         hash_partition_ids,
     )
 
@@ -780,7 +780,7 @@ def test_row_group_pruned_lookup(tmp_path):
 
     # the base really has multiple bounded row groups ...
     base = _partition_run_paths(eng.cfg.path, pid)[0]
-    t, read, total = _read_run_pruned(base, [conv])
+    t, read, total = read_run_pruned(base, [conv])
     assert total >= 4, f"base has only {total} row groups"
     # ... and the lookup touched a strict subset of them
     assert 0 < read < total, (read, total)
@@ -1106,7 +1106,7 @@ def test_antientropy_diff_between_replicas(tmp_path):
     converged replicas; after the target misses an epoch, the diff
     names exactly the diverged keys — computed only over mismatched
     partitions — and replication repairs it back to digest equality."""
-    from nyc_taxi_data_pipeline_ray.engine import _diff_states  # noqa: F401
+    from nyc_taxi_data_pipeline_ray.engine import diff_states  # noqa: F401
 
     spec = WalSpec(
         seed=83, num_conversations=60, num_epochs=2, events_per_epoch=900,
@@ -1277,7 +1277,7 @@ def test_export_snapshot_invalidates_marker_before_rewrite(tmp_path, monkeypatch
 
     eng.apply(wal)  # change the lake so the next export rewrites
 
-    real_live = eng._live_pids
+    real_live = eng.live_pids
     calls = {"n": 0}
 
     def boom(*a, **k):
@@ -1289,7 +1289,7 @@ def test_export_snapshot_invalidates_marker_before_rewrite(tmp_path, monkeypatch
             raise RuntimeError("simulated crash before part writes")
         return real_live()
 
-    monkeypatch.setattr(eng, "_live_pids", boom)
+    monkeypatch.setattr(eng, "live_pids", boom)
     with pytest.raises(RuntimeError):
         eng.export_snapshot(out)
     assert not os.path.exists(os.path.join(out, "_SUCCESS"))  # invalidated first
@@ -1316,7 +1316,7 @@ def test_pruned_point_lookups_retry_compactor_race(tmp_path, monkeypatch):
     eng.apply(wal)
     key = eng.snapshot_table()["conv_id"][0].as_py()
 
-    real = E._read_run_pruned
+    real = E.read_run_pruned
     calls = {"fail": 0}
 
     def flaky(path, keys, column="conv_id"):
@@ -1325,7 +1325,7 @@ def test_pruned_point_lookups_retry_compactor_race(tmp_path, monkeypatch):
             raise FileNotFoundError(path)
         return real(path, keys, column)
 
-    monkeypatch.setattr(E, "_read_run_pruned", flaky)
+    monkeypatch.setattr(E, "read_run_pruned", flaky)
     t = eng.get_conversation(key)
     assert calls["fail"] == 1 and t.num_rows > 0
 
@@ -1787,7 +1787,7 @@ def test_stage_b_compaction_uses_lake_base_row_group_rows(tmp_path):
     gen, wal, eng = _build(str(tmp_path), SPEC, base_row_group_rows=64, max_delta_runs=1)
     for _ in range(3):
         eng.apply(wal, max_epochs=1)
-    bases = [mf.current_base(eng.cfg.path, pid) for pid in eng._live_pids()]
+    bases = [mf.current_base(eng.cfg.path, pid) for pid in eng.live_pids()]
     mds = [pq.ParquetFile(b[1]).metadata for b in bases if b is not None]
     assert mds and max(md.num_rows for md in mds) > 64
     for md in mds:
@@ -1806,14 +1806,14 @@ def test_corrupt_superseded_compact_marker_is_ignored(tmp_path):
     eng.compact()
     eng.apply(wal, max_epochs=1)
     eng.compact()
-    for pid in eng._live_pids():
+    for pid in eng.live_pids():
         assert mf.current_base(eng.cfg.path, pid)[0] == 2
         with open(mf.compact_marker_path(eng.cfg.path, pid, 1), "w") as f:
             f.write("{not json")
     conv = gen.events_table()["conv_id"][0].as_py()
     assert eng.get_conversation(conv).num_rows > 0
     eng.apply(wal)
-    assert eng.compact() == len(eng._live_pids())
+    assert eng.compact() == len(eng.live_pids())
     _assert_equal_state(eng, gen)
 
 
@@ -2039,7 +2039,7 @@ def test_compacted_bases_have_byte_bounded_row_groups(tmp_path):
     from nyc_taxi_data_pipeline_ray.engine import (
         _RUN_GROUP_BYTES,
         _read_keys_pruned,
-        _read_run_pruned,
+        read_run_pruned,
         hash_partition_ids,
     )
     from nyc_taxi_data_pipeline_ray.state import manifest as mf
@@ -2073,7 +2073,7 @@ def test_compacted_bases_have_byte_bounded_row_groups(tmp_path):
     for conv in sorted(set(snap["conv_id"].to_pylist()))[::17]:
         pid = int(hash_partition_ids(pa.array([conv]), eng.cfg.num_partitions)[0])
         base = mf.current_base(eng.cfg.path, pid)[1]
-        _, read, total = _read_run_pruned(base, [conv])
+        _, read, total = read_run_pruned(base, [conv])
         assert 1 <= read <= 2 <= total
         got, read, _ = _read_keys_pruned(eng.cfg.path, pid, [conv])
         assert read <= 2
@@ -2103,7 +2103,7 @@ def test_old_layout_base_reads_identically(tmp_path):
         if step:
             eng.apply(wal)  # a delta over the base: the merge path
         new_snap, new_hits = reads()
-        for pid in eng._live_pids():
+        for pid in eng.live_pids():
             base = mf.current_base(eng.cfg.path, pid)[1]
             pq.write_table(pq.read_table(base), base)  # one group, all statistics
             assert pq.ParquetFile(base).metadata.num_row_groups == 1
@@ -2124,7 +2124,7 @@ def test_one_run_read_equals_merge_path_with_tombstones(tmp_path):
     from nyc_taxi_data_pipeline_ray.engine import (
         _partition_runs,
         _read_keys_pruned,
-        _read_partition_state,
+        read_partition_state,
         hash_partition_ids,
     )
     from nyc_taxi_data_pipeline_ray.state import merge as mg
@@ -2136,13 +2136,13 @@ def test_one_run_read_equals_merge_path_with_tombstones(tmp_path):
     _assert_equal_state(eng, gen)
     snap = eng.snapshot_table()
     n_tomb = 0
-    for pid in eng._live_pids():
+    for pid in eng.live_pids():
         (run,) = _partition_runs(eng.cfg.path, pid)
         n_tomb += run.num_rows - mg.live_rows(run).num_rows
         via_merge = mg.merge_runs([run], drop_tombstones=True).drop_columns(
             list(schemas.INTERNAL_COLUMNS)
         )
-        assert _read_partition_state(eng.cfg.path, pid).equals(via_merge)
+        assert read_partition_state(eng.cfg.path, pid).equals(via_merge)
         keys = sorted(set(run["conv_id"].to_pylist()))[::3]
         got, _, _ = _read_keys_pruned(eng.cfg.path, pid, keys)
         want = via_merge.filter(pc.is_in(via_merge["conv_id"], value_set=pa.array(keys)))
@@ -2210,7 +2210,7 @@ def test_follow_loop_without_compact_equals_oracle(tmp_path):
     gens = {}
     for e in range(spec.num_epochs):
         assert eng.apply(wal, max_epochs=1).epochs == [e]
-        now = {p: (mf.current_base(eng.cfg.path, p) or (0,))[0] for p in eng._live_pids()}
+        now = {p: (mf.current_base(eng.cfg.path, p) or (0,))[0] for p in eng.live_pids()}
         compacted = [p for p in now if now[p] != gens.get(p, 0)]
         assert len(compacted) < 4, (e, compacted)
         gens = now

@@ -24,7 +24,7 @@ from nyc_taxi_data_pipeline_ray.pipelines.ann import (
     _normalize_rows,
     _saturated_pq_books,
 )
-from nyc_taxi_data_pipeline_ray.pipelines.text import _cached_minhasher
+from nyc_taxi_data_pipeline_ray.pipelines.text import cached_minhasher
 from nyc_taxi_data_pipeline_ray.state.ann_index import IvfIndex
 from nyc_taxi_data_pipeline_ray.state.dedup_index import MinHashIndex, _band_rows
 
@@ -56,7 +56,7 @@ def _minhash_oracle(
     band = rows["band"].to_numpy(zero_copy_only=False)
     bh = rows["band_hash"].to_numpy(zero_copy_only=False)
     doc = rows["doc_id"].to_numpy(zero_copy_only=False)
-    mh = _cached_minhasher(64)
+    mh = cached_minhasher(64)
     sig = {
         int(d): mh.signature(t)
         for d, t in zip(table["doc_id"].to_pylist(), table["text"].to_pylist())

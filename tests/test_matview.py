@@ -115,7 +115,7 @@ def test_matview_incremental_reuse(tmp_path):
     _assert_view_equals(mv, expected)
     # and the refreshed partition is the one owning that conversation
     pid = int(hash_partition_ids(pa.array([conv]), 4)[0])
-    assert mv._view_watermark(pid) == mv._lake_watermark(pid)
+    assert mv.ledger.stored_watermark(pid) == mv.ledger.lake_watermark(pid)
 
 
 def test_matview_crash_resume(tmp_path):
@@ -125,7 +125,7 @@ def test_matview_crash_resume(tmp_path):
     expected = _expected(gen.events_table())
     # simulate a crash after the data file landed but before the commit
     # marker: the manifest is the ledger, so that partition re-runs
-    os.remove(mv._view_manifest_path(2))
+    os.remove(mv.ledger.manifest_path(2))
     rep = mv.refresh()
     assert rep["refreshed"] == 1 and rep["reused"] == 3
     _assert_view_equals(mv, expected)
@@ -161,6 +161,30 @@ def test_delta_aggregate_incremental(tmp_path):
     assert da.refresh()["mode"] == "incremental"  # folds diff images only
     assert da.refresh()["mode"] == "noop"  # watermark unchanged
 
+    got = da.table().to_pandas()
+    exp = _expected_role_stats(gen.events_table())
+    pd.testing.assert_frame_equal(got, exp, check_dtype=False)
+
+
+def test_delta_aggregate_ignores_partially_committed_group(tmp_path):
+    """A group that has landed in some partitions only (a crash before
+    ``apply`` writes its ``_epochs`` markers, or an apply still running)
+    is not committed yet.  Folding its landed part would record the
+    group as done, and the rest would never be folded once the apply
+    resumes."""
+    from nyc_taxi_data_pipeline_ray.state.matview import DeltaAggregate
+
+    gen, wal, eng, _ = _build(str(tmp_path))
+    da = DeltaAggregate(eng, os.path.join(str(tmp_path), "role_stats.json"))
+    eng.apply(wal, max_epochs=2)
+    assert da.refresh()["mode"] == "full"
+    eng.apply(wal)
+    # group 2 landed in partitions 0-2 only, and apply never marked it
+    os.remove(os.path.join(eng.cfg.path, "p=0003", "manifest-000002.json"))
+    os.remove(os.path.join(eng.cfg.path, "_epochs", "epoch-000002.json"))
+    assert da.refresh()["mode"] == "noop"
+    assert eng.apply(wal).epochs == [2]  # the resumed apply lands partition 3
+    assert da.refresh()["mode"] == "incremental"
     got = da.table().to_pandas()
     exp = _expected_role_stats(gen.events_table())
     pd.testing.assert_frame_equal(got, exp, check_dtype=False)

@@ -149,9 +149,9 @@ def test_consumer_watermark_corrupt_json_is_stale(tmp_path):
     watermark) must read as stale (None), never crash the consumer."""
     import os
 
-    from nyc_taxi_data_pipeline_ray.state import manifest as mf
+    from nyc_taxi_data_pipeline_ray.state import consumer
 
     for i, payload in enumerate(["null", "[1,2]", '{"watermark": null}']):
-        with open(mf.consumer_manifest_path(str(tmp_path), i), "w") as f:
+        with open(consumer.manifest_path(str(tmp_path), i), "w") as f:
             f.write(payload)
-        assert mf.consumer_stored_watermark(str(tmp_path), i) is None
+        assert consumer.stored_watermark(str(tmp_path), i) is None
