@@ -532,14 +532,13 @@ def main(argv: list[str] | None = None) -> int:
 
             from nyc_taxi_data_pipeline_ray.state.ann_index import (
                 IvfIndex,
+                kmeans_lite,
                 normalize_rows,
             )
 
             if args.cmd in ("ann-add", "ann-ingest") and not os.path.exists(
                 os.path.join(args.index, "meta.json")
             ):
-                from nyc_taxi_data_pipeline_ray.pipelines.ann import _kmeans_lite
-
                 sample = pq.read_table(
                     args.vectors, columns=["embedding"]
                 )["embedding"].to_numpy(zero_copy_only=False)[:2000]
@@ -553,7 +552,7 @@ def main(argv: list[str] | None = None) -> int:
                         )
                     )
                     return 1
-                cent = _kmeans_lite(
+                cent = kmeans_lite(
                     normalize_rows(np.stack(sample).astype(np.float64)), args.ncells
                 )
                 idx = IvfIndex(

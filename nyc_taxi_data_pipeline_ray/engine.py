@@ -96,7 +96,18 @@ from nyc_taxi_data_pipeline_ray.stages import validate as validate_mod
 from nyc_taxi_data_pipeline_ray.state import manifest as mf
 from nyc_taxi_data_pipeline_ray.state import merge as mg
 
-_EPOCH_DIR_RE = re.compile(r"epoch=(\d{6})$")
+_EPOCH_DIR_RE = re.compile(r"epoch=(\d{6,})$")
+
+
+def _wal_epochs(wal_dir: str) -> list[tuple[int, str]]:
+    """``(epoch, dir name)`` of each ``epoch=N`` dir of a WAL, oldest
+    first by number: writers pad to 6 digits, so past 999999 the names
+    no longer sort as their epochs do."""
+    return sorted(
+        (int(m.group(1)), name)
+        for name in os.listdir(wal_dir)
+        if (m := _EPOCH_DIR_RE.match(name))
+    )
 
 
 def hash_partition_ids(conv_id: pa.ChunkedArray | pa.Array, num_partitions: int) -> np.ndarray:
@@ -552,11 +563,7 @@ class CdcEngine:
         """
         done = self._global_committed()
         out = []
-        for name in sorted(os.listdir(wal_dir)):
-            m = _EPOCH_DIR_RE.match(name)
-            if not m:
-                continue
-            epoch = int(m.group(1))
+        for epoch, name in _wal_epochs(wal_dir):
             if epoch in done:
                 continue
             d = os.path.join(wal_dir, name)
@@ -573,7 +580,7 @@ class CdcEngine:
             return set()
         out = set()
         for name in os.listdir(d):
-            m = re.match(r"epoch-(\d{6})\.json$", name)
+            m = re.match(r"epoch-(\d{6,})\.json$", name)
             if m:
                 out.add(int(m.group(1)))
         return out
@@ -802,12 +809,7 @@ class CdcEngine:
         ``streaming/README.md`` throughput dashboard): unapplied epoch
         count/ids and the newest WAL epoch vs newest committed."""
         committed = self._global_committed()
-        wal_epochs = []
-        if os.path.isdir(wal_dir):
-            for name in os.listdir(wal_dir):
-                m = _EPOCH_DIR_RE.match(name)
-                if m:
-                    wal_epochs.append(int(m.group(1)))
+        wal_epochs = [e for e, _ in _wal_epochs(wal_dir)] if os.path.isdir(wal_dir) else []
         pending = sorted(e for e in wal_epochs if e not in committed)
         return {
             "wal_head": max(wal_epochs, default=None),
@@ -856,11 +858,7 @@ class CdcEngine:
         (even if individually committed) so a resumable gap never loses
         its tail.  Returns ``{"removed": n, "kept": n}``."""
         done = self._global_committed()
-        names = []
-        for name in sorted(os.listdir(wal_dir)):
-            m = _EPOCH_DIR_RE.match(name)
-            if m:
-                names.append((int(m.group(1)), name))
+        names = _wal_epochs(wal_dir)
         removed = kept = 0
         for epoch, name in names:
             if epoch in done:
@@ -1137,10 +1135,7 @@ class CdcEngine:
         also past anything already committed to this lake)."""
         present = [-1]
         if os.path.isdir(wal_dir):
-            for name in os.listdir(wal_dir):
-                m = _EPOCH_DIR_RE.match(name)
-                if m:
-                    present.append(int(m.group(1)))
+            present += [e for e, _ in _wal_epochs(wal_dir)]
         committed = self._global_committed()
         if committed:
             present.append(max(committed))
@@ -1239,10 +1234,7 @@ class CdcEngine:
             if target is not None:
                 present = [-1]
                 if os.path.isdir(out_wal_dir):
-                    for name in os.listdir(out_wal_dir):
-                        m = _EPOCH_DIR_RE.match(name)
-                        if m:
-                            present.append(int(m.group(1)))
+                    present += [e for e, _ in _wal_epochs(out_wal_dir)]
                 committed = target._global_committed()
                 if committed:
                     present.append(max(committed))

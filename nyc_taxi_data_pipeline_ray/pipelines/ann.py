@@ -28,8 +28,12 @@ import ray.data as rd
 
 from nyc_taxi_data_pipeline_ray.io import fresh_tmp_root, read_parquet_clean
 
+# one canonical row normalization for index build AND probe (a skew
+# between the two would silently degrade IVF cell assignment)
+from nyc_taxi_data_pipeline_ray.state.ann_index import kmeans_lite, normalize_rows
 
-def _vectors_where_id_below(sf_dir: str, upper: int) -> tuple[np.ndarray, np.ndarray]:
+
+def vectors_where_id_below(sf_dir: str, upper: int) -> tuple[np.ndarray, np.ndarray]:
     """Read ONLY the vectors with ``vec_id < upper`` — a pushed-down
     parquet row filter, so query/training-sample selection never
     materializes the full embeddings table on the driver (at 10^9
@@ -52,17 +56,10 @@ def _vectors_where_id_below(sf_dir: str, upper: int) -> tuple[np.ndarray, np.nda
     return ids[order], mat[order]
 
 
-# one canonical row normalization for index build AND probe (a skew
-# between the two would silently degrade IVF cell assignment)
-from nyc_taxi_data_pipeline_ray.state.ann_index import (  # noqa: E402
-    normalize_rows as _normalize_rows,
-)
-
-
 def q_ann_bruteforce(sf_dir: str, *, k: int = 5, num_queries: int = 5) -> pd.DataFrame:
     """Exact top-k cosine neighbours of the first ``num_queries`` vectors."""
-    qids, qmat = _vectors_where_id_below(sf_dir, num_queries)
-    qmat = _normalize_rows(qmat)
+    qids, qmat = vectors_where_id_below(sf_dir, num_queries)
+    qmat = normalize_rows(qmat)
     qref = ray.put((qids, qmat))
 
     ds = read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
@@ -72,7 +69,7 @@ def q_ann_bruteforce(sf_dir: str, *, k: int = 5, num_queries: int = 5) -> pd.Dat
         # local object store via shared memory, no pool spin-up cost
         qids_l, qmat_l = ray.get(qref)
         ids = t["vec_id"].to_numpy(zero_copy_only=False)
-        m = _normalize_rows(
+        m = normalize_rows(
             np.stack(t["embedding"].to_numpy(zero_copy_only=False)).astype(np.float64)
         )
         sims = qmat_l @ m.T  # (Q x B)
@@ -111,8 +108,8 @@ def _block_pair_sims(ta: pa.Table, tb: pa.Table, threshold: float, same: bool) -
     shared memory on the same node) — never the whole matrix."""
     ia = ta["vec_id"].to_numpy(zero_copy_only=False)
     ib = tb["vec_id"].to_numpy(zero_copy_only=False)
-    ma = _normalize_rows(np.stack(ta["embedding"].to_numpy(zero_copy_only=False)).astype(np.float64))
-    mb = _normalize_rows(np.stack(tb["embedding"].to_numpy(zero_copy_only=False)).astype(np.float64))
+    ma = normalize_rows(np.stack(ta["embedding"].to_numpy(zero_copy_only=False)).astype(np.float64))
+    mb = normalize_rows(np.stack(tb["embedding"].to_numpy(zero_copy_only=False)).astype(np.float64))
     sims = ma @ mb.T
     ri, rj = np.nonzero(sims >= threshold)
     if same:
@@ -178,8 +175,8 @@ def q_ann_lsh(
     lift recall to ~1-(1-p)^12 ~ 0.63).  Exact cosine reranks the
     candidate union.  Tests measure recall vs :func:`q_ann_bruteforce`."""
     rng = np.random.default_rng(seed)
-    qids, qmat = _vectors_where_id_below(sf_dir, num_queries)
-    qmat = _normalize_rows(qmat)
+    qids, qmat = vectors_where_id_below(sf_dir, num_queries)
+    qmat = normalize_rows(qmat)
     dim = qmat.shape[1]
     planes = rng.standard_normal((n_tables, dim, n_planes))
     pow2 = 1 << np.arange(n_planes)
@@ -192,7 +189,7 @@ def q_ann_lsh(
         qids_l, qmat_l, qsig_l, planes_l = ray.get(qref)
         pow2_l = 1 << np.arange(planes_l.shape[2])
         ids = t["vec_id"].to_numpy(zero_copy_only=False)
-        m = _normalize_rows(
+        m = normalize_rows(
             np.stack(t["embedding"].to_numpy(zero_copy_only=False)).astype(np.float64)
         )
         L = planes_l.shape[0]
@@ -232,19 +229,6 @@ def q_ann_lsh(
 # ``nprobe`` nearest cells.  At 100 TB the sample fits the driver (a few
 # thousand vectors), centroid assignment is one matmul per batch, and
 # the probed fraction bounds compute at nprobe/ncells of brute force.
-def _kmeans_lite(sample: np.ndarray, ncells: int, iters: int = 8, seed: int = 7) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    cent = sample[rng.choice(len(sample), size=ncells, replace=False)].copy()
-    for _ in range(iters):
-        assign = np.argmax(sample @ cent.T, axis=1)  # cosine on normalized rows
-        for c in range(ncells):
-            members = sample[assign == c]
-            if len(members):
-                v = members.sum(axis=0)
-                cent[c] = v / max(np.linalg.norm(v), 1e-30)
-    return cent
-
-
 def q_ann_ivf(
     sf_dir: str,
     *,
@@ -259,12 +243,12 @@ def q_ann_ivf(
     # train centroids on a deterministic PRUNED-READ sample (vec_id <
     # sample_rows pushed down to the parquet scan) — the driver holds a
     # few thousand vectors, never the full table
-    _, sample_mat = _vectors_where_id_below(sf_dir, sample_rows)
-    sample = _normalize_rows(sample_mat)
-    cent = _kmeans_lite(sample, min(ncells, len(sample)))
+    _, sample_mat = vectors_where_id_below(sf_dir, sample_rows)
+    sample = normalize_rows(sample_mat)
+    cent = kmeans_lite(sample, min(ncells, len(sample)))
 
-    qids, qmat = _vectors_where_id_below(sf_dir, num_queries)
-    qmat = _normalize_rows(qmat)
+    qids, qmat = vectors_where_id_below(sf_dir, num_queries)
+    qmat = normalize_rows(qmat)
     # cells each query probes: nprobe nearest centroids
     qcells = np.argsort(-(qmat @ cent.T), axis=1)[:, :nprobe]  # (Q, nprobe)
     qref = ray.put((qids, qmat, qcells, cent))
@@ -274,7 +258,7 @@ def q_ann_ivf(
     def probe(t: pa.Table) -> pa.Table:
         qids_l, qmat_l, qcells_l, cent_l = ray.get(qref)
         ids = t["vec_id"].to_numpy(zero_copy_only=False)
-        m = _normalize_rows(
+        m = normalize_rows(
             np.stack(t["embedding"].to_numpy(zero_copy_only=False)).astype(np.float64)
         )
         cells = np.argmax(m @ cent_l.T, axis=1)  # (B,) cell assignment
@@ -370,7 +354,7 @@ def q_kmeans_assign(sf_dir: str, *, k: int = 8, iters: int = 2) -> rd.Dataset:
     Lloyd rounds with ``list_distance`` + per-dim ``avg``; ties broken
     by centroid id in both engines.
     """
-    _, cent = _vectors_where_id_below(sf_dir, k)  # k x d, ordered by vec_id
+    _, cent = vectors_where_id_below(sf_dir, k)  # k x d, ordered by vec_id
     ds = read_parquet_clean(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     )
@@ -486,8 +470,8 @@ def _block_knn_partials(ta: pa.Table, tb: pa.Table, k: int, same: bool) -> pa.Ta
     partials provably contain the global top-k under the same order."""
     ia = ta["vec_id"].to_numpy(zero_copy_only=False)
     ib = tb["vec_id"].to_numpy(zero_copy_only=False)
-    ma = _normalize_rows(np.stack(ta["embedding"].to_numpy(zero_copy_only=False)).astype(np.float64))
-    mb = _normalize_rows(np.stack(tb["embedding"].to_numpy(zero_copy_only=False)).astype(np.float64))
+    ma = normalize_rows(np.stack(ta["embedding"].to_numpy(zero_copy_only=False)).astype(np.float64))
+    mb = normalize_rows(np.stack(tb["embedding"].to_numpy(zero_copy_only=False)).astype(np.float64))
     sims = np.round(ma @ mb.T, 4)
 
     def side(sims_ab: np.ndarray, ids_a: np.ndarray, ids_b: np.ndarray, mask_diag: bool):
@@ -592,7 +576,7 @@ def q_semantic_dedup(
     dup_of (-1 if kept), is_kept.  Fully SQL-oracled (single-pass
     assignment keeps the oracle's centroid math unrolled-free).
     """
-    _, cent = _vectors_where_id_below(sf_dir, k)
+    _, cent = vectors_where_id_below(sf_dir, k)
     ds = read_parquet_clean(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     )
@@ -631,7 +615,7 @@ def q_semantic_dedup(
 def _kmeans_l2(sample: np.ndarray, k: int, iters: int = 8, seed: int = 7) -> np.ndarray:
     """Plain-Euclidean Lloyd for PQ sub-codebooks: subvectors are NOT
     unit-norm, so centroids must stay un-normalized means (the cosine
-    variant ``_kmeans_lite`` would miscalibrate ADC scores)."""
+    variant ``kmeans_lite`` would miscalibrate ADC scores)."""
     rng = np.random.default_rng(seed)
     cent = sample[rng.choice(len(sample), size=k, replace=False)].copy()
     for _ in range(iters):
@@ -671,8 +655,8 @@ def q_ann_pq(
     vs brute force and an exactness witness (codebook = all distinct
     subvectors => ADC scores equal exact dot products) are pinned in
     pytest."""
-    _, sample_mat = _vectors_where_id_below(sf_dir, sample_rows)
-    sample = _normalize_rows(sample_mat)
+    _, sample_mat = vectors_where_id_below(sf_dir, sample_rows)
+    sample = normalize_rows(sample_mat)
     d = sample.shape[1]
     if d % m_sub != 0:
         raise ValueError("subspace count must divide dimension")
@@ -688,8 +672,8 @@ def q_ann_pq(
         ]
     )  # (m_sub, k_codes, dsub); un-normalized: sub-centroids live in subspace
 
-    qids, qmat = _vectors_where_id_below(sf_dir, num_queries)
-    qmat = _normalize_rows(qmat)
+    qids, qmat = vectors_where_id_below(sf_dir, num_queries)
+    qmat = normalize_rows(qmat)
     # per-query ADC tables: inner products against every sub-centroid
     qtables = np.stack(
         [
@@ -709,7 +693,7 @@ def q_ann_pq(
     def encode_score(t: pa.Table) -> pa.Table:
         qids_l, qtables_l, books_l = ray.get(qref)
         ids = t["vec_id"].to_numpy(zero_copy_only=False)
-        m = _normalize_rows(
+        m = normalize_rows(
             np.stack(t["embedding"].to_numpy(zero_copy_only=False)).astype(np.float64)
         )
         n, msub = len(ids), books_l.shape[0]
@@ -765,8 +749,8 @@ def _build_ivf_index(
     from nyc_taxi_data_pipeline_ray.state.ann_index import IvfIndex
 
     shutil.rmtree(root, ignore_errors=True)
-    _, sample_mat = _vectors_where_id_below(sf_dir, sample_rows)
-    cent = _kmeans_lite(_normalize_rows(sample_mat), ncells)
+    _, sample_mat = vectors_where_id_below(sf_dir, sample_rows)
+    cent = kmeans_lite(normalize_rows(sample_mat), ncells)
     idx = IvfIndex(root, centroids=cent, **idx_kwargs)
     attr = idx_kwargs.get("attr_col")
     ds = read_parquet_clean(
@@ -809,8 +793,8 @@ def q_ann_index_probe(
     idx = _build_ivf_index(
         sf_dir, fresh_tmp_root("/tmp/nyc_ray_q_ann_index"), ncells=ncells, sample_rows=sample_rows
     )
-    qids, qmat = _vectors_where_id_below(sf_dir, num_queries)
-    df, stats = idx.probe(qids, _normalize_rows(qmat), k=k, nprobe=nprobe)
+    qids, qmat = vectors_where_id_below(sf_dir, num_queries)
+    df, stats = idx.probe(qids, normalize_rows(qmat), k=k, nprobe=nprobe)
     # pruning is real: each query touches at most its nprobe cells.  (The
     # files_read < files_total form would be data-dependent — k-means can
     # leave cells empty, letting the probed UNION cover every non-empty
@@ -838,8 +822,8 @@ def q_ann_index_exhaustive(
     idx = _build_ivf_index(
         sf_dir, fresh_tmp_root("/tmp/nyc_ray_q_ann_index_ex"), ncells=ncells, sample_rows=sample_rows
     )
-    qids, qmat = _vectors_where_id_below(sf_dir, num_queries)
-    df, stats = idx.probe(qids, _normalize_rows(qmat), k=k, nprobe=ncells)
+    qids, qmat = vectors_where_id_below(sf_dir, num_queries)
+    df, stats = idx.probe(qids, normalize_rows(qmat), k=k, nprobe=ncells)
     if stats["cells_probed"] != stats["cells_total"]:
         raise RuntimeError(f"exhaustive witness probed a subset: {stats}")
     return df
@@ -889,8 +873,8 @@ def q_ann_index_pq_exhaustive(
     same ``ann_bruteforce`` SQL oracle as ``ann_index_exhaustive``.
     Production recall at k_codes=256-sized books and the exact-refine
     tier (``pq_refine``) are pinned in pytest."""
-    ids_all, mat_all = _vectors_where_id_below(sf_dir, np.iinfo(np.int64).max)
-    books = _saturated_pq_books(_normalize_rows(mat_all), m_sub)
+    ids_all, mat_all = vectors_where_id_below(sf_dir, np.iinfo(np.int64).max)
+    books = _saturated_pq_books(normalize_rows(mat_all), m_sub)
     idx = _build_ivf_index(
         sf_dir,
         fresh_tmp_root("/tmp/nyc_ray_q_ann_index_pq_ex"),
@@ -898,8 +882,8 @@ def q_ann_index_pq_exhaustive(
         sample_rows=sample_rows,
         pq_books=books,
     )
-    qids, qmat = _vectors_where_id_below(sf_dir, num_queries)
-    df, stats = idx.probe(qids, _normalize_rows(qmat), k=k, nprobe=ncells)
+    qids, qmat = vectors_where_id_below(sf_dir, num_queries)
+    df, stats = idx.probe(qids, normalize_rows(qmat), k=k, nprobe=ncells)
     if stats["cells_probed"] != stats["cells_total"]:
         raise RuntimeError(f"exhaustive witness probed a subset: {stats}")
     return df
@@ -928,9 +912,9 @@ def q_ann_index_asof(
         ncells=ncells,
         sample_rows=sample_rows,
     )
-    qids, qmat = _vectors_where_id_below(sf_dir, num_queries)
+    qids, qmat = vectors_where_id_below(sf_dir, num_queries)
     df, stats = idx.probe(
-        qids, _normalize_rows(qmat), k=k, nprobe=ncells, as_of_segment=0
+        qids, normalize_rows(qmat), k=k, nprobe=ncells, as_of_segment=0
     )
     if stats["cells_probed"] != stats["cells_total"]:
         raise RuntimeError(f"exhaustive witness probed a subset: {stats}")
@@ -962,9 +946,9 @@ def q_ann_index_filtered(
         sample_rows=sample_rows,
         attr_col="label",
     )
-    qids, qmat = _vectors_where_id_below(sf_dir, num_queries)
+    qids, qmat = vectors_where_id_below(sf_dir, num_queries)
     df, stats = idx.probe(
-        qids, _normalize_rows(qmat), k=k, nprobe=ncells, where=("label", label)
+        qids, normalize_rows(qmat), k=k, nprobe=ncells, where=("label", label)
     )
     if stats["cells_probed"] != stats["cells_total"]:
         raise RuntimeError(f"exhaustive witness probed a subset: {stats}")
@@ -999,7 +983,7 @@ def q_ann_index_delete(
         ncells=ncells,
         sample_rows=sample_rows,
     )
-    ids_all, _ = _vectors_where_id_below(sf_dir, np.iinfo(np.int64).max)
+    ids_all, _ = vectors_where_id_below(sf_dir, np.iinfo(np.int64).max)
     idx.delete(ids_all[ids_all % 7 == 0], segment_id=2)
     replay = idx.delete(ids_all[ids_all % 7 == 0], segment_id=2)
     if replay != {"segment": 2, "skipped": True}:
@@ -1013,12 +997,12 @@ def q_ann_index_delete(
 
     readd = ds.map_batches(keep_readd, batch_format="pyarrow")
     idx.add(readd, segment_id=3)
-    qids, qmat = _vectors_where_id_below(sf_dir, num_queries)
-    df, stats = idx.probe(qids, _normalize_rows(qmat), k=k, nprobe=ncells)
+    qids, qmat = vectors_where_id_below(sf_dir, num_queries)
+    df, stats = idx.probe(qids, normalize_rows(qmat), k=k, nprobe=ncells)
     if stats["cells_probed"] != stats["cells_total"]:
         raise RuntimeError(f"exhaustive witness probed a subset: {stats}")
     idx.compact()
-    df2, _ = idx.probe(qids, _normalize_rows(qmat), k=k, nprobe=ncells)
+    df2, _ = idx.probe(qids, normalize_rows(qmat), k=k, nprobe=ncells)
     if not df.reset_index(drop=True).equals(df2.reset_index(drop=True)):
         raise RuntimeError("probe result changed across compact()")
     return df
@@ -1046,7 +1030,7 @@ def q_ann_index_merge(
     from nyc_taxi_data_pipeline_ray.state.ann_index import IvfIndex
 
     root = fresh_tmp_root("/tmp/nyc_ray_q_ann_index_merge")
-    _, sample_mat = _vectors_where_id_below(sf_dir, sample_rows)
+    _, sample_mat = vectors_where_id_below(sf_dir, sample_rows)
     ds = read_parquet_clean(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     )
@@ -1062,50 +1046,26 @@ def q_ann_index_merge(
         return f
 
     a = IvfIndex(
-        f"{root}/a", centroids=_kmeans_lite(_normalize_rows(sample_mat), ncells)
+        f"{root}/a", centroids=kmeans_lite(normalize_rows(sample_mat), ncells)
     )
     b = IvfIndex(
         f"{root}/b",
-        centroids=_kmeans_lite(_normalize_rows(sample_mat), ncells, seed=13),
+        centroids=kmeans_lite(normalize_rows(sample_mat), ncells, seed=13),
     )
     a.add(ds.map_batches(parity(0), batch_format="pyarrow"), segment_id=0)
     b.add(ds.map_batches(parity(1), batch_format="pyarrow"), segment_id=0)
     # tombstone part of the SOURCE: only its live view may merge
-    ids_all, _ = _vectors_where_id_below(sf_dir, np.iinfo(np.int64).max)
+    ids_all, _ = vectors_where_id_below(sf_dir, np.iinfo(np.int64).max)
     b.delete(ids_all[(ids_all % 2 == 1) & (ids_all % 5 == 0)], segment_id=1)
     rep = a.merge_from(b, segment_id=1)
     replay = a.merge_from(b, segment_id=1)
     if replay != {"segment": 1, "skipped": True}:
         raise RuntimeError(f"merge replay not idempotent: {rep} then {replay}")
-    qids, qmat = _vectors_where_id_below(sf_dir, num_queries)
-    df, stats = a.probe(qids, _normalize_rows(qmat), k=k, nprobe=ncells)
+    qids, qmat = vectors_where_id_below(sf_dir, num_queries)
+    df, stats = a.probe(qids, normalize_rows(qmat), k=k, nprobe=ncells)
     if stats["cells_probed"] != stats["cells_total"]:
         raise RuntimeError(f"exhaustive witness probed a subset: {stats}")
     return df
-
-
-def _fold_sem_dups(
-    hits: pd.DataFrame, *, k: int, threshold: float, dup_map: dict[int, int]
-) -> None:
-    """Fold one epoch's probe hits into the running semantic-dup map:
-    filter to ``sim >= threshold``, assert the per-query top-k never
-    saturated (if any of a query's top-k falls below the threshold,
-    nothing outside the top-k can qualify — so min() over the hits IS
-    the global min), then keep the smallest earlier vec_id per query."""
-    hits = hits[hits["sim"] >= threshold]
-    if hits.empty:
-        return
-    counts = hits.groupby("qid").size()
-    # witness-critical invariant: a real raise, not an assert (python -O
-    # strips asserts and would silently degrade the exactness witness)
-    if not (counts < k).all():
-        raise RuntimeError(
-            f"top-k saturated (max {counts.max()} >= k={k}); "
-            "raise k so min(dup_of) is exact"
-        )
-    for qid, vid in hits.groupby("qid")["vec_id"].min().items():
-        prev = dup_map.get(int(qid))
-        dup_map[int(qid)] = int(vid) if prev is None else min(prev, int(vid))
 
 
 def q_ann_index_release(
@@ -1121,135 +1081,44 @@ def q_ann_index_release(
     pq_saturated: bool = False,
 ) -> pd.DataFrame:
     """CONTINUOUS-INGEST semantic near-dedup release — the embedding
-    analog of ``text.q_dedup_index_release``, certified end-to-end
-    against one SQL oracle: vectors arrive in epochs (vec_id ranges
-    standing in for WAL commit groups); each epoch is PROBED against the
-    persisted :class:`state.ann_index.IvfIndex` (strictly-earlier
-    segments only — replay-deterministic) and then ADDED as its own
-    segment, exercising the index's O(new vectors) add path under the
-    exact ingest loop a training corpus runs; the release decision
-    (keep, or dup_of = the smallest earlier-epoch vector with cosine >=
-    ``threshold``) is applied as a broadcast lookup inside one streaming
-    ``map_batches`` pass — the dup map is OUTPUT-class (near-dup hits
-    only), the corpus never lands on the driver.  Epoch queries stream
-    through the driver in bounded ``probe_chunk`` slices (each probe
-    broadcasts one chunk's query matrix via ``ray.put``), so driver
-    memory is O(chunk), never O(epoch).
+    analog of ``text.q_dedup_index_release``: the
+    :mod:`pipelines.admission` loop with one IVF lane.  Each vec_id-range
+    epoch is probed against the persisted index's strictly-earlier
+    segments, then added as its own segment; ``dup_of`` is the smallest
+    earlier-epoch vector with cosine >= ``threshold`` (-1: keep).
 
-    This is the WITNESS configuration: ``nprobe == ncells`` makes every
-    probe visit each indexed vector exactly once, so the hit set equals
-    the exact cross-epoch cosine filter and the driver hash-check
-    certifies the whole segment lifecycle (assign/commit/route/merge)
-    behind it.  Production runs set ``nprobe < ncells`` for the
-    O(probed cells) read — that path's pruning is asserted in
-    ``q_ann_index_probe`` and its recall pinned in tests.  Within-epoch
-    duplicates are both kept (an arrival batch releases atomically;
-    they collide against later epochs' probes), and the oracle encodes
-    the same strictly-earlier-epoch rule.  The per-query saturation
-    guard (every hit count < k) proves top-k truncation never hid a
-    qualifying earlier neighbour, so min() over hits IS the global min.
+    This is the WITNESS configuration: ``nprobe == ncells`` makes the
+    hit set the exact cross-epoch cosine filter, so the driver
+    hash-check certifies the whole segment lifecycle behind it.
+    Production runs set ``nprobe < ncells``; that path's pruning is
+    asserted in ``q_ann_index_probe`` and its recall pinned in tests.
+    ``compact_every=c`` compacts after every c epochs (same oracle:
+    folding must not change any hit).  ``pq_saturated`` stores the
+    vectors as IVF-PQ codes under saturated codebooks, which are
+    lossless, so the release must not change either."""
+    from nyc_taxi_data_pipeline_ray.pipelines.admission import Admission, IvfLane
 
-    ``compact_every=c`` runs :meth:`IvfIndex.compact` after every c
-    epochs, so later epochs' probes read the folded BASE cells instead
-    of the per-epoch segment cells — the witness configuration for the
-    LSM compact read path (same oracle: folding must not change any
-    hit).  A post-loop assertion proves the compaction happened.
-
-    ORACLE COUPLING: the certified SQL oracle in ``__ray_entry__``
-    hardcodes this function's DEFAULT epoch divisor
-    (``ceil(count/4.0)``); calling with a non-default ``n_epochs``
-    yields a correct pipeline but silently diverges from that oracle —
-    pair any such call with a matching oracle.
-    """
-    import math
-
-    from nyc_taxi_data_pipeline_ray.state.ann_index import IvfIndex
-
-    # per-variant root: the plain and `_compacted` registry entries (and
-    # any concurrent sweep) must not rmtree each other's live index
-    from nyc_taxi_data_pipeline_ray.pipelines.text import (
-        _check_compaction_schedule,
-        _check_epoch_coverage,
-    )
-
-    _check_compaction_schedule(compact_every, n_epochs)
-    root = fresh_tmp_root(
-        f"/tmp/nyc_ray_q_ann_index_release_c{compact_every or 0}"
-        f"{'_pq' if pq_saturated else ''}"
-    )
-    ds = read_parquet_clean(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
-    per = math.ceil(ds.count() / n_epochs)
-
-    _, sample_mat = _vectors_where_id_below(sf_dir, sample_rows)
-    cent = _kmeans_lite(_normalize_rows(sample_mat), ncells)
     pq_books = None
     if pq_saturated:
-        # IVF-PQ variant under the SAME oracle: saturated codebooks make
-        # the stored codes lossless, so the whole ingest loop — probe
-        # hits, dup map, release decisions — must be unchanged while the
-        # index stores only small-int codes (driver corpus read is
-        # witness-scale only, cf. q_ann_index_pq_exhaustive)
-        _, mat_all = _vectors_where_id_below(sf_dir, np.iinfo(np.int64).max)
-        pq_books = _saturated_pq_books(_normalize_rows(mat_all), 4)
-    idx = IvfIndex(root, centroids=cent, pq_books=pq_books)
-
-    dup_of: dict[int, int] = {}
-    for e in range(n_epochs):
-        # pushed-down parquet row filter: each epoch read prunes to its
-        # vec_id range's row groups instead of rescanning the table
-        # (epochs arrive as separate WAL files in production; this is
-        # the single-table test-shape equivalent)
-        batch = read_parquet_clean(
-            f"{sf_dir}/embeddings.parquet",
-            columns=["vec_id", "embedding"],
-            filter=(pads.field("vec_id") >= e * per)
-            & (pads.field("vec_id") < (e + 1) * per),
-        )
-        # fused ingest primitive: probe strictly-earlier segments, then
-        # commit the epoch as its own segment (replay-deterministic);
-        # persist_hits sidecars the decision past any later compact()
-        hits, _rep = idx.probe_and_add(
-            batch,
-            segment_id=e,
-            k=k,
-            nprobe=ncells,
-            probe_chunk=probe_chunk,
-            persist_hits=True,
-        )
-        _fold_sem_dups(hits, k=k, threshold=threshold, dup_map=dup_of)
-        if compact_every and (e + 1) % compact_every == 0 and e + 1 < n_epochs:
-            idx.compact()
-    if compact_every and idx.ledger.base() is None:
-        raise RuntimeError("compaction witness never compacted")
-
-    dup_ref = ray.put(dup_of)
-
-    def decide(t: pa.Table) -> pa.Table:
-        from nyc_taxi_data_pipeline_ray.pipelines.text import _check_epoch_coverage
-
-        m = ray.get(dup_ref)
-        ids = t["vec_id"].to_numpy(zero_copy_only=False)
-        _check_epoch_coverage(ids, per, n_epochs, "vec_id")
-        dup = (
-            pd.Series(ids, dtype="int64").map(m).fillna(-1).to_numpy(dtype=np.int64)
-        )
-        return pa.table(
-            {
-                "vec_id": t["vec_id"],
-                "epoch": pa.array((ids // per).astype(np.int64), pa.int64()),
-                "keep": pa.array(dup < 0, pa.bool_()),
-                "dup_of": pa.array(dup, pa.int64()),
-            }
-        )
-
-    out = (
-        ds.select_columns(["vec_id"])
-        .map_batches(decide, batch_format="pyarrow")
-        .to_pandas()
+        # driver corpus read is witness-scale only, cf.
+        # q_ann_index_pq_exhaustive
+        _, mat_all = vectors_where_id_below(sf_dir, np.iinfo(np.int64).max)
+        pq_books = _saturated_pq_books(normalize_rows(mat_all), 4)
+    # per-variant root: the plain, `_compacted` and `_pq` registry
+    # entries (and any concurrent sweep) must not rmtree each other's
+    # live index
+    lane = IvfLane(
+        sf_dir,
+        f"/tmp/nyc_ray_q_ann_index_release_c{compact_every or 0}"
+        f"{'_pq' if pq_saturated else ''}",
+        threshold=threshold,
+        k=k,
+        ncells=ncells,
+        sample_rows=sample_rows,
+        probe_chunk=probe_chunk,
+        pq_books=pq_books,
     )
-    return out.sort_values("vec_id", ignore_index=True)
+    return Admission(lane, n_epochs=n_epochs).release(compact_every)
 
 
 def q_admission_replay(
@@ -1262,103 +1131,44 @@ def q_admission_replay(
     sample_rows: int = 2000,
     probe_chunk: int = 4096,
 ) -> pd.DataFrame:
-    """CRASH-RESUME witness for the persisted admission sidecar: the
-    one piece the release loops' contract used to leave to the caller
-    ("persist each epoch's hits before compacting past it") now done by
-    the index itself (``probe_and_add(persist_hits=True)`` writes
-    ``_admissions/epoch-N.parquet`` tmp+rename BEFORE the segment
-    marker).
+    """CRASH-RESUME witness for the persisted admission sidecar
+    (``_admissions/epoch-N.parquet``, written BEFORE the segment
+    marker).  The ``ann_index_release`` loop runs under the ADVERSARIAL
+    schedule ``compact_every=1``, plus one last compact, so every
+    epoch's strictly-earlier probe view is folded away.  Then the same
+    loop runs again, as a resume would: every epoch must answer from its
+    sidecar (``report["replayed_hits"]``), since a re-probe is
+    impossible, and the replayed dup map must equal the live one.  The
+    release is decided from the replayed hits alone, so the driver's
+    hash-check (the ``ann_index_release`` oracle) certifies the sidecar
+    content."""
+    from nyc_taxi_data_pipeline_ray.pipelines.admission import Admission, IvfLane
 
-    Phase 1 runs the ``ann_index_release`` ingest loop with
-    ``persist_hits=True`` under the ADVERSARIAL compaction schedule —
-    ``compact()`` after every epoch, so by the end every epoch's
-    strictly-earlier probe view has been folded away.  Phase 2 simulates
-    the resume: every epoch is replayed through the same
-    ``probe_and_add``; each must answer from its sidecar
-    (``report["replayed_hits"]``) — a re-probe is impossible by
-    construction.  The release decision table is rebuilt FROM THE
-    REPLAYED hits alone and cross-checked against the live run's before
-    returning, so the driver's hash-check certifies the sidecar
-    content, not the live probes.  Oracle: the exact cross-epoch cosine
-    SQL of ``ann_index_release`` (same witness config, ``nprobe ==
-    ncells``, saturation guard).
-
-    ORACLE COUPLING: the certified SQL oracle hardcodes the default
-    epoch divisor (``ceil(count/4.0)``) — see ``q_ann_index_release``.
-    """
-    import math
-
-    from nyc_taxi_data_pipeline_ray.state.ann_index import IvfIndex
-
-    root = fresh_tmp_root("/tmp/nyc_ray_q_admission_replay")
-    ds = read_parquet_clean(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
-    per = math.ceil(ds.count() / n_epochs)
-    _, sample_mat = _vectors_where_id_below(sf_dir, sample_rows)
-    idx = IvfIndex(root, centroids=_kmeans_lite(_normalize_rows(sample_mat), ncells))
-
-    def epoch_batch(e: int) -> rd.Dataset:
-        return read_parquet_clean(
-            f"{sf_dir}/embeddings.parquet",
-            columns=["vec_id", "embedding"],
-            filter=(pads.field("vec_id") >= e * per)
-            & (pads.field("vec_id") < (e + 1) * per),
-        )
-
-    live_dup: dict[int, int] = {}
-    for e in range(n_epochs):
-        hits, rep = idx.probe_and_add(
-            epoch_batch(e),
-            segment_id=e,
+    loop = Admission(
+        IvfLane(
+            sf_dir,
+            "/tmp/nyc_ray_q_admission_replay",
+            threshold=threshold,
             k=k,
-            nprobe=ncells,
+            ncells=ncells,
+            sample_rows=sample_rows,
             probe_chunk=probe_chunk,
-            persist_hits=True,
-        )
-        if rep.get("skipped"):
-            raise RuntimeError(f"live ingest of epoch {e} unexpectedly skipped")
-        _fold_sem_dups(hits, k=k, threshold=threshold, dup_map=live_dup)
-        idx.compact()  # adversarial: fold after EVERY epoch
+        ),
+        n_epochs=n_epochs,
+    )
+    live, reports = loop.run(compact_every=1)
+    if any(rep.get("skipped") for (rep,) in reports):
+        raise RuntimeError(f"live ingest unexpectedly skipped: {reports}")
+    idx = loop.lanes[0].index
+    idx.compact()
     base = idx.ledger.base()
     if base is None or base[1] != n_epochs - 1:
         raise RuntimeError(f"fold watermark wrong: {base}")
 
-    # ---- the resume: every epoch answers from its sidecar, verbatim
-    replay_dup: dict[int, int] = {}
-    for e in range(n_epochs):
-        hits, rep = idx.probe_and_add(epoch_batch(e), segment_id=e, k=k)
+    replay, reports = loop.run()
+    for e, (rep,) in enumerate(reports):
         if not rep.get("replayed_hits"):
             raise RuntimeError(f"epoch {e} replay did not come from the sidecar: {rep}")
-        _fold_sem_dups(hits, k=k, threshold=threshold, dup_map=replay_dup)
-    if replay_dup != live_dup:
+    if replay != live:
         raise RuntimeError("replayed admission decisions diverged from live run")
-
-    dup_ref = ray.put(replay_dup)
-
-    def decide(t: pa.Table) -> pa.Table:
-        from nyc_taxi_data_pipeline_ray.pipelines.text import _check_epoch_coverage
-
-        m = ray.get(dup_ref)
-        ids = t["vec_id"].to_numpy(zero_copy_only=False)
-        # an id outside [0, n_epochs*per) was read by no epoch_batch and
-        # would silently surface as keep=True — same guard as siblings
-        _check_epoch_coverage(ids, per, n_epochs, "vec_id")
-        dup = (
-            pd.Series(ids, dtype="int64").map(m).fillna(-1).to_numpy(dtype=np.int64)
-        )
-        return pa.table(
-            {
-                "vec_id": t["vec_id"],
-                "epoch": pa.array((ids // per).astype(np.int64), pa.int64()),
-                "keep": pa.array(dup < 0, pa.bool_()),
-                "dup_of": pa.array(dup, pa.int64()),
-            }
-        )
-
-    out = (
-        ds.select_columns(["vec_id"])
-        .map_batches(decide, batch_format="pyarrow")
-        .to_pandas()
-    )
-    return out.sort_values("vec_id", ignore_index=True)
+    return loop.decide(replay)

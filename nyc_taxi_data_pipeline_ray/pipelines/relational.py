@@ -2616,10 +2616,6 @@ def q_cdc_point_lookup(sf_dir: str) -> pd.DataFrame:
     pruned, bloom-screened.  The oracle filters the SQL LWW winners to
     the same id set, certifying that the entire pruned read path
     returns exactly the full-scan answer."""
-    from nyc_taxi_data_pipeline_ray.pipelines.relational import (
-        _events_as_transcript_wal,
-    )
-
     root = "/tmp/nyc_ray_q_point_lookup"
     eng, wal_dir = _events_as_transcript_wal(sf_dir, root)
     eng.apply(wal_dir)
@@ -2707,7 +2703,7 @@ def q_cdc_corpus_release(sf_dir: str) -> pd.DataFrame:
     import hashlib
     import os
 
-    from nyc_taxi_data_pipeline_ray.pipelines.text import _normalize_col
+    from nyc_taxi_data_pipeline_ray.pipelines.text import normalize_col
     from nyc_taxi_data_pipeline_ray.state.derived import CorpusTable
 
     root = "/tmp/nyc_ray_q_corpus_release"
@@ -2719,7 +2715,7 @@ def q_cdc_corpus_release(sf_dir: str) -> pd.DataFrame:
     ct.refresh()
 
     def release(t: pa.Table) -> pa.Table:
-        norm = _normalize_col(t["doc"])
+        norm = normalize_col(t["doc"])
         convs = t["conv_id"].to_pylist()
         h = np.array(
             [

@@ -496,7 +496,7 @@ def _shingle_hashes(text: str, k: int = 5) -> np.ndarray:
     return (windows * weights).sum(axis=1, dtype=np.uint64) % np.uint64(_MERSENNE)
 
 
-def _assert_minhash_sql_domain(t: pa.Table) -> pa.Table:
+def assert_minhash_sql_domain(t: pa.Table) -> pa.Table:
     """Witness-domain guard for the SQL-mirrored MinHash oracles
     (``minhash_near_dups`` / ``dedup_index_probe``): the inlined DuckDB
     signature recompute hashes per-CHARACTER codepoints via
@@ -580,7 +580,7 @@ def q_minhash_near_dups(
     # spawns per query (measured: actor pool cost >> signature compute
     # at this corpus size)
     sigs = ds.map_batches(
-        lambda t: cached_minhasher(num_perm)(_assert_minhash_sql_domain(t)),
+        lambda t: cached_minhasher(num_perm)(assert_minhash_sql_domain(t)),
         batch_format="pyarrow",
     )
     rows_per_band = num_perm // bands
@@ -686,7 +686,7 @@ def q_dedup_index_probe(sf_dir: str, *, threshold: float = 0.5) -> pd.DataFrame:
     root = fresh_tmp_root("/tmp/nyc_ray_q_dedup_index")
     ds = read_parquet_clean(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    ).map_batches(_assert_minhash_sql_domain, batch_format="pyarrow")
+    ).map_batches(assert_minhash_sql_domain, batch_format="pyarrow")
     mid = 250
     base = ds.filter(expr=f"doc_id < {mid}")
     arrivals = ds.filter(expr=f"doc_id >= {mid}")
@@ -720,7 +720,7 @@ def q_dedup_index_asof(sf_dir: str, *, threshold: float = 0.5) -> pd.DataFrame:
     root = fresh_tmp_root("/tmp/nyc_ray_q_dedup_index_asof")
     ds = read_parquet_clean(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    ).map_batches(_assert_minhash_sql_domain, batch_format="pyarrow")
+    ).map_batches(assert_minhash_sql_domain, batch_format="pyarrow")
     idx = MinHashIndex(root)
     idx.add(ds.filter(expr="doc_id < 125"), segment_id=0)
     idx.add(ds.filter(expr="doc_id >= 125 and doc_id < 250"), segment_id=1)
@@ -746,7 +746,7 @@ def q_dedup_index_scoped(sf_dir: str, *, threshold: float = 0.5) -> pd.DataFrame
     root = fresh_tmp_root("/tmp/nyc_ray_q_dedup_index_scoped")
     ds = read_parquet_clean(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
-    ).map_batches(_assert_minhash_sql_domain, batch_format="pyarrow")
+    ).map_batches(assert_minhash_sql_domain, batch_format="pyarrow")
     mid = 250
     idx = MinHashIndex(root, scope_col="lang")
     idx.add(ds.filter(expr=f"doc_id < {mid}"), segment_id=0)
@@ -775,7 +775,7 @@ def q_dedup_index_delete(sf_dir: str, *, threshold: float = 0.5) -> pd.DataFrame
     root = fresh_tmp_root("/tmp/nyc_ray_q_dedup_index_del")
     ds = read_parquet_clean(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    ).map_batches(_assert_minhash_sql_domain, batch_format="pyarrow")
+    ).map_batches(assert_minhash_sql_domain, batch_format="pyarrow")
     mid = 250
     base = ds.filter(expr=f"doc_id < {mid}")
     arrivals = ds.filter(expr=f"doc_id >= {mid}")
@@ -831,7 +831,7 @@ def q_dedup_index_merge(sf_dir: str, *, threshold: float = 0.5) -> pd.DataFrame:
     root = fresh_tmp_root("/tmp/nyc_ray_q_dedup_index_merge")
     ds = read_parquet_clean(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    ).map_batches(_assert_minhash_sql_domain, batch_format="pyarrow")
+    ).map_batches(assert_minhash_sql_domain, batch_format="pyarrow")
     a = MinHashIndex(f"{root}/a")
     b = MinHashIndex(f"{root}/b")
     a.add(ds.filter(expr="doc_id < 125"), segment_id=0)
@@ -873,13 +873,13 @@ def q_dedup_index_rerank(sf_dir: str, *, exact_threshold: float = 0.8) -> pd.Dat
     )[["doc_a", "doc_b"]]
     ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
-    df = _distributed_pair_jaccard(
-        ds.map_batches(_chargram_table, batch_format="pyarrow"), cand, exact_threshold
+    df = distributed_pair_jaccard(
+        ds.map_batches(chargram_table, batch_format="pyarrow"), cand, exact_threshold
     )
     return df.sort_values(["doc_a", "doc_b"], ignore_index=True)
 
 
-def _chargram_table(t: pa.Table) -> pa.Table:
+def chargram_table(t: pa.Table) -> pa.Table:
     """(doc_id, sorted distinct char-5-grams) rows for the exact-Jaccard
     verifies; docs shorter than one gram are dropped (the SQL oracles
     filter ``length(text) >= 5`` to match)."""
@@ -906,162 +906,26 @@ def q_dedup_index_release(
     compact_every: int | None = None,
 ) -> pd.DataFrame:
     """CONTINUOUS-INGEST near-dedup release — the composed loop a
-    100 TB training corpus actually runs, certified end-to-end against
-    one SQL oracle: documents arrive in epochs (doc_id ranges standing
-    in for WAL commit groups); each epoch is PROBED against the
-    persisted LSH index (prior segments only) and then ADDED as its own
-    segment, so per-epoch cost is O(new docs) — never O(corpus); the
-    probe candidates are reranked by EXACT char-5-gram Jaccard with the
-    distributed pair verify; and the release decision (keep, or dup_of
-    = the smallest earlier near-duplicate) is applied as a broadcast
-    lookup inside one streaming ``map_batches`` pass — the dup map is
-    OUTPUT-class (near-dup pairs only), the corpus never lands on the
-    driver.  Within-epoch duplicates are deliberately both kept (policy:
-    an arrival batch is released atomically; they collide against epoch
-    e+1's probes — and the oracle encodes the same strictly-earlier-
-    epoch rule).  The oracle is the exact cross-epoch Jaccard >= 0.8
-    dup map in SQL; the band family's recall bound (miss prob
-    (1 - J^4)^16 = 2e-4 at J = 0.8) under the fixed seed makes the
-    index-probe candidates cover the exact set on this corpus, and the
-    driver hash-check certifies the equality.
-
-    ``compact_every=c`` runs :meth:`MinHashIndex.compact` after every c
-    epochs, so later epochs' probes read the folded BASE instead of the
-    per-epoch segments — the witness configuration for the LSM compact
-    read path (same oracle: folding must not change any candidate).  A
-    post-loop assertion proves the compaction actually happened.
-
-    ORACLE COUPLING: the certified SQL oracle in ``__ray_entry__``
-    hardcodes this function's DEFAULT epoch divisor
-    (``ceil(count/4.0)``); calling with a non-default ``n_epochs``
-    yields a correct pipeline but silently diverges from that oracle —
-    pair any such call with a matching oracle."""
-    import math
-
-    import pyarrow.dataset as pads
-    import ray
-
-    from nyc_taxi_data_pipeline_ray.state.dedup_index import MinHashIndex
+    100 TB training corpus runs: the :mod:`pipelines.admission` loop
+    with one MinHash lane.  Each doc_id-range epoch is probed against
+    the persisted LSH index (prior segments only) and then added as its
+    own segment, so per-epoch cost is O(new docs), never O(corpus); the
+    candidates are reranked by EXACT char-5-gram Jaccard, and ``dup_of``
+    is the smallest earlier near-duplicate (-1: keep).  The oracle is
+    the exact cross-epoch Jaccard >= 0.8 dup map in SQL, which the
+    driver hash-check certifies.  ``compact_every=c`` compacts after
+    every c epochs (same oracle: folding must not change any
+    candidate)."""
+    from nyc_taxi_data_pipeline_ray.pipelines.admission import Admission, MinHashLane
 
     # per-variant root: the plain and `_compacted` registry entries (and
     # any concurrent sweep) must not rmtree each other's live index
-    _check_compaction_schedule(compact_every, n_epochs)
-    root = fresh_tmp_root(f"/tmp/nyc_ray_q_dedup_index_release_c{compact_every or 0}")
-    ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    per = math.ceil(ds.count() / n_epochs)
-    idx = MinHashIndex(root)
-    cands: list[pd.DataFrame] = []
-    for e in range(n_epochs):
-        # pushed-down parquet row filter: each epoch read prunes to its
-        # doc_id range's row groups instead of rescanning the table
-        # (epochs arrive as separate WAL files in production)
-        batch = read_parquet_clean(
-            f"{sf_dir}/documents.parquet",
-            columns=["doc_id", "text"],
-            filter=(pads.field("doc_id") >= e * per)
-            & (pads.field("doc_id") < (e + 1) * per),
-        )
-        # fused probe+commit: ONE band computation per epoch, probing
-        # strictly-earlier segments only (replay-deterministic)
-        # persist_hits: the epoch's candidates land in _admissions/
-        # BEFORE the segment marker, so the keep/dup_of decision below
-        # survives any later compact() (crash-resume contract)
-        c, _rep = idx.probe_and_add(
-            # same ASCII/length domain guard as the other SQL-mirrored
-            # MinHash oracles: byte-vs-char shingles silently diverge
-            # off-domain, and this loop's keep/dup_of IS oracle-certified
-            batch.map_batches(_assert_minhash_sql_domain, batch_format="pyarrow"),
-            segment_id=e,
-            threshold=0.5,
-            persist_hits=True,
-        )
-        if len(c):
-            cands.append(
-                c.rename(columns={"probe_doc": "doc_a", "indexed_doc": "doc_b"})[
-                    ["doc_a", "doc_b"]
-                ]
-            )
-        if compact_every and (e + 1) % compact_every == 0 and e + 1 < n_epochs:
-            idx.compact()
-    if compact_every and idx.ledger.base() is None:
-        # witness-critical: a real raise, not an assert (python -O)
-        raise RuntimeError("compaction witness never compacted")
-
-    cand = (
-        pd.concat(cands, ignore_index=True)
-        if cands
-        else pd.DataFrame(
-            {"doc_a": pd.Series(dtype="int64"), "doc_b": pd.Series(dtype="int64")}
-        )
+    lane = MinHashLane(
+        sf_dir,
+        f"/tmp/nyc_ray_q_dedup_index_release_c{compact_every or 0}",
+        exact_threshold=exact_threshold,
     )
-
-    exact = _distributed_pair_jaccard(
-        ds.map_batches(_chargram_table, batch_format="pyarrow"), cand, exact_threshold
-    )
-    dup_of = (
-        {} if exact.empty else exact.groupby("doc_a")["doc_b"].min().to_dict()
-    )
-    dup_ref = ray.put(dup_of)
-
-    def decide(t: pa.Table) -> pa.Table:
-        m = ray.get(dup_ref)
-        ids = t["doc_id"].to_numpy()
-        _check_epoch_coverage(ids, per, n_epochs, "doc_id")
-        dup = (
-            pd.Series(ids, dtype="int64")
-            .map(m)
-            .fillna(-1)
-            .to_numpy(dtype=np.int64)
-        )
-        return pa.table(
-            {
-                "doc_id": t["doc_id"],
-                "epoch": pa.array((ids // per).astype(np.int64), pa.int64()),
-                "keep": pa.array(dup < 0, pa.bool_()),
-                "dup_of": pa.array(dup, pa.int64()),
-            }
-        )
-
-    out = (
-        ds.select_columns(["doc_id"])
-        .map_batches(decide, batch_format="pyarrow")
-        .to_pandas()
-    )
-    return out.sort_values("doc_id", ignore_index=True)
-
-
-def _check_epoch_coverage(ids, per: int, n_epochs: int, id_col: str) -> None:
-    """The release/admission loops split the corpus into epochs by
-    id-range row filters (``[e*per, (e+1)*per)``), which covers every
-    row ONLY for dense 0-based ids (true of the generated corpus).  An
-    id outside ``[0, n_epochs*per)`` would be silently skipped by every
-    epoch read — never indexed, never dedup-checked — yet still emitted
-    ``keep=True`` by the decide pass.  Raise loudly instead."""
-    import numpy as np
-
-    ids = np.asarray(ids)
-    if len(ids) and (int(ids.min()) < 0 or int(ids.max()) >= n_epochs * per):
-        raise ValueError(
-            f"{id_col} range [{ids.min()}, {ids.max()}] exceeds the "
-            f"epoch partitioning [0, {n_epochs * per}): the id-range "
-            "epoch reads would silently skip rows — this witness "
-            "requires dense 0-based ids"
-        )
-
-
-def _check_compaction_schedule(compact_every: int | None, n_epochs: int) -> None:
-    """A ``compact_every`` that never fires mid-loop (e.g. >= n_epochs)
-    would crash the post-loop compaction witness with a confusing
-    message; reject the configuration up front."""
-    if compact_every and not any(
-        (e + 1) % compact_every == 0 and e + 1 < n_epochs
-        for e in range(n_epochs)
-    ):
-        raise ValueError(
-            f"compact_every={compact_every} never compacts within "
-            f"n_epochs={n_epochs} (the final epoch is excluded so later "
-            "probes still read live segments); use compact_every < n_epochs"
-        )
+    return Admission(lane, n_epochs=n_epochs).release(compact_every)
 
 
 def q_minhash_rerank(
@@ -1087,8 +951,8 @@ def q_minhash_rerank(
 
     ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
-    df = _distributed_pair_jaccard(
-        ds.map_batches(_chargram_table, batch_format="pyarrow"), cand, exact_threshold
+    df = distributed_pair_jaccard(
+        ds.map_batches(chargram_table, batch_format="pyarrow"), cand, exact_threshold
     )
     return df.sort_values(["doc_a", "doc_b"], ignore_index=True)
 
@@ -1643,13 +1507,13 @@ def _ngram_jaccard_cached(sf_dir: str, n: int, threshold: float) -> pd.DataFrame
 
     # exact verify on candidate pairs only, DISTRIBUTED: gram sets are
     # routed to bounded pair-bucket tasks, never collected on the driver
-    df = _distributed_pair_jaccard(
+    df = distributed_pair_jaccard(
         ds.map_batches(gramsets, batch_format="pyarrow"), cand, threshold
     )
     return df.sort_values(["doc_a", "doc_b"], ignore_index=True)
 
 
-def _distributed_pair_jaccard(
+def distributed_pair_jaccard(
     gram_ds: rd.Dataset,
     cand: pd.DataFrame,
     threshold: float,
@@ -2059,7 +1923,7 @@ def q_winnow_fingerprint(sf_dir: str, *, k: int = 5, window: int = 4) -> rd.Data
 # Pretraining text cleanup: NFC unicode normalization + casefold +
 # whitespace collapse (the first stage of every LLM corpus pipeline;
 # one fused Arrow kernel chain, zero Python rows).
-def _normalize_col(text_col) -> pa.Array:
+def normalize_col(text_col) -> pa.Array:
     x = pc.utf8_normalize(text_col, form="NFC")
     x = pc.utf8_lower(x)
     x = pc.replace_substring_regex(x, pattern=r"\s+", replacement=" ")
@@ -2070,7 +1934,7 @@ def q_normalize_text(sf_dir: str) -> rd.Dataset:
     ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def fn(t: pa.Table) -> pa.Table:
-        x = _normalize_col(t["text"])
+        x = normalize_col(t["text"])
         return pa.table(
             {
                 "doc_id": t["doc_id"],
@@ -2223,7 +2087,7 @@ def q_corpus_prep(
     ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def norm(t: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": t["doc_id"], "nt": _normalize_col(t["text"])})
+        return pa.table({"doc_id": t["doc_id"], "nt": normalize_col(t["text"])})
 
     normalized = ds.map_batches(norm, batch_format="pyarrow")
 
@@ -3221,7 +3085,7 @@ def q_containment(
     a bucketed df count (Zipf => tiny, broadcast via ray.put); the
     container side indexes ALL its grams (containment gives no bound on
     b).  Exact verify then runs distributed per candidate pair
-    (:func:`_distributed_pair_jaccard`, containment metric) with the
+    (:func:`distributed_pair_jaccard`, containment metric) with the
     same IEEE double threshold compare as the oracle.
 
     ``probe_below`` bounds the PROBE (contained-candidate) side to
@@ -3355,7 +3219,7 @@ def q_containment(
             }
         )
     cand = cand.drop_duplicates(["doc_a", "doc_b"], ignore_index=True)
-    out = _distributed_pair_jaccard(
+    out = distributed_pair_jaccard(
         gram_ds, cand, threshold, metric="containment", out_col="containment"
     )
     return out.sort_values(["doc_a", "doc_b"], ignore_index=True)
@@ -3816,7 +3680,7 @@ def q_dedup_impact(sf_dir: str) -> pd.DataFrame:
     ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def prep(t: pa.Table) -> pa.Table:
-        norm = _normalize_col(t["text"])
+        norm = normalize_col(t["text"])
         toks = pc.list_value_length(_tokens(t["text"]))
         digest = [
             hashlib.md5(s.encode("utf-8")).hexdigest() for s in norm.to_pylist()
@@ -3882,146 +3746,35 @@ def q_corpus_admission(
     sample_rows: int = 2000,
 ) -> pd.DataFrame:
     """The COMPLETE per-epoch admission decision a training corpus
-    runs, both modalities in ONE ingest loop, certified against one SQL
-    oracle: each arrival epoch is probed against BOTH persisted indexes
-    over everything admitted before it — the MinHash LSH index on the
-    text (exact char-5-gram Jaccard rerank of the candidates, as in
-    ``q_dedup_index_release``) and the IVF embedding index (exhaustive-
-    probe witness config, as in ``ann.q_ann_index_release``) — and then
-    committed into both as its own segment, so per-epoch cost is O(new
-    docs), never O(corpus).  The decision is one broadcast lookup pass:
-    keep iff no strictly-earlier text near-dup AND no strictly-earlier
-    semantic near-dup; ``text_dup_of`` / ``sem_dup_of`` report the
-    smallest earlier offender per modality (-1 = none).
-
-    Epoch widths derive per table (``ceil(count/n_epochs)``) because the
-    corpora differ in size — documents without an embedding row simply
-    have no semantic verdict (sem_dup_of = -1), exactly as the oracle's
-    left join encodes.  Exactness riders are inherited from the two
-    parent witnesses: the LSH band family's recall bound covers the
-    exact Jaccard set on this corpus, and the IVF probe is exhaustive
-    over earlier segments with the saturation guard proving min() over
-    top-k hits is the global min.
-
-    ORACLE COUPLING: the certified SQL oracle in ``__ray_entry__``
-    hardcodes this function's DEFAULT epoch divisor
-    (``ceil(count/4.0)``); calling with a non-default ``n_epochs``
-    yields a correct pipeline but silently diverges from that oracle —
-    pair any such call with a matching oracle."""
-    import math
-
-    import pyarrow.dataset as pads
-    import ray
-
-    from nyc_taxi_data_pipeline_ray.pipelines.ann import (
-        _fold_sem_dups,
-        _kmeans_lite,
-        _normalize_rows,
-        _vectors_where_id_below,
-    )
-    from nyc_taxi_data_pipeline_ray.state.ann_index import IvfIndex
-    from nyc_taxi_data_pipeline_ray.state.dedup_index import MinHashIndex
-
-    troot = fresh_tmp_root("/tmp/nyc_ray_q_corpus_admission_text")
-    vroot = fresh_tmp_root("/tmp/nyc_ray_q_corpus_admission_vec")
-
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    per_docs = math.ceil(docs.count() / n_epochs)
-    per_vecs = math.ceil(
-        read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["vec_id"]).count()
-        / n_epochs
+    runs, both modalities in ONE ingest loop: the
+    :mod:`pipelines.admission` loop with a MinHash lane over the text
+    (as in ``q_dedup_index_release``) and an IVF lane over the
+    embeddings (as in ``ann.q_ann_index_release``).  Keep iff no
+    strictly-earlier text near-dup AND no strictly-earlier semantic
+    near-dup; ``text_dup_of`` / ``sem_dup_of`` report the smallest
+    earlier offender per modality (-1 = none).  Each lane has its own
+    epoch width (``ceil(count/n_epochs)``) because the corpora differ in
+    size; a document without an embedding row has no semantic verdict
+    (sem_dup_of = -1), exactly as the oracle's left join encodes."""
+    from nyc_taxi_data_pipeline_ray.pipelines.admission import (
+        Admission,
+        IvfLane,
+        MinHashLane,
     )
 
-    tidx = MinHashIndex(troot)
-    _, sample_mat = _vectors_where_id_below(sf_dir, sample_rows)
-    vidx = IvfIndex(vroot, centroids=_kmeans_lite(_normalize_rows(sample_mat), ncells))
-
-    cands: list[pd.DataFrame] = []
-    sem_dup: dict[int, int] = {}
-    # the two modality jobs for an epoch touch DISJOINT indexes and
-    # tables, so overlap them on two driver threads: each still submits
-    # distributed Ray work, but the per-job scheduling/merge latency —
-    # the dominant cost at witness scale — is paid once per epoch, not
-    # twice.  Epochs themselves stay sequential (epoch e+1's probe must
-    # see epoch e committed in BOTH indexes).
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        for e in range(n_epochs):
-            dbatch = read_parquet_clean(
-                f"{sf_dir}/documents.parquet",
-                columns=["doc_id", "text"],
-                filter=(pads.field("doc_id") >= e * per_docs)
-                & (pads.field("doc_id") < (e + 1) * per_docs),
-            )
-            ebatch = read_parquet_clean(
-                f"{sf_dir}/embeddings.parquet",
-                columns=["vec_id", "embedding"],
-                filter=(pads.field("vec_id") >= e * per_vecs)
-                & (pads.field("vec_id") < (e + 1) * per_vecs),
-            )
-            tfut = pool.submit(
-                tidx.probe_and_add,
-                # domain guard: see q_dedup_index_release
-                dbatch.map_batches(
-                    _assert_minhash_sql_domain, batch_format="pyarrow"
-                ),
-                segment_id=e,
-                threshold=0.5,
-                persist_hits=True,
-            )
-            vfut = pool.submit(
-                vidx.probe_and_add,
-                ebatch,
-                segment_id=e,
-                k=k,
-                nprobe=ncells,
-                persist_hits=True,
-            )
-            c, _rep = tfut.result()
-            hits, _vrep = vfut.result()
-            if len(c):
-                cands.append(
-                    c.rename(columns={"probe_doc": "doc_a", "indexed_doc": "doc_b"})[
-                        ["doc_a", "doc_b"]
-                    ]
-                )
-            _fold_sem_dups(hits, k=k, threshold=cosine_threshold, dup_map=sem_dup)
-
-    cand = (
-        pd.concat(cands, ignore_index=True)
-        if cands
-        else pd.DataFrame(
-            {"doc_a": pd.Series(dtype="int64"), "doc_b": pd.Series(dtype="int64")}
-        )
+    text = MinHashLane(
+        sf_dir,
+        "/tmp/nyc_ray_q_corpus_admission_text",
+        exact_threshold=jaccard_threshold,
+        dup_col="text_dup_of",
     )
-    exact = _distributed_pair_jaccard(
-        docs.map_batches(_chargram_table, batch_format="pyarrow"),
-        cand,
-        jaccard_threshold,
+    vec = IvfLane(
+        sf_dir,
+        "/tmp/nyc_ray_q_corpus_admission_vec",
+        threshold=cosine_threshold,
+        k=k,
+        ncells=ncells,
+        sample_rows=sample_rows,
+        dup_col="sem_dup_of",
     )
-    text_dup = {} if exact.empty else exact.groupby("doc_a")["doc_b"].min().to_dict()
-    dup_ref = ray.put((text_dup, sem_dup))
-
-    def decide(t: pa.Table) -> pa.Table:
-        tmap, smap = ray.get(dup_ref)
-        ids = t["doc_id"].to_numpy()
-        _check_epoch_coverage(ids, per_docs, n_epochs, "doc_id")
-        tdup = pd.Series(ids, dtype="int64").map(tmap).fillna(-1).to_numpy(np.int64)
-        sdup = pd.Series(ids, dtype="int64").map(smap).fillna(-1).to_numpy(np.int64)
-        return pa.table(
-            {
-                "doc_id": t["doc_id"],
-                "epoch": pa.array((ids // per_docs).astype(np.int64), pa.int64()),
-                "keep": pa.array((tdup < 0) & (sdup < 0), pa.bool_()),
-                "text_dup_of": pa.array(tdup, pa.int64()),
-                "sem_dup_of": pa.array(sdup, pa.int64()),
-            }
-        )
-
-    out = (
-        docs.select_columns(["doc_id"])
-        .map_batches(decide, batch_format="pyarrow")
-        .to_pandas()
-    )
-    return out.sort_values("doc_id", ignore_index=True)
+    return Admission(text, vec, n_epochs=n_epochs).release()

@@ -72,6 +72,22 @@ def normalize_rows(m: np.ndarray) -> np.ndarray:
     return m / np.where(n == 0, 1.0, n)
 
 
+def kmeans_lite(sample: np.ndarray, ncells: int, iters: int = 8, seed: int = 7) -> np.ndarray:
+    """Spherical k-means centroids (cosine, on unit-normalized rows) for
+    the IVF coarse quantizer, trained on a driver-side sample: a few
+    thousand vectors fit the driver at any corpus size."""
+    rng = np.random.default_rng(seed)
+    cent = sample[rng.choice(len(sample), size=ncells, replace=False)].copy()
+    for _ in range(iters):
+        assign = np.argmax(sample @ cent.T, axis=1)  # cosine on normalized rows
+        for c in range(ncells):
+            members = sample[assign == c]
+            if len(members):
+                v = members.sum(axis=0)
+                cent[c] = v / max(np.linalg.norm(v), 1e-30)
+    return cent
+
+
 def _sort_by_vec_id(t: pa.Table) -> pa.Table:
     return t.sort_by([("vec_id", "ascending")])
 
@@ -94,7 +110,7 @@ def _pq_encode_with(m: np.ndarray, books: np.ndarray, dtype: np.dtype) -> np.nda
 class IvfIndex:
     """Bucket-partitioned persisted IVF index with an ``add / probe /
     compact`` lifecycle.  ``centroids`` are required at creation (train
-    them on any sample, e.g. ``pipelines.ann._kmeans_lite``) and are
+    them on any sample, e.g. :func:`kmeans_lite`) and are
     frozen into ``meta.json``; reopening ignores the argument."""
 
     # the cell-file layout owns these names; attr_col may not shadow them

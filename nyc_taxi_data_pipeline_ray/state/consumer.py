@@ -61,16 +61,23 @@ def data_path(view_path: str, pid: int) -> str:
     return os.path.join(view_path, f"p={pid:04d}.parquet")
 
 
-def stored_watermark(view_path: str, pid: int) -> int | None:
-    """Watermark recorded by a consumer's committed partition manifest,
-    or None when missing/corrupt (treated as stale)."""
+def _load_marker(view_path: str, pid: int) -> tuple[int | None, int]:
+    """``(watermark, rows)`` of a consumer's committed partition
+    manifest, or ``(None, 0)`` when missing/corrupt (treated as stale)."""
     try:
         with open(manifest_path(view_path, pid)) as f:
-            return int(json.load(f)["watermark"])
+            entry = json.load(f)
+        return int(entry["watermark"]), int(entry.get("rows", 0))
     except (OSError, ValueError, KeyError, TypeError):
         # TypeError: valid JSON of the wrong shape (null, a list,
         # {"watermark": null}) — corrupt means stale, never a crash
-        return None
+        return None, 0
+
+
+def stored_watermark(view_path: str, pid: int) -> int | None:
+    """Watermark recorded by a consumer's committed partition manifest,
+    or None when missing/corrupt (treated as stale)."""
+    return _load_marker(view_path, pid)[0]
 
 
 def _refresh_batch(
@@ -82,8 +89,9 @@ def _refresh_batch(
     batch: pa.Table,
 ) -> pa.Table:
     """Ray task body: build, write and commit each stale partition of the
-    batch.  Module-level, so a task carries no consumer or engine."""
-    work = []
+    batch; returns each one's work and rows.  Module-level, so a task
+    carries no consumer or engine."""
+    work, rows = [], []
     for pid, wm, old in zip(
         batch["pid"].to_pylist(), batch["wm"].to_pylist(), batch["old"].to_pylist()
     ):
@@ -97,7 +105,14 @@ def _refresh_batch(
             entry[witness_field] = int(n)
         mf.atomic_write_json(manifest_path(view_path, pid), entry)
         work.append(int(n))
-    return pa.table({"pid": batch["pid"], "work": pa.array(work, pa.int64())})
+        rows.append(out.num_rows)
+    return pa.table(
+        {
+            "pid": batch["pid"],
+            "work": pa.array(work, pa.int64()),
+            "rows": pa.array(rows, pa.int64()),
+        }
+    )
 
 
 class ConsumerLedger:
@@ -135,13 +150,15 @@ class ConsumerLedger:
         work in its manifest and reports the total before ``rows``."""
         pids = self.engine.live_pids()
         stale: list[dict] = []
+        work = rows = 0
         for pid in pids:
-            old = self.stored_watermark(pid)
+            old, n = _load_marker(self.path, pid)
             wm = self.lake_watermark(pid, old)
             if old != wm:
                 stale.append({"pid": pid, "wm": wm, "old": old})
+            else:
+                rows += n  # reused as committed: one manifest load each
 
-        work = 0
         if stale:
             task = functools.partial(
                 _refresh_batch,
@@ -152,15 +169,9 @@ class ConsumerLedger:
                 row_group_rows,
             )
             ds = fan_out(stale).map_batches(task, batch_format="pyarrow")
-            work = sum(int(r["work"]) for r in ds.take_all())
-
-        rows = 0
-        for pid in pids:
-            try:
-                with open(self.manifest_path(pid)) as f:
-                    rows += int(json.load(f)["rows"])
-            except (OSError, ValueError, KeyError):
-                pass
+            for r in ds.take_all():
+                work += int(r["work"])
+                rows += int(r["rows"])
         report = {"refreshed": len(stale), "reused": len(pids) - len(stale)}
         if witness:
             report[witness[1]] = work

@@ -8,8 +8,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
-from nyc_taxi_data_pipeline_ray.pipelines.ann import _kmeans_lite, _normalize_rows
-from nyc_taxi_data_pipeline_ray.state.ann_index import IvfIndex
+from nyc_taxi_data_pipeline_ray.state.ann_index import IvfIndex, kmeans_lite, normalize_rows
 
 SF = "/root/testdata/sf0.001"
 
@@ -31,8 +30,8 @@ def _ds(ids, mat):
 
 
 def _brute(ids, mat, qids, qmat, k=5):
-    m = _normalize_rows(mat.astype(np.float64))
-    q = _normalize_rows(qmat.astype(np.float64))
+    m = normalize_rows(mat.astype(np.float64))
+    q = normalize_rows(qmat.astype(np.float64))
     rows = []
     for qi, qid in enumerate(qids):
         cand = np.nonzero(ids != qid)[0]
@@ -79,7 +78,7 @@ def _assert_topk(a, b):
 
 
 def _build(tmp_path, ids, mat, ncells=8, segments=2):
-    cent = _kmeans_lite(_normalize_rows(mat[:100].astype(np.float64)), ncells)
+    cent = kmeans_lite(normalize_rows(mat[:100].astype(np.float64)), ncells)
     idx = IvfIndex(os.path.join(str(tmp_path), "ivf"), centroids=cent)
     for s in range(segments):
         m = ids % segments == s
@@ -91,7 +90,7 @@ def test_exhaustive_probe_equals_brute_force(tmp_path):
     ids, mat = _vectors()
     idx = _build(tmp_path, ids, mat)
     qids, qmat = ids[:4], mat[:4]
-    got, stats = idx.probe(qids, _normalize_rows(qmat.astype(np.float64)), k=5, nprobe=idx.ncells)
+    got, stats = idx.probe(qids, normalize_rows(qmat.astype(np.float64)), k=5, nprobe=idx.ncells)
     assert stats["cells_probed"] == stats["cells_total"]
     _assert_topk(got, _brute(ids, mat, qids, qmat))
 
@@ -104,7 +103,7 @@ def test_incremental_add_equals_one_shot(tmp_path):
     cent = idx2.centroids
     idx1 = IvfIndex(os.path.join(str(tmp_path), "oneshot"), centroids=cent)
     idx1.add(_ds(ids, mat), segment_id=0)
-    q = _normalize_rows(mat[:3].astype(np.float64))
+    q = normalize_rows(mat[:3].astype(np.float64))
     a, _ = idx2.probe(ids[:3], q, k=5, nprobe=idx2.ncells)
     b, _ = idx1.probe(ids[:3], q, k=5, nprobe=idx1.ncells)
     _assert_topk(a, b)
@@ -176,7 +175,7 @@ def test_probe_is_partition_pruned(tmp_path):
     never more than nprobe cells' worth per query set."""
     ids, mat = _vectors(n=400, seed=13)
     idx = _build(tmp_path, ids, mat)
-    q = _normalize_rows(mat[:2].astype(np.float64))
+    q = normalize_rows(mat[:2].astype(np.float64))
     got, stats = idx.probe(ids[:2], q, k=5, nprobe=2)
     assert stats["files_read"] < stats["files_total"]
     assert stats["cells_probed"] <= 2 * 2
@@ -192,7 +191,7 @@ def test_probe_is_partition_pruned(tmp_path):
 def test_compact_preserves_probe_results(tmp_path):
     ids, mat = _vectors(seed=17)
     idx = _build(tmp_path, ids, mat, segments=2)
-    q = _normalize_rows(mat[:3].astype(np.float64))
+    q = normalize_rows(mat[:3].astype(np.float64))
     before, _ = idx.probe(ids[:3], q, k=5, nprobe=idx.ncells)
     rep = idx.compact()
     assert not rep["skipped"] and rep["generation"] == 1
@@ -266,7 +265,7 @@ def test_probe_and_add_fuses_probe_then_add(tmp_path):
     same hits, replay returns them again, and the add stays idempotent
     (mirrors MinHashIndex.probe_and_add)."""
     ids, mat = _vectors()
-    cent = _kmeans_lite(_normalize_rows(mat[:100].astype(np.float64)), 8)
+    cent = kmeans_lite(normalize_rows(mat[:100].astype(np.float64)), 8)
     idx = IvfIndex(os.path.join(str(tmp_path), "ivf_pa"), centroids=cent)
     half = len(ids) // 2
     base_ids, base_mat = ids[:half], mat[:half]
@@ -303,7 +302,7 @@ def test_probe_and_add_after_fold(tmp_path):
     (crash-resume must not wedge); an UNcommitted segment at or below
     the fold watermark raises — readers would never see its dir."""
     ids, mat = _vectors()
-    cent = _kmeans_lite(_normalize_rows(mat[:100].astype(np.float64)), 8)
+    cent = kmeans_lite(normalize_rows(mat[:100].astype(np.float64)), 8)
     idx = IvfIndex(os.path.join(str(tmp_path), "ivf_fold"), centroids=cent)
     half = len(ids) // 2
     idx.add(_ds(ids[:half], mat[:half]), segment_id=0)
@@ -321,7 +320,7 @@ def test_probe_and_add_after_fold(tmp_path):
 
 # ------------------------------------------------------------------ PQ tier
 def _pq_build(tmp_path, ids, mat, *, name, books, refine=False, ncells=8):
-    cent = _kmeans_lite(_normalize_rows(mat[:100].astype(np.float64)), ncells)
+    cent = kmeans_lite(normalize_rows(mat[:100].astype(np.float64)), ncells)
     idx = IvfIndex(
         os.path.join(str(tmp_path), name),
         centroids=cent,
@@ -340,11 +339,11 @@ def test_pq_saturated_equals_brute_force(tmp_path):
     from nyc_taxi_data_pipeline_ray.pipelines.ann import _saturated_pq_books
 
     ids, mat = _vectors(seed=31)
-    books = _saturated_pq_books(_normalize_rows(mat.astype(np.float64)), 4)
+    books = _saturated_pq_books(normalize_rows(mat.astype(np.float64)), 4)
     idx = _pq_build(tmp_path, ids, mat, name="pq", books=books)
     qids, qmat = ids[:4], mat[:4]
     got, stats = idx.probe(
-        qids, _normalize_rows(qmat.astype(np.float64)), k=5, nprobe=idx.ncells
+        qids, normalize_rows(qmat.astype(np.float64)), k=5, nprobe=idx.ncells
     )
     assert stats["cells_probed"] == stats["cells_total"]
     _assert_topk(got, _brute(ids, mat, qids, qmat))
@@ -357,11 +356,11 @@ def test_pq_refine_path_equals_brute_force(tmp_path):
     from nyc_taxi_data_pipeline_ray.pipelines.ann import _saturated_pq_books
 
     ids, mat = _vectors(seed=37)
-    books = _saturated_pq_books(_normalize_rows(mat.astype(np.float64)), 4)
+    books = _saturated_pq_books(normalize_rows(mat.astype(np.float64)), 4)
     idx = _pq_build(tmp_path, ids, mat, name="pqr", books=books, refine=True)
     qids, qmat = ids[:4], mat[:4]
     got, _ = idx.probe(
-        qids, _normalize_rows(qmat.astype(np.float64)), k=5, nprobe=idx.ncells
+        qids, normalize_rows(qmat.astype(np.float64)), k=5, nprobe=idx.ncells
     )
     _assert_topk(got, _brute(ids, mat, qids, qmat))
 
@@ -372,7 +371,7 @@ def test_pq_index_is_much_smaller_than_raw(tmp_path):
     from nyc_taxi_data_pipeline_ray.pipelines.ann import _kmeans_l2
 
     ids, mat = _vectors(n=2000, d=64, seed=41)
-    m_norm = _normalize_rows(mat.astype(np.float64))
+    m_norm = normalize_rows(mat.astype(np.float64))
     books = np.stack(
         [
             _kmeans_l2(np.ascontiguousarray(m_norm[:500, j * 16 : (j + 1) * 16]), 32, seed=7 + j)
@@ -403,7 +402,7 @@ def test_pq_production_recall_floor(tmp_path):
     from nyc_taxi_data_pipeline_ray.pipelines.ann import _kmeans_l2
 
     ids, mat = _vectors(n=400, d=16, seed=43)
-    m_norm = _normalize_rows(mat.astype(np.float64))
+    m_norm = normalize_rows(mat.astype(np.float64))
     books = np.stack(
         [
             _kmeans_l2(np.ascontiguousarray(m_norm[:, j * 4 : (j + 1) * 4]), 32, seed=7 + j)
@@ -413,7 +412,7 @@ def test_pq_production_recall_floor(tmp_path):
     idx = _pq_build(tmp_path, ids, mat, name="pqprod", books=books, refine=True)
     qids, qmat = ids[:8], mat[:8]
     got, _ = idx.probe(
-        qids, _normalize_rows(qmat.astype(np.float64)), k=5, nprobe=idx.ncells
+        qids, normalize_rows(qmat.astype(np.float64)), k=5, nprobe=idx.ncells
     )
     truth = _brute(ids, mat, qids, qmat)
     hit = len(
@@ -428,9 +427,9 @@ def test_pq_compact_preserves_probe_results(tmp_path):
     from nyc_taxi_data_pipeline_ray.pipelines.ann import _saturated_pq_books
 
     ids, mat = _vectors(seed=47)
-    books = _saturated_pq_books(_normalize_rows(mat.astype(np.float64)), 4)
+    books = _saturated_pq_books(normalize_rows(mat.astype(np.float64)), 4)
     idx = _pq_build(tmp_path, ids, mat, name="pqc", books=books, refine=True)
-    q = _normalize_rows(mat[:3].astype(np.float64))
+    q = normalize_rows(mat[:3].astype(np.float64))
     before, _ = idx.probe(ids[:3], q, k=5, nprobe=idx.ncells)
     rep = idx.compact()
     assert not rep["skipped"]
@@ -444,9 +443,9 @@ def test_pq_reopen_reads_books_from_meta(tmp_path):
     from nyc_taxi_data_pipeline_ray.pipelines.ann import _saturated_pq_books
 
     ids, mat = _vectors(seed=53)
-    books = _saturated_pq_books(_normalize_rows(mat.astype(np.float64)), 4)
+    books = _saturated_pq_books(normalize_rows(mat.astype(np.float64)), 4)
     idx = _pq_build(tmp_path, ids, mat, name="pqo", books=books, refine=True)
-    q = _normalize_rows(mat[:3].astype(np.float64))
+    q = normalize_rows(mat[:3].astype(np.float64))
     a, _ = idx.probe(ids[:3], q, k=5, nprobe=idx.ncells)
     reopened = IvfIndex(idx.path)
     assert reopened.pq_refine and reopened.pq_books.shape == books.shape
@@ -460,7 +459,7 @@ def test_persisted_hits_survive_compaction(tmp_path):
     strictly-earlier view recovers the original hits verbatim instead
     of the lossy empty skip."""
     ids, mat = _vectors(seed=61)
-    cent = _kmeans_lite(_normalize_rows(mat[:100].astype(np.float64)), 8)
+    cent = kmeans_lite(normalize_rows(mat[:100].astype(np.float64)), 8)
     idx = IvfIndex(os.path.join(str(tmp_path), "ivf_hits"), centroids=cent)
     half = len(ids) // 2
     live0, rep0 = idx.probe_and_add(
@@ -495,7 +494,7 @@ def test_persist_hits_backfills_committed_epoch(tmp_path):
     re-probe (report['hits_persisted']) — not silently drop the
     request — so the decision survives a later fold."""
     ids, mat = _vectors()
-    cent = _kmeans_lite(_normalize_rows(mat[:100].astype(np.float64)), 8)
+    cent = kmeans_lite(normalize_rows(mat[:100].astype(np.float64)), 8)
     idx = IvfIndex(os.path.join(str(tmp_path), "bf"), centroids=cent)
     half = len(ids) // 2
     idx.probe_and_add(_ds(ids[:half], mat[:half]), segment_id=0, k=3, nprobe=8)
@@ -522,7 +521,7 @@ def test_unfolded_replay_honors_new_params(tmp_path):
     caller's k) instead of returning the sidecar's k-3 decision; the
     sidecar itself stays untouched."""
     ids, mat = _vectors()
-    cent = _kmeans_lite(_normalize_rows(mat[:100].astype(np.float64)), 8)
+    cent = kmeans_lite(normalize_rows(mat[:100].astype(np.float64)), 8)
     idx = IvfIndex(os.path.join(str(tmp_path), "params"), centroids=cent)
     half = len(ids) // 2
     idx.probe_and_add(_ds(ids[:half], mat[:half]), segment_id=0, k=3, nprobe=8)
@@ -555,7 +554,7 @@ def test_code_dtype_overflow_guard(tmp_path):
     import pytest
 
     ids, mat = _vectors(n=20)
-    cent = _kmeans_lite(_normalize_rows(mat[:10].astype(np.float64)), 4)
+    cent = kmeans_lite(normalize_rows(mat[:10].astype(np.float64)), 4)
     books = np.zeros((2, 65537, 8), dtype=np.float64)
     idx = IvfIndex(os.path.join(str(tmp_path), "of"), centroids=cent, pq_books=books)
     with pytest.raises(ValueError, match="overflow uint16"):
@@ -659,7 +658,7 @@ def test_delete_below_fold_watermark_raises(tmp_path):
     import pytest
 
     ids, mat = _vectors()
-    cent = _kmeans_lite(_normalize_rows(mat[:100].astype(np.float64)), 8)
+    cent = kmeans_lite(normalize_rows(mat[:100].astype(np.float64)), 8)
     idx = IvfIndex(os.path.join(str(tmp_path), "ivf"), centroids=cent)
     idx.add(_ds(ids[ids % 2 == 0], mat[ids % 2 == 0]), segment_id=0)
     idx.add(_ds(ids[ids % 2 == 1], mat[ids % 2 == 1]), segment_id=2)
@@ -764,7 +763,7 @@ def test_add_below_fold_watermark_raises(tmp_path):
     import pytest
 
     ids, mat = _vectors()
-    cent = _kmeans_lite(_normalize_rows(mat[:100].astype(np.float64)), 8)
+    cent = kmeans_lite(normalize_rows(mat[:100].astype(np.float64)), 8)
     idx = IvfIndex(os.path.join(str(tmp_path), "ivf"), centroids=cent)
     idx.add(_ds(ids[ids % 2 == 0], mat[ids % 2 == 0]), segment_id=0)
     idx.add(_ds(ids[ids % 2 == 1], mat[ids % 2 == 1]), segment_id=2)
@@ -842,7 +841,7 @@ def _ds_attr(ids, mat, labels):
 
 
 def _build_attr(tmp_path, ids, mat, labels, *, name="ivf_attr", ncells=8, **kw):
-    cent = _kmeans_lite(_normalize_rows(mat[:100].astype(np.float64)), ncells)
+    cent = kmeans_lite(normalize_rows(mat[:100].astype(np.float64)), ncells)
     idx = IvfIndex(
         os.path.join(str(tmp_path), name), centroids=cent, attr_col="label", **kw
     )
@@ -889,7 +888,7 @@ def test_filtered_pq_refine_equals_brute_force_over_slice(tmp_path):
 
     ids, mat = _vectors(seed=47)
     labels = (ids % 3).astype(np.int32)
-    books = _saturated_pq_books(_normalize_rows(mat.astype(np.float64)), 4)
+    books = _saturated_pq_books(normalize_rows(mat.astype(np.float64)), 4)
     idx = _build_attr(
         tmp_path, ids, mat, labels, name="pq_attr", pq_books=books, pq_refine=True
     )
@@ -947,7 +946,7 @@ def test_add_without_declared_attr_column_raises(tmp_path):
     import pytest
 
     ids, mat = _vectors(seed=67)
-    cent = _kmeans_lite(_normalize_rows(mat[:100].astype(np.float64)), 8)
+    cent = kmeans_lite(normalize_rows(mat[:100].astype(np.float64)), 8)
     idx = IvfIndex(
         os.path.join(str(tmp_path), "ivf_noattr"), centroids=cent, attr_col="label"
     )
@@ -1011,7 +1010,7 @@ def test_attr_col_reserved_name_raises(tmp_path):
     import pytest
 
     ids, mat = _vectors(seed=83)
-    cent = _kmeans_lite(_normalize_rows(mat[:100].astype(np.float64)), 8)
+    cent = kmeans_lite(normalize_rows(mat[:100].astype(np.float64)), 8)
     for bad in ("cell", "vec_id", "embedding", "codes"):
         with pytest.raises(ValueError, match="collides"):
             IvfIndex(
@@ -1111,8 +1110,8 @@ def test_merge_from_equals_rebuild(tmp_path):
     replay of the merge segment is a no-op."""
     ids, mat = _vectors()
     even, odd = ids % 2 == 0, ids % 2 == 1
-    cent_a = _kmeans_lite(_normalize_rows(mat[:100].astype(np.float64)), 8)
-    cent_b = _kmeans_lite(_normalize_rows(mat[100:].astype(np.float64)), 6, seed=13)
+    cent_a = kmeans_lite(normalize_rows(mat[:100].astype(np.float64)), 8)
+    cent_b = kmeans_lite(normalize_rows(mat[100:].astype(np.float64)), 6, seed=13)
     a = IvfIndex(os.path.join(str(tmp_path), "a"), centroids=cent_a)
     b = IvfIndex(os.path.join(str(tmp_path), "b"), centroids=cent_b)
     a.add(_ds(ids[even], mat[even]), segment_id=0)
@@ -1122,7 +1121,7 @@ def test_merge_from_equals_rebuild(tmp_path):
     assert a.merge_from(b, segment_id=1) == {"segment": 1, "skipped": True}
     qids, qmat = ids[:4], mat[:4]
     got, stats = a.probe(
-        qids, _normalize_rows(qmat.astype(np.float64)), k=5, nprobe=a.ncells
+        qids, normalize_rows(qmat.astype(np.float64)), k=5, nprobe=a.ncells
     )
     assert stats["cells_probed"] == stats["cells_total"]
     _assert_topk(got, _brute(ids, mat, qids, qmat))
@@ -1134,7 +1133,7 @@ def test_merge_from_applies_source_tombstones(tmp_path):
     untouched by the merge."""
     ids, mat = _vectors()
     even, odd = ids % 2 == 0, ids % 2 == 1
-    cent = _kmeans_lite(_normalize_rows(mat[:100].astype(np.float64)), 8)
+    cent = kmeans_lite(normalize_rows(mat[:100].astype(np.float64)), 8)
     a = IvfIndex(os.path.join(str(tmp_path), "a"), centroids=cent)
     b = IvfIndex(os.path.join(str(tmp_path), "b"), centroids=cent)
     a.add(_ds(ids[even], mat[even]), segment_id=0)
@@ -1146,7 +1145,7 @@ def test_merge_from_applies_source_tombstones(tmp_path):
     live = even | (odd & (ids % 5 != 0))
     qids, qmat = ids[:4], mat[:4]
     got, _ = a.probe(
-        qids, _normalize_rows(qmat.astype(np.float64)), k=5, nprobe=a.ncells
+        qids, normalize_rows(qmat.astype(np.float64)), k=5, nprobe=a.ncells
     )
     _assert_topk(got, _brute(ids[live], mat[live], qids, qmat))
 
@@ -1161,8 +1160,8 @@ def test_merge_from_pq_codes_only_source_raises(tmp_path):
 
     ids, mat = _vectors(n=80, d=16)
     even, odd = ids % 2 == 0, ids % 2 == 1
-    cent = _kmeans_lite(_normalize_rows(mat.astype(np.float64)), 4)
-    books = _saturated_pq_books(_normalize_rows(mat.astype(np.float64)), 4)
+    cent = kmeans_lite(normalize_rows(mat.astype(np.float64)), 4)
+    books = _saturated_pq_books(normalize_rows(mat.astype(np.float64)), 4)
     a = IvfIndex(os.path.join(str(tmp_path), "a"), centroids=cent)
     a.add(_ds(ids[even], mat[even]), segment_id=0)
     codes_only = IvfIndex(
@@ -1181,7 +1180,7 @@ def test_merge_from_pq_codes_only_source_raises(tmp_path):
     a.merge_from(refined, segment_id=1)
     qids, qmat = ids[:3], mat[:3]
     got, _ = a.probe(
-        qids, _normalize_rows(qmat.astype(np.float64)), k=5, nprobe=a.ncells
+        qids, normalize_rows(qmat.astype(np.float64)), k=5, nprobe=a.ncells
     )
     _assert_topk(got, _brute(ids, mat, qids, qmat))
 
@@ -1190,7 +1189,7 @@ def test_merge_from_attr_col_mismatch_raises(tmp_path):
     import pytest
 
     ids, mat = _vectors(n=40, d=8)
-    cent = _kmeans_lite(_normalize_rows(mat.astype(np.float64)), 2)
+    cent = kmeans_lite(normalize_rows(mat.astype(np.float64)), 2)
     a = IvfIndex(
         os.path.join(str(tmp_path), "a"), centroids=cent, attr_col="label"
     )
@@ -1206,9 +1205,9 @@ def test_merge_from_dimension_mismatch_raises(tmp_path):
     import pytest
 
     ids, mat = _vectors(n=40, d=8)
-    cent = _kmeans_lite(_normalize_rows(mat.astype(np.float64)), 2)
+    cent = kmeans_lite(normalize_rows(mat.astype(np.float64)), 2)
     ids16, mat16 = _vectors(n=40, d=16)
-    cent16 = _kmeans_lite(_normalize_rows(mat16.astype(np.float64)), 2)
+    cent16 = kmeans_lite(normalize_rows(mat16.astype(np.float64)), 2)
     a = IvfIndex(os.path.join(str(tmp_path), "a"), centroids=cent)
     b = IvfIndex(os.path.join(str(tmp_path), "b"), centroids=cent16)
     b.add(_ds(ids16, mat16), segment_id=0)
@@ -1222,7 +1221,7 @@ def test_merge_from_empty_source_commits_empty_segment(tmp_path):
     segment id exactly once (the loop-shaped caller's epoch may be
     empty); the target keeps probing correctly."""
     ids, mat = _vectors(n=60, d=8)
-    cent = _kmeans_lite(_normalize_rows(mat.astype(np.float64)), 4)
+    cent = kmeans_lite(normalize_rows(mat.astype(np.float64)), 4)
     a = IvfIndex(os.path.join(str(tmp_path), "a"), centroids=cent)
     b = IvfIndex(os.path.join(str(tmp_path), "b"), centroids=cent)
     a.add(_ds(ids, mat), segment_id=0)
@@ -1239,6 +1238,6 @@ def test_merge_from_empty_source_commits_empty_segment(tmp_path):
     assert a.fsck()["ok"]
     qids, qmat = ids[:3], mat[:3]
     got, _ = a.probe(
-        qids, _normalize_rows(qmat.astype(np.float64)), k=5, nprobe=a.ncells
+        qids, normalize_rows(qmat.astype(np.float64)), k=5, nprobe=a.ncells
     )
     _assert_topk(got, _brute(ids, mat, qids, qmat))

@@ -79,3 +79,31 @@ def test_consumer_ledger_protocol(tmp_path, kind):
     assert rep["refreshed"] == 1 and rep["reused"] == 3
     assert c.refresh()["refreshed"] == 0
     _assert_equals_full_build(kind, c, os.path.join(tmp, "fresh2"))
+
+
+def test_noop_refresh_loads_each_consumer_manifest_once(tmp_path, monkeypatch):
+    """The staleness scan's manifest load also supplies a reused
+    partition's rows, so a no-op refresh reads each consumer manifest
+    once."""
+    import json
+
+    tmp = str(tmp_path)
+    wal = os.path.join(tmp, "wal")
+    WalGenerator(SPEC).write(wal)
+    eng = CdcEngine(
+        LakeConfig.open_or_create(os.path.join(tmp, "lake"), num_partitions=4)
+    )
+    eng.apply(wal)
+    mv = MaterializedView(eng, os.path.join(tmp, "view"))
+    first = mv.refresh()
+    real_load = json.load
+    loaded = []
+    monkeypatch.setattr(
+        json, "load", lambda f, **kw: loaded.append(f.name) or real_load(f, **kw)
+    )
+    rep = mv.refresh()
+    monkeypatch.undo()
+    assert rep == {**first, "refreshed": 0, "reused": 4}
+    assert sorted(p for p in loaded if p.startswith(mv.ledger.path)) == [
+        mv.ledger.manifest_path(pid) for pid in range(4)
+    ]

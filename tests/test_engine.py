@@ -403,6 +403,29 @@ def _write_custom_wal(wal, epochs_rows):
     return pa.concat_tables(tables)
 
 
+def test_epoch_ids_past_six_digits_apply_in_numeric_order(tmp_path):
+    """Writers pad epoch ids to 6 digits, so epoch 1 000 000 has a
+    7-digit dir and marker: it is discovered, ordered after 999 999 (as
+    a string it sorts before), committed, and not re-discovered."""
+    import pyarrow.parquet as pq
+
+    T = 1_735_689_600_000_000
+    wal = str(tmp_path / "wal")
+    for epoch, rows in [
+        (999_999, [(1, "insert", "c1", 0, T)]),
+        (1_000_000, [(2, "update", "c1", 0, T + 1)]),
+    ]:
+        d = os.path.join(wal, f"epoch={epoch:06d}")
+        os.makedirs(d)
+        pq.write_table(_custom_epoch_rows(epoch, rows), os.path.join(d, "part-0000.parquet"))
+    eng = CdcEngine(LakeConfig.open_or_create(str(tmp_path / "lake"), num_partitions=4))
+    assert [e for e, _ in eng.discover(wal)] == [999_999, 1_000_000]
+    assert eng.apply(wal).epochs == [999_999, 1_000_000]
+    assert eng.last_committed_group() == 1_000_000
+    assert eng.discover(wal) == []
+    assert eng.snapshot_table()["text"].to_pylist() == ["text-2"]
+
+
 def test_tombstone_survives_midstream_compaction(tmp_path):
     # ADVICE (high): a delete compacted mid-stream must keep masking a
     # later-epoch out-of-order event carrying an OLDER (ts, lsn) for the

@@ -19,13 +19,9 @@ import ray.data as rd
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nyc_taxi_data_pipeline_ray.pipelines.ann import (
-    _kmeans_lite,
-    _normalize_rows,
-    _saturated_pq_books,
-)
+from nyc_taxi_data_pipeline_ray.pipelines.ann import _saturated_pq_books
 from nyc_taxi_data_pipeline_ray.pipelines.text import cached_minhasher
-from nyc_taxi_data_pipeline_ray.state.ann_index import IvfIndex
+from nyc_taxi_data_pipeline_ray.state.ann_index import IvfIndex, kmeans_lite, normalize_rows
 from nyc_taxi_data_pipeline_ray.state.dedup_index import MinHashIndex, _band_rows
 
 SF_DIR = "/root/testdata/sf0.001"
@@ -199,7 +195,7 @@ def _assert_topk_equal(got: pd.DataFrame, exp: pd.DataFrame) -> None:
 def _brute_earlier(ids, mat, epoch, e, k):
     """Brute-force cosine top-k of epoch-e vectors against all earlier
     epochs, with the index's tie-break (round-4 sim desc, id asc)."""
-    m = _normalize_rows(mat.astype(np.float64))
+    m = normalize_rows(mat.astype(np.float64))
     q_rows = np.nonzero(epoch == e)[0]
     cand = np.nonzero(epoch < e)[0]
     rows = []
@@ -244,11 +240,11 @@ def test_ivf_ingest_any_schedule(
     ids = np.arange(n, dtype=np.int64)
     mat = rng.normal(size=(n, d))
     epoch = rng.permutation(np.arange(n) % n_epochs)  # every epoch non-empty
-    cent = _kmeans_lite(_normalize_rows(mat[:80].astype(np.float64)), ncells)
+    cent = kmeans_lite(normalize_rows(mat[:80].astype(np.float64)), ncells)
     # PQ tier with saturated codebooks: encoding is lossless, so the
     # uint8-code storage path must obey the exact same contract
     books = (
-        _saturated_pq_books(_normalize_rows(mat.astype(np.float64)), 3)
+        _saturated_pq_books(normalize_rows(mat.astype(np.float64)), 3)
         if use_pq
         else None
     )
@@ -276,8 +272,8 @@ def test_ivf_ingest_any_schedule(
     # final index answers exhaustive queries exactly (brute force over
     # everything indexed, regardless of the segment/fold history)
     qids, qmat = ids[:5], mat[:5]
-    df, _stats = idx.probe(qids, _normalize_rows(qmat.astype(np.float64)), k=k, nprobe=ncells)
-    mfull = _normalize_rows(mat.astype(np.float64))
+    df, _stats = idx.probe(qids, normalize_rows(qmat.astype(np.float64)), k=k, nprobe=ncells)
+    mfull = normalize_rows(mat.astype(np.float64))
     rows = []
     for qi, qid in enumerate(qids):
         cand = np.nonzero(ids != qid)[0]
@@ -325,7 +321,7 @@ def test_ivf_delete_any_schedule(tmp_path_factory, seed, n_ops):
     n, d, ncells, k = 120, 10, 6, 4
     ids = np.arange(n, dtype=np.int64)
     mat = rng.normal(size=(n, d))
-    cent = _kmeans_lite(_normalize_rows(mat[:60].astype(np.float64)), ncells)
+    cent = kmeans_lite(normalize_rows(mat[:60].astype(np.float64)), ncells)
     tmp = str(tmp_path_factory.mktemp(f"ivfdel{seed % 100000}"))
     idx = IvfIndex(os.path.join(tmp, "idx"), centroids=cent)
 
@@ -360,8 +356,8 @@ def test_ivf_delete_any_schedule(tmp_path_factory, seed, n_ops):
         else:
             idx.compact()
 
-    qids, qmat = ids[:5], _normalize_rows(mat[:5].astype(np.float64))
-    mfull = _normalize_rows(mat.astype(np.float64))
+    qids, qmat = ids[:5], normalize_rows(mat[:5].astype(np.float64))
+    mfull = normalize_rows(mat.astype(np.float64))
 
     def brute() -> pd.DataFrame:
         rows = []
@@ -483,7 +479,7 @@ def test_ivf_asof_any_schedule(tmp_path_factory, seed, n_ops):
     n, d, ncells, k = 120, 10, 6, 4
     ids = np.arange(n, dtype=np.int64)
     mat = rng.normal(size=(n, d))
-    cent = _kmeans_lite(_normalize_rows(mat[:60].astype(np.float64)), ncells)
+    cent = kmeans_lite(normalize_rows(mat[:60].astype(np.float64)), ncells)
     tmp = str(tmp_path_factory.mktemp(f"ivfasof{seed % 100000}"))
     idx = IvfIndex(os.path.join(tmp, "idx"), centroids=cent)
 
@@ -521,8 +517,8 @@ def test_ivf_asof_any_schedule(tmp_path_factory, seed, n_ops):
             if not idx.compact().get("skipped"):
                 folded_through = max(snap)
 
-    qids, qmat = ids[:4], _normalize_rows(mat[:4].astype(np.float64))
-    mfull = _normalize_rows(mat.astype(np.float64))
+    qids, qmat = ids[:4], normalize_rows(mat[:4].astype(np.float64))
+    mfull = normalize_rows(mat.astype(np.float64))
 
     def brute(live_set: frozenset[int]) -> pd.DataFrame:
         rows = []
@@ -666,7 +662,7 @@ def test_ivf_filtered_delete_any_schedule(tmp_path_factory, seed, n_ops):
     ids = np.arange(n, dtype=np.int64)
     mat = rng.normal(size=(n, d))
     labels = rng.integers(0, 3, size=n).astype(np.int32)
-    cent = _kmeans_lite(_normalize_rows(mat[:50].astype(np.float64)), ncells)
+    cent = kmeans_lite(normalize_rows(mat[:50].astype(np.float64)), ncells)
     tmp = str(tmp_path_factory.mktemp(f"ivfflt{seed % 100000}"))
     idx = IvfIndex(os.path.join(tmp, "idx"), centroids=cent, attr_col="label")
 
@@ -709,8 +705,8 @@ def test_ivf_filtered_delete_any_schedule(tmp_path_factory, seed, n_ops):
             idx.compact()
 
     want = int(rng.integers(0, 3))
-    qids, qmat = ids[:4], _normalize_rows(mat[:4].astype(np.float64))
-    mfull = _normalize_rows(mat.astype(np.float64))
+    qids, qmat = ids[:4], normalize_rows(mat[:4].astype(np.float64))
+    mfull = normalize_rows(mat.astype(np.float64))
 
     def brute() -> pd.DataFrame:
         rows = []

@@ -11,7 +11,7 @@ import pytest
 
 import ray.data as rd
 
-from nyc_taxi_data_pipeline_ray.pipelines import ann, multimodal, text
+from nyc_taxi_data_pipeline_ray.pipelines import admission, ann, multimodal, text
 
 SF_DIR = "/root/testdata/sf0.01"
 
@@ -484,25 +484,25 @@ def test_minhash_sql_domain_guard_passes_empty_batch():
     empty = pa.table(
         {"doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string())}
     )
-    out = text._assert_minhash_sql_domain(empty)
+    out = text.assert_minhash_sql_domain(empty)
     assert out.num_rows == 0
 
 
 def test_release_loop_guards():
-    """The release/admission loops' preconditions fail LOUDLY: ids
+    """The admission loop's preconditions fail LOUDLY: ids
     outside the dense epoch partitioning (which the id-range epoch
     reads would silently skip) and a compact_every that never fires
     mid-loop both raise instead of producing a wrong or confusing
     result."""
-    text._check_epoch_coverage(np.arange(500), 125, 4, "doc_id")  # dense: ok
+    admission.check_epoch_coverage(np.arange(500), 125, 4, "doc_id")  # dense: ok
     with pytest.raises(ValueError, match="dense 0-based ids"):
-        text._check_epoch_coverage(np.array([0, 1000]), 125, 4, "doc_id")
+        admission.check_epoch_coverage(np.array([0, 1000]), 125, 4, "doc_id")
     with pytest.raises(ValueError, match="dense 0-based ids"):
-        text._check_epoch_coverage(np.array([-1, 3]), 125, 4, "doc_id")
-    text._check_epoch_coverage(np.array([], np.int64), 125, 4, "doc_id")  # empty ok
-    text._check_compaction_schedule(2, 4)  # fires at e=1: ok
-    text._check_compaction_schedule(None, 4)  # no compaction requested: ok
+        admission.check_epoch_coverage(np.array([-1, 3]), 125, 4, "doc_id")
+    admission.check_epoch_coverage(np.array([], np.int64), 125, 4, "doc_id")  # empty ok
+    admission.check_compaction_schedule(2, 4)  # fires at e=1: ok
+    admission.check_compaction_schedule(None, 4)  # no compaction requested: ok
     with pytest.raises(ValueError, match="never compacts"):
-        text._check_compaction_schedule(4, 4)
+        admission.check_compaction_schedule(4, 4)
     with pytest.raises(ValueError, match="never compacts"):
         text.q_dedup_index_release("/root/testdata/sf0.001", compact_every=7)
