@@ -13,6 +13,8 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 
+from nyc_taxi_data_pipeline_ray import io as nio
+
 
 @dataclass
 class LakeConfig:
@@ -56,11 +58,9 @@ class LakeConfig:
         return os.path.join(self.path, "_lake.json")
 
     def save(self) -> None:
-        os.makedirs(self.path, exist_ok=True)
-        tmp = self.meta_path + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(asdict(self), f, indent=2)
-        os.replace(tmp, self.meta_path)
+        """Publish ``_lake.json``: a commit marker (``reshard`` writes it
+        last, as its completion marker)."""
+        nio.commit_json(self.meta_path, asdict(self), indent=2)
 
     @classmethod
     def load(cls, path: str) -> "LakeConfig":

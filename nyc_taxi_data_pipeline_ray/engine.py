@@ -89,9 +89,9 @@ import pyarrow.parquet as pq
 
 import ray.data as rd
 
+from nyc_taxi_data_pipeline_ray import io as nio
 from nyc_taxi_data_pipeline_ray import schemas
 from nyc_taxi_data_pipeline_ray.config import LakeConfig
-from nyc_taxi_data_pipeline_ray.io import capped_cpus, fan_out
 from nyc_taxi_data_pipeline_ray.stages import validate as validate_mod
 from nyc_taxi_data_pipeline_ray.state import manifest as mf
 from nyc_taxi_data_pipeline_ray.state import merge as mg
@@ -243,14 +243,16 @@ def _slice_table(rows: list[tuple]) -> pa.Table:
 
 
 def _write_staged(path: str, schema: pa.Schema, batches: list[pa.RecordBatch]) -> None:
-    """Write a staging file: uncompressed Arrow IPC, one record batch per
-    item of ``batches`` (their ordinals are what slice rows name),
-    tmp+rename so a retry replaces it atomically."""
-    tmp = path + ".tmp"
-    with pa.OSFile(tmp, "wb") as sink, pa.ipc.new_file(sink, schema) as w:
-        for b in batches:
-            w.write_batch(b)
-    os.replace(tmp, path)
+    """Commit a staging file: uncompressed Arrow IPC, one record batch
+    per item of ``batches`` (their ordinals are what slice rows name),
+    so a retry replaces it atomically."""
+
+    def write(tmp: str) -> None:
+        with pa.OSFile(tmp, "wb") as sink, pa.ipc.new_file(sink, schema) as w:
+            for b in batches:
+                w.write_batch(b)
+
+    nio.commit_file(path, write)
 
 
 class _StageUnits:
@@ -324,7 +326,6 @@ class _StageUnits:
         final_idx, pid_s, salt_s, nsrc_s, bad_idx = _stage_plan(
             t, self.num_partitions, self.salt_shards
         )
-        os.makedirs(self.staging_dir, exist_ok=True)
         rows: list[tuple] = []
         if len(final_idx):
             # the ONE full-payload gather: winners, already (pid, salt)-grouped
@@ -700,7 +701,7 @@ class CdcEngine:
         # (per-partition LWW merge + commit).  Only the small slice rows
         # pass between the stages, and this process collects just one
         # report row per partition.
-        task_cpus = capped_cpus(self.cfg.task_cpus)
+        task_cpus = nio.capped_cpus(self.cfg.task_cpus)
         stage = _StageUnits(
             staging_dir,
             target_schema.serialize().to_pybytes(),
@@ -718,7 +719,7 @@ class CdcEngine:
             self.cfg.base_row_group_rows,
             late_threshold_us,
         )
-        units_ds = fan_out(units, task_cpus)
+        units_ds = nio.fan_out(units, task_cpus)
         blocks = units_ds.num_blocks()
         kw = dict(batch_format="pyarrow", num_cpus=task_cpus)
         if blocks == 1:
@@ -740,19 +741,16 @@ class CdcEngine:
         reports = sorted(out.take_all(), key=lambda r: r["pid"])
         tt = _t("stage-A -> stage-B", tt)
 
-        # global commit markers (driver-side, after every partition landed)
-        for e in epochs:
-            mf.atomic_write_json(
-                os.path.join(self.cfg.path, "_epochs", f"epoch-{e:06d}.json"),
-                {"epoch": e, "group_id": group_id, "partitions": len(reports)},
-            )
+        # every partition landed: drop the dead staging and advance the
+        # watermark cache BEFORE the global commit markers, which are the
+        # group's last commit point — a cut after them leaves a retry
+        # nothing to apply, so nothing may follow them.  The cache is
+        # only a cache: the manifests are authoritative, and
+        # _event_watermark recomputes from them whenever the cache's
+        # group is not the newest committed one.
         staged = os.scandir(staging_dir) if os.path.isdir(staging_dir) else []
         staged_bytes = sum(f.stat().st_size for f in staged)
         shutil.rmtree(staging_dir, ignore_errors=True)
-
-        # advance the cached event-time watermark (cache only — the
-        # manifests are authoritative; _event_watermark recomputes from
-        # them whenever the cache lags the committed ledger)
         grp_max = max(
             (r["max_ts_us"] for r in reports if r.get("max_ts_us") is not None),
             default=None,
@@ -761,9 +759,14 @@ class CdcEngine:
             (w for w in (late_threshold_us, grp_max) if w is not None), default=None
         )
         if new_w is not None:
-            mf.atomic_write_json(
+            nio.commit_json(
                 os.path.join(self.cfg.path, "_watermark.json"),
                 {"watermark_us": int(new_w), "through_group": group_id},
+            )
+        for e in epochs:
+            nio.commit_json(
+                os.path.join(self.cfg.path, "_epochs", f"epoch-{e:06d}.json"),
+                {"epoch": e, "group_id": group_id, "partitions": len(reports)},
             )
         tt = _t("commit+cleanup", tt)
 
@@ -890,6 +893,9 @@ class CdcEngine:
         only for a full compaction when the WAL is known complete (no
         epoch can still deliver an older write) — the event-time
         watermark decision belongs to the operator, not the engine.
+
+        A partition without a live delta run is left as it is, whatever
+        ``force`` says: its base is already the fold of everything.
         """
         pids = pids if pids is not None else self.live_pids()
         if not pids:
@@ -907,7 +913,6 @@ class CdcEngine:
                         _compact_partition(
                             lake_path,
                             int(pid),
-                            force=force,
                             drop_tombstones=drop_tombstones,
                             row_group_rows=row_group_rows,
                         )
@@ -1007,8 +1012,7 @@ class CdcEngine:
             return rd.from_arrow(empty)
 
         def partition_changes(pid: int) -> pa.Table | None:
-            base = mf.current_base(lake_path, pid)
-            through_g = -1 if base is None else mf.compact_through(lake_path, pid, base[0])
+            _, through_g, deltas = mf.live_runs(lake_path, pid)
             if after_epoch < through_g:
                 raise ValueError(
                     f"changes after epoch {after_epoch} of partition {pid} were "
@@ -1026,7 +1030,7 @@ class CdcEngine:
                             "change feed is commit-group-granular"
                         )
             outs = []
-            for ep, path in mf.delta_runs(lake_path, pid):
+            for ep, path in deltas:
                 if ep > after_epoch and (through_epoch is None or ep <= through_epoch):
                     t = pq.read_table(path)
                     t = t.drop_columns(
@@ -1181,23 +1185,21 @@ class CdcEngine:
 
     @staticmethod
     def _write_epoch_dir(wal_dir: str, stamped: rd.Dataset, epoch: int) -> int | None:
-        """Write fully-stamped WAL rows as ``wal_dir/epoch=NNNNNN``,
-        atomically (tmp dir + rename); None if the Dataset was empty."""
-        tmp = os.path.join(wal_dir, f".tmp-epoch-{epoch:06d}")
-        shutil.rmtree(tmp, ignore_errors=True)
-        stamped.write_parquet(tmp)
-        files = (
-            [f for f in os.listdir(tmp) if f.endswith(".parquet")]
-            if os.path.isdir(tmp)  # a zero-row write creates nothing
-            else []
-        )
-        n_rows = sum(pq.read_metadata(os.path.join(tmp, f)).num_rows for f in files)
-        if n_rows == 0:
+        """Commit fully-stamped WAL rows as the directory
+        ``wal_dir/epoch=NNNNNN``, published whole by one rename; None if
+        the Dataset was empty."""
+
+        def write(tmp: str) -> bool:
             shutil.rmtree(tmp, ignore_errors=True)
-            return None
+            stamped.write_parquet(tmp)
+            files = glob.glob(os.path.join(tmp, "*.parquet"))  # none for zero rows
+            if sum(pq.read_metadata(f).num_rows for f in files):
+                return True
+            shutil.rmtree(tmp, ignore_errors=True)
+            return False
+
         final = os.path.join(wal_dir, f"epoch={epoch:06d}")
-        os.rename(tmp, final)
-        return epoch
+        return epoch if nio.commit_file(final, write) else None
 
     def export_changes_as_wal(
         self,
@@ -1427,7 +1429,7 @@ class CdcEngine:
                     os.remove(os.path.join(out_dir, name))
                 except OSError:
                     pass
-        mf.atomic_write_json(
+        nio.commit_json(
             marker, {"checksum": cs["checksum"], "rows": cs["rows"], "as_of_epoch": as_of_epoch}
         )
         return {"skipped": False, **cs}
@@ -1467,14 +1469,20 @@ class CdcEngine:
         horizon).  Reject/audit history stays with the source lake.
         Convergence is checkable with :meth:`checksum`, which is
         partition-layout invariant by construction."""
-        if os.path.exists(os.path.join(target_path, "_lake.json")):
-            raise ValueError(f"target lake already exists: {target_path}")
         # _lake.json is written LAST (below) and _RESHARDING is dropped FIRST,
         # so "_RESHARDING present, _lake.json absent" identifies a crashed
         # previous reshard: wipe the leftovers so the retry rebuilds from
-        # scratch instead of mixing generations.  A non-empty directory
-        # WITHOUT the marker is someone else's data — refuse to clobber it.
+        # scratch instead of mixing generations.  Both present: a reshard
+        # cut between its completion marker and dropping the flag — done.
+        # A non-empty directory WITHOUT the flag is someone else's data —
+        # refuse to clobber it.
         in_progress = os.path.join(target_path, "_RESHARDING")
+        if os.path.exists(os.path.join(target_path, "_lake.json")):
+            done = LakeConfig.load(target_path)
+            if not os.path.exists(in_progress) or done.num_partitions != num_partitions:
+                raise ValueError(f"target lake already exists: {target_path}")
+            os.unlink(in_progress)
+            return CdcEngine(done)
         if os.path.isdir(target_path) and os.listdir(target_path):
             if not os.path.exists(in_progress):
                 raise ValueError(
@@ -1501,7 +1509,6 @@ class CdcEngine:
             src_pids = self.live_pids()
             lake_path = src.path
             stage_dir = os.path.join(target_path, "_reshard")
-            os.makedirs(stage_dir, exist_ok=True)
             row_group_rows = tgt_cfg.base_row_group_rows
 
             def split_one(batch: pa.Table) -> pa.Table:
@@ -1548,7 +1555,7 @@ class CdcEngine:
                     base = mg.sort_by_key(mg.concat_unified(parts)).combine_chunks()
                     _write_run(mf.base_path(target_path, t, 1), base, row_group_rows)
                     _write_bloom(mf.base_path(target_path, t, 1), base["conv_id"])
-                    mf.atomic_write_json(
+                    nio.commit_json(
                         mf.compact_marker_path(target_path, t, 1),
                         {
                             "generation": 1,
@@ -1561,7 +1568,7 @@ class CdcEngine:
                         if "op" in base.schema.names
                         else base.num_rows
                     )
-                    mf.atomic_write_json(
+                    nio.commit_json(
                         mf.manifest_path(target_path, t, watermark if watermark >= 0 else 0),
                         {
                             "pid": t,
@@ -1796,7 +1803,7 @@ class CdcEngine:
             return mg.concat_unified(outs)
 
         work = [{"pid": pid, "keys": keys} for pid, keys in by_pid.items()]
-        return fan_out(work).map_batches(read_keys, batch_format="pyarrow")
+        return nio.fan_out(work).map_batches(read_keys, batch_format="pyarrow")
 
     # --------------------------------------------------------------- metrics
     def describe(self) -> dict:
@@ -1823,11 +1830,11 @@ class CdcEngine:
                 )
                 return md.num_rows
 
-            base = mf.current_base(self.cfg.path, pid)
+            base, _, deltas = mf.live_runs(self.cfg.path, pid)
             if base is not None:
                 entry["base_generation"] = base[0]
                 entry["base_rows"] = add_run(base[1])
-            for _, path in mf.delta_runs(self.cfg.path, pid):
+            for _, path in deltas:
                 entry["delta_runs"] += 1
                 entry["delta_rows"] += add_run(path)
             parts.append(entry)
@@ -1846,32 +1853,41 @@ class CdcEngine:
 
         - ``missing_delta``: a manifest commits a group whose delta
           parquet is gone AND was not folded into the base (real loss);
-        - ``row_mismatch``: a live delta's footer row count differs
+        - ``row_mismatch``: a committed delta's footer row count differs
           from its manifest's ``upserts + deletes`` lineage;
         - ``orphan_base``: a base parquet without its compact marker
           (crashed compaction — ignored by readers, reclaimable);
         - ``orphan_delta``: a delta parquet without a manifest (crashed
           apply — invisible to readers, reclaimable);
-        - ``tmp_file``: leftover ``*.tmp`` from an interrupted atomic
-          write (reclaimable).
+        - ``folded_delta`` / ``superseded_base``: a committed delta at or
+          below the base's fold watermark, or an older committed base —
+          runs a compaction folded but was cut before it unlinked them
+          (invisible to readers, reclaimable);
+        - ``tmp_file``: the unpublished tmp sibling (:func:`io.is_tmp`)
+          of an interrupted commit, in a partition, ``_epochs/`` or the
+          lake root (reclaimable).
 
         ``ok`` is True iff no REAL issues (missing_delta/row_mismatch);
-        orphans and tmps are listed as reclaimable, not failures —
+        crash remnants are listed as reclaimable, not failures —
         exactly-once means a crashed writer may leave them behind by
-        design."""
+        design.  Each reclaimable entry names its ``file`` under the
+        lake."""
+        lake = self.cfg.path
         issues: list[dict] = []
         reclaimable: list[dict] = []
+        for sub in ("", "_epochs"):
+            d = os.path.join(lake, sub)
+            for name in os.listdir(d) if os.path.isdir(d) else ():
+                if nio.is_tmp(name):
+                    reclaimable.append(
+                        {"kind": "tmp_file", "pid": None, "file": os.path.join(sub, name)}
+                    )
         for pid in self.live_pids():
-            d = mf.partition_dir(self.cfg.path, pid)
-            base = mf.current_base(self.cfg.path, pid)
-            through = -1
-            if base is not None:
-                through = mf.compact_through(self.cfg.path, pid, base[0])
-            committed = {}
-            for m in mf.read_manifests(self.cfg.path, pid):
-                committed[int(m["group_id"])] = m
+            d = mf.partition_dir(lake, pid)
+            base, through, _ = mf.live_runs(lake, pid)
+            committed = {int(m["group_id"]): m for m in mf.read_manifests(lake, pid)}
             for g, m in committed.items():
-                path = mf.delta_path(self.cfg.path, pid, g)
+                path = mf.delta_path(lake, pid, g)
                 c = m.get("counters", {})
                 expected = int(c.get("upserts", 0)) + int(c.get("deletes", 0))
                 if not os.path.exists(path):
@@ -1890,21 +1906,24 @@ class CdcEngine:
                         }
                     )
             for name in os.listdir(d):
-                full = os.path.join(d, name)
-                if name.endswith(".tmp"):
-                    reclaimable.append({"kind": "tmp_file", "pid": pid, "file": name})
+                entry = {"pid": pid, "file": os.path.join(os.path.basename(d), name)}
+                if nio.is_tmp(name):
+                    reclaimable.append({"kind": "tmp_file", **entry})
                 elif name.startswith("delta-") and name.endswith(".parquet"):
                     g = int(name[6:-8])
                     if g not in committed:
-                        reclaimable.append(
-                            {"kind": "orphan_delta", "pid": pid, "group": g}
-                        )
+                        reclaimable.append({"kind": "orphan_delta", "group": g, **entry})
+                    elif g <= through:
+                        reclaimable.append({"kind": "folded_delta", "group": g, **entry})
                 elif name.startswith("base-") and name.endswith(".parquet"):
                     gen = int(name[5:-8])
-                    if not os.path.exists(mf.compact_marker_path(self.cfg.path, pid, gen)):
-                        reclaimable.append(
-                            {"kind": "orphan_base", "pid": pid, "generation": gen}
-                        )
+                    if not os.path.exists(mf.compact_marker_path(lake, pid, gen)):
+                        kind = "orphan_base"
+                    elif gen != base[0]:
+                        kind = "superseded_base"
+                    else:
+                        continue
+                    reclaimable.append({"kind": kind, "generation": gen, **entry})
         return {
             "ok": not issues,
             "issues": issues,
@@ -1914,25 +1933,17 @@ class CdcEngine:
 
     def vacuum(self) -> dict:
         """Delete the crash remnants :meth:`fsck` classifies as
-        reclaimable — orphan deltas/bases (no commit marker: invisible
-        to every reader) and ``*.tmp`` files.  Never touches committed
-        state, so it is safe concurrent with readers; run it after
+        reclaimable (a base with its bloom sidecar).  None is visible to
+        a reader, so it is safe concurrent with readers; run it after
         crash recovery or on a janitor schedule."""
         rep = self.fsck()
         removed = 0
         for r in rep["reclaimable"]:
-            pid = r["pid"]
-            if r["kind"] == "tmp_file":
-                path = os.path.join(mf.partition_dir(self.cfg.path, pid), r["file"])
-            elif r["kind"] == "orphan_delta":
-                path = mf.delta_path(self.cfg.path, pid, r["group"])
-            else:  # orphan_base
-                path = mf.base_path(self.cfg.path, pid, r["generation"])
-            try:
-                os.remove(path)
-                removed += 1
-            except OSError:
-                pass
+            path = os.path.join(self.cfg.path, r["file"])
+            for victim in (path, _bloom_path(path)) if "generation" in r else (path,):
+                with contextlib.suppress(OSError):
+                    os.remove(victim)
+                    removed += 1
         return {"removed": removed, "had_issues": not rep["ok"]}
 
     def metrics(self) -> dict:
@@ -1954,8 +1965,8 @@ class CdcEngine:
 
 
 def _fan_out_pids(pids) -> rd.Dataset:
-    """Partition ids as a :func:`fan_out` Dataset: one block per task slot."""
-    return fan_out([{"pid": int(p)} for p in pids])
+    """Partition ids as an :func:`io.fan_out` Dataset: one block per task slot."""
+    return nio.fan_out([{"pid": int(p)} for p in pids])
 
 
 def _rows_or_empty(tables, empty: pa.Table):
@@ -2059,13 +2070,18 @@ def _apply_partition_group(
     new_epochs = sorted(e for e in epoch_set if e not in already)
     if not new_epochs:
         # retry of a committed group: surface the committed watermark so
-        # the driver's post-commit fold still sees every partition
+        # the driver's post-commit fold still sees every partition, and
+        # finish an auto-compaction the first attempt was cut inside
+        # (it reads the same live runs, so it decides the same way; one
+        # that committed left no live delta)
         prev = {}
         try:
             with open(mf.manifest_path(lake_path, pid, group_id)) as f:
                 prev = json.load(f).get("counters", {})
         except OSError:
             pass
+        if prev.get("rows_in"):
+            _auto_compact(lake_path, pid, group_id, max_delta_runs, base_row_group_rows)
         return _report_row(pid, skipped=True, max_ts_us=prev.get("max_ts_us"))
     good = _epoch_filter(good, new_epochs)
     bad = _epoch_filter(bad, new_epochs)
@@ -2135,10 +2151,7 @@ def _apply_partition_group(
         "late_upserts": late,
     }
     _write_manifest(lake_path, pid, group_id, new_epochs, counters, alerts=alerts)
-
-    # opportunistic LSM compaction when read amplification grows
-    if _compaction_due(len(mf.delta_runs(lake_path, pid)), pid, group_id, max_delta_runs):
-        _compact_partition(lake_path, pid, force=True, row_group_rows=base_row_group_rows)
+    _auto_compact(lake_path, pid, group_id, max_delta_runs, base_row_group_rows)
 
     return _report_row(
         pid,
@@ -2153,8 +2166,8 @@ def _apply_partition_group(
 
 def _compaction_due(runs: int, pid: int, group_id: int, max_delta_runs: int) -> bool:
     """Stage B's auto-compaction rule, staggered by pid.  A partition past
-    ``max_delta_runs`` delta runs compacts in a group whose id is on its
-    phase, ``(group_id + pid) % (max_delta_runs + 1) == 0``, and at
+    ``max_delta_runs`` live delta runs compacts in a group whose id is on
+    its phase, ``(group_id + pid) % (max_delta_runs + 1) == 0``, and at
     ``2 * max_delta_runs`` runs in any group.  In a loop of one-epoch
     groups that touch every partition, each partition still compacts
     every ``max_delta_runs + 1`` groups, but no longer all in the same
@@ -2164,6 +2177,15 @@ def _compaction_due(runs: int, pid: int, group_id: int, max_delta_runs: int) -> 
     if runs <= max_delta_runs:
         return False
     return runs >= 2 * max_delta_runs or (group_id + pid) % (max_delta_runs + 1) == 0
+
+
+def _auto_compact(
+    lake_path: str, pid: int, group_id: int, max_delta_runs: int, row_group_rows: int
+) -> None:
+    """Stage B's opportunistic LSM compaction when read amplification
+    grows (:func:`_compaction_due`)."""
+    if _compaction_due(len(mf.live_runs(lake_path, pid)[2]), pid, group_id, max_delta_runs):
+        _compact_partition(lake_path, pid, row_group_rows=row_group_rows)
 
 
 def _report_row(pid: int, *, skipped: bool, **counts) -> pa.Table:
@@ -2210,7 +2232,7 @@ def _write_manifest(lake_path, pid, group_id, epochs, counters, alerts=None) -> 
     payload = {"pid": pid, "group_id": group_id, "epochs": epochs, "counters": counters}
     if alerts:
         payload["alerts"] = alerts
-    mf.atomic_write_json(mf.manifest_path(lake_path, pid, group_id), payload)
+    nio.commit_json(mf.manifest_path(lake_path, pid, group_id), payload)
 
 
 def _dict_cols(schema: pa.Schema) -> list[str]:
@@ -2256,16 +2278,16 @@ _RUN_STATS_COLUMNS = ("conv_id", "turn_idx")
 def atomic_write_parquet(
     path: str, table: pa.Table, *, row_group_rows: int | None = None
 ) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + ".tmp"
-    pq.write_table(
-        table,
-        tmp,
-        use_dictionary=_dict_cols(table.schema),
-        compression=_LAKE_CODEC,
-        **({"row_group_size": row_group_rows} if row_group_rows else {}),
+    nio.commit_file(
+        path,
+        lambda tmp: pq.write_table(
+            table,
+            tmp,
+            use_dictionary=_dict_cols(table.schema),
+            compression=_LAKE_CODEC,
+            **({"row_group_size": row_group_rows} if row_group_rows else {}),
+        ),
     )
-    os.replace(tmp, path)
 
 
 def _run_group_ends(table: pa.Table, row_group_rows: int) -> list[int]:
@@ -2292,23 +2314,24 @@ def _run_group_ends(table: pa.Table, row_group_rows: int) -> list[int]:
 
 
 def _write_run(path: str, table: pa.Table, row_group_rows: int) -> None:
-    """Write a lake run (delta or base) atomically, in the byte-bounded
-    row groups of :func:`_run_group_ends`, with footer statistics on
+    """Commit a lake run (delta or base), in the byte-bounded row groups
+    of :func:`_run_group_ends`, with footer statistics on
     :data:`_RUN_STATS_COLUMNS` only."""
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + ".tmp"
-    with pq.ParquetWriter(
-        tmp,
-        table.schema,
-        use_dictionary=_dict_cols(table.schema),
-        compression=_LAKE_CODEC,
-        write_statistics=[c for c in _RUN_STATS_COLUMNS if c in table.schema.names],
-    ) as w:
-        start = 0
-        for end in _run_group_ends(table, row_group_rows):
-            w.write_table(table.slice(start, end - start), row_group_size=end - start)
-            start = end
-    os.replace(tmp, path)
+
+    def write(tmp: str) -> None:
+        with pq.ParquetWriter(
+            tmp,
+            table.schema,
+            use_dictionary=_dict_cols(table.schema),
+            compression=_LAKE_CODEC,
+            write_statistics=[c for c in _RUN_STATS_COLUMNS if c in table.schema.names],
+        ) as w:
+            start = 0
+            for end in _run_group_ends(table, row_group_rows):
+                w.write_table(table.slice(start, end - start), row_group_size=end - start)
+                start = end
+
+    nio.commit_file(path, write)
 
 
 def _partition_runs(
@@ -2338,18 +2361,13 @@ def _partition_runs_once(
     a multi-epoch commit group (no mid-group state ever existed) or
     below the compaction watermark (that history has been folded away —
     the retention horizon of any LSM lake)."""
-    runs: list[pa.Table] = []
-    base = mf.current_base(lake_path, pid)
-    through = -1
-    if base is not None:
-        gen, path = base
-        through = mf.compact_through(lake_path, pid, gen)
-        if as_of_epoch is not None and through > as_of_epoch:
-            raise ValueError(
-                f"as_of_epoch={as_of_epoch} predates partition {pid}'s compaction "
-                f"watermark (folded through group {through}); that history was "
-                "compacted away"
-            )
+    base, through, deltas = mf.live_runs(lake_path, pid)
+    if as_of_epoch is not None and through > as_of_epoch:
+        raise ValueError(
+            f"as_of_epoch={as_of_epoch} predates partition {pid}'s compaction "
+            f"watermark (folded through group {through}); that history was "
+            "compacted away"
+        )
     if as_of_epoch is not None:
         # groups folded into the base (<= through) are history, not
         # snapshot candidates — only live groups can straddle the target
@@ -2361,12 +2379,9 @@ def _partition_runs_once(
                     f"{m['group_id']} (epochs {sorted(eps)}) of partition {pid}; "
                     "snapshots exist only at commit-group boundaries"
                 )
-    if base is not None:
-        runs.append(pq.read_table(base[1]))
-    for ep, path in mf.delta_runs(lake_path, pid):
-        if ep > through and (as_of_epoch is None or ep <= as_of_epoch):
-            runs.append(pq.read_table(path))
-    return runs
+    paths = [base[1]] if base is not None else []
+    paths += [p for ep, p in deltas if as_of_epoch is None or ep <= as_of_epoch]
+    return [pq.read_table(p) for p in paths]
 
 
 #: Output row of :meth:`CdcEngine.diff` — one row per key whose LWW
@@ -2519,16 +2534,10 @@ def read_partition_state(
 
 
 def _partition_run_paths(lake_path: str, pid: int) -> list[str]:
-    """Current base + committed delta paths, oldest first (the file list
+    """Current base + live delta paths, oldest first (the file list
     ``_partition_runs`` reads, without reading them)."""
-    paths: list[str] = []
-    base = mf.current_base(lake_path, pid)
-    through = -1
-    if base is not None:
-        through = mf.compact_through(lake_path, pid, base[0])
-        paths.append(base[1])
-    paths.extend(p for ep, p in mf.delta_runs(lake_path, pid) if ep > through)
-    return paths
+    base, _, deltas = mf.live_runs(lake_path, pid)
+    return ([base[1]] if base is not None else []) + [p for _, p in deltas]
 
 
 #: Bloom sidecar parameters: ~10 bits/key, 6 double-hashed probes ->
@@ -2557,19 +2566,21 @@ def _bloom_positions(keys: np.ndarray, m: int) -> np.ndarray:
 
 
 def _write_bloom(base_path: str, conv_ids) -> None:
-    """Key-membership bloom sidecar for a compacted base, written
-    atomically next to it.  Built once per compaction from the unique
-    conv_ids (vectorized hashing, no per-key Python)."""
+    """Key-membership bloom sidecar for a compacted base, committed
+    next to it.  Built once per compaction from the unique conv_ids
+    (vectorized hashing, no per-key Python)."""
     arr = np.unique(np.asarray(conv_ids.to_numpy(zero_copy_only=False), dtype=object))
     m = 1 << int(np.ceil(np.log2(max(10 * max(len(arr), 1), 64))))
     bits = np.zeros(m >> 3, np.uint8)
     if len(arr):
         pos = _bloom_positions(arr, m).ravel()
         np.bitwise_or.at(bits, pos >> 3, np.uint8(1) << (pos & 7).astype(np.uint8))
-    tmp = _bloom_path(base_path) + ".tmp"
-    with open(tmp, "wb") as f:
-        np.save(f, bits, allow_pickle=False)
-    os.replace(tmp, _bloom_path(base_path))
+
+    def write(tmp: str) -> None:
+        with open(tmp, "wb") as f:
+            np.save(f, bits, allow_pickle=False)
+
+    nio.commit_file(_bloom_path(base_path), write)
 
 
 def _bloom_filter_keys(base_path: str, keys: list[str]) -> list[str] | None:
@@ -2668,7 +2679,6 @@ def _compact_partition(
     lake_path: str,
     pid: int,
     *,
-    force: bool,
     drop_tombstones: bool = False,
     row_group_rows: int,
 ) -> bool:
@@ -2677,38 +2687,25 @@ def _compact_partition(
     dropping them mid-stream would let a later epoch's out-of-order
     event with an older ``(ts, lsn)`` resurrect a deleted key (the WAL's
     ooo jitter spans epoch boundaries — see sources/generator.py:130-131).
-    Idempotent: generation id = prior generation + 1; marker commits it."""
-    deltas = mf.delta_runs(lake_path, pid)
-    if not deltas and not force:
+    Idempotent: generation id = prior generation + 1; marker commits it.
+    The folded runs are unlinked after the marker, best effort: a cut
+    before that leaves them dead (``fsck`` lists them, ``vacuum``
+    removes them)."""
+    base, through, deltas = mf.live_runs(lake_path, pid)
+    if not deltas:  # a lone base has nothing to fold
         return False
-    runs = _partition_runs(lake_path, pid)
-    if not runs:
-        return False
-    if len(runs) == 1 and not deltas:
-        return False
+    runs = [pq.read_table(p) for p in ([base[1]] if base else []) + [p for _, p in deltas]]
     merged = mg.merge_runs(runs, drop_tombstones=drop_tombstones)
-    base = mf.current_base(lake_path, pid)
     gen = (base[0] + 1) if base else 1
-    through = max((ep for ep, _ in deltas), default=-1)
-    if base is not None:
-        through = max(through, mf.compact_through(lake_path, pid, base[0]))
+    through = max([through] + [ep for ep, _ in deltas])
     _write_run(mf.base_path(lake_path, pid, gen), merged, row_group_rows)
     _write_bloom(mf.base_path(lake_path, pid, gen), merged["conv_id"])
-    mf.atomic_write_json(
+    nio.commit_json(
         mf.compact_marker_path(lake_path, pid, gen),
         {"generation": gen, "through_group": through, "rows": merged.num_rows},
     )
-    # best-effort cleanup of folded runs (manifests stay: they are the ledger)
-    for ep, path in deltas:
-        if ep <= through:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-    if base is not None:
-        for victim in (base[1], _bloom_path(base[1])):
-            try:
-                os.remove(victim)
-            except OSError:
-                pass
+    # manifests stay: they are the ledger
+    for victim in [p for _, p in deltas] + ([base[1], _bloom_path(base[1])] if base else []):
+        with contextlib.suppress(OSError):
+            os.remove(victim)
     return True

@@ -1,4 +1,12 @@
-"""Shared Dataset read helpers.
+"""The package's one commit primitive, and shared Dataset read helpers.
+
+:func:`commit_file` is how every file of the lake, its staging, the WAL
+generator and the persisted indexes lands: written to a tmp sibling,
+then published by one atomic rename (the Delta Lake rule: data files
+first, each published whole, and a marker last — see
+:mod:`state.manifest`).  Callers reach it as ``io.commit_file``, so a
+test can wrap that one module attribute to count or cut every commit
+point of a run, in the driver and in every worker.
 
 ``read_parquet_clean`` strips the parquet files' pandas key-value schema
 metadata right after the read (zero-copy, fused into the read stage):
@@ -9,11 +17,57 @@ reduce task and defeats its early-exit schema unification.
 
 from __future__ import annotations
 
+import json
 import os
+from typing import Callable
 
 import pyarrow as pa
 
 import ray.data as rd
+
+
+#: suffix of the sibling a commit writes before its rename
+TMP_SUFFIX = ".tmp"
+
+
+def is_tmp(name: str) -> bool:
+    """Whether ``name`` is a commit's unpublished tmp sibling: with no
+    writer running, a crash remnant that ``fsck`` lists and ``vacuum``
+    removes."""
+    return name.endswith(TMP_SUFFIX)
+
+
+def commit_file(path: str, write: Callable[[str], object]) -> bool:
+    """Publish ``path`` atomically: create its parent directory, let
+    ``write(tmp)`` fill the tmp sibling (a file, or a directory), then
+    ``os.replace`` it into place.  A reader sees the old file or the
+    whole new one, and a retry overwrites the same tmp name, so a crash
+    at any point leaves at most one reclaimable tmp.  ``write`` returning
+    False publishes nothing (it produced nothing to publish); the result
+    says whether ``path`` was published.
+
+    Durability is the writer's: commit markers fsync inside ``write``
+    (:func:`commit_json`); data and staging files do not, because a
+    marker, not the data file, is what makes them visible."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = path + TMP_SUFFIX
+    published = write(tmp) is not False
+    if published:
+        os.replace(tmp, path)
+    return published
+
+
+def commit_json(path: str, payload: dict, *, indent: int | None = None) -> None:
+    """Publish a commit marker through :func:`commit_file`, fsynced
+    before the rename so the marker never lands ahead of its bytes."""
+
+    def write(tmp: str) -> None:
+        with open(tmp, "w") as f:
+            json.dump(payload, f, indent=indent)
+            f.flush()
+            os.fsync(f.fileno())
+
+    commit_file(path, write)
 
 
 def fresh_tmp_root(prefix: str) -> str:

@@ -33,6 +33,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from nyc_taxi_data_pipeline_ray import io as nio
 from nyc_taxi_data_pipeline_ray import schemas
 
 BASE_TS_US = 1_735_689_600_000_000  # 2025-01-01T00:00:00Z in microseconds
@@ -224,21 +225,20 @@ class WalGenerator:
         # alongside the fresh ones.  Rewriting from scratch is what
         # "idempotent" promises.
         shutil.rmtree(d, ignore_errors=True)
-        os.makedirs(d, exist_ok=True)
         rpf = self.spec.rows_per_file
         for i, start in enumerate(range(0, t.num_rows, rpf)):
-            path = os.path.join(d, f"part-{i:04d}.parquet")
-            tmp = path + ".tmp"
             # small row groups so Ray's parquet reader can split one
             # segment file across many read tasks (a 250k-row single
             # group is one indivisible ~450 MB decompress unit); lz4
             # segments decode ~2.2x faster than snappy at +15% size —
             # the WAL writer is the Kafka-producer analog, so the
             # segment codec is this engine's choice
-            pq.write_table(
-                t.slice(start, rpf), tmp, row_group_size=16384, compression="lz4"
+            nio.commit_file(
+                os.path.join(d, f"part-{i:04d}.parquet"),
+                lambda tmp: pq.write_table(
+                    t.slice(start, rpf), tmp, row_group_size=16384, compression="lz4"
+                ),
             )
-            os.replace(tmp, path)
         return d
 
     def events_table(self) -> pa.Table:

@@ -52,8 +52,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data as rd
 
-from nyc_taxi_data_pipeline_ray.io import fan_out
-from nyc_taxi_data_pipeline_ray.state import manifest as mf
+from nyc_taxi_data_pipeline_ray import io as nio
 from nyc_taxi_data_pipeline_ray.state.segment_ledger import SegmentLedger, dead_mask
 
 TOPK_SCHEMA = pa.schema(
@@ -171,7 +170,7 @@ class IvfIndex:
                         f"dim {self.centroids.shape[1]}"
                     )
             os.makedirs(path, exist_ok=True)
-            mf.atomic_write_json(
+            nio.commit_json(
                 meta_path,
                 {
                     "ncells": int(self.centroids.shape[0]),
@@ -678,7 +677,7 @@ class IvfIndex:
             return pa.concat_tables(out) if out else TOPK_SCHEMA.empty_table()
 
         partial = (
-            fan_out(files)
+            nio.fan_out(files)
             .map_batches(probe_file, batch_format="pyarrow", batch_size=None)
             # materialize before the groupby: it is top-k-per-file-sized
             # (<= files x nq x k rows), and when EVERY file task returns

@@ -41,8 +41,8 @@ from typing import Callable
 import pyarrow as pa
 import ray.data as rd
 
+from nyc_taxi_data_pipeline_ray import io as nio
 from nyc_taxi_data_pipeline_ray.engine import atomic_write_parquet
-from nyc_taxi_data_pipeline_ray.io import fan_out
 from nyc_taxi_data_pipeline_ray.state import manifest as mf
 
 #: ``build(lake_path, pid, old_watermark, data_path) -> (table, work)``:
@@ -103,7 +103,7 @@ def _refresh_batch(
         entry = {"pid": pid, "watermark": int(wm), "rows": out.num_rows}
         if witness_field is not None:
             entry[witness_field] = int(n)
-        mf.atomic_write_json(manifest_path(view_path, pid), entry)
+        nio.commit_json(manifest_path(view_path, pid), entry)
         work.append(int(n))
         rows.append(out.num_rows)
     return pa.table(
@@ -168,7 +168,7 @@ class ConsumerLedger:
                 witness[0] if witness else None,
                 row_group_rows,
             )
-            ds = fan_out(stale).map_batches(task, batch_format="pyarrow")
+            ds = nio.fan_out(stale).map_batches(task, batch_format="pyarrow")
             for r in ds.take_all():
                 work += int(r["work"])
                 rows += int(r["rows"])

@@ -37,12 +37,12 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
+from nyc_taxi_data_pipeline_ray import io as nio
 from nyc_taxi_data_pipeline_ray.pipelines.text import (
     cached_minhasher,
     group_sizes_by_boundary,
     ragged_pair_indices,
 )
-from nyc_taxi_data_pipeline_ray.state import manifest as mf
 from nyc_taxi_data_pipeline_ray.state.segment_ledger import SegmentLedger, read_live_part
 
 PAIR_SCHEMA = pa.schema(
@@ -132,7 +132,7 @@ class MinHashIndex:
                 )
             self.num_perm, self.bands, self.num_buckets = num_perm, bands, num_buckets
             self.scope_col = scope_col
-            mf.atomic_write_json(
+            nio.commit_json(
                 meta_path,
                 {
                     "num_perm": num_perm,

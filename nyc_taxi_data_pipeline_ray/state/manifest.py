@@ -18,11 +18,15 @@ Layout under ``lake/p=NNNN/``:
 - ``manifest-EEEEEE.json``     commit marker + lineage for epoch E
 - ``rejects-EEEEEE.parquet``   dead-letter rows of epoch E (if any)
 
-A partition-epoch is committed iff its manifest file exists; data files
-are written to ``*.tmp`` and atomically renamed *before* the manifest,
-so a re-executed Ray task (retry or replayed run) either skips (already
-committed) or deterministically rewrites identical bytes — replaying a
-committed epoch is a no-op (exactly-once).
+The commit rule (Delta Lake, VLDB 2020), kept by one primitive,
+:func:`nyc_taxi_data_pipeline_ray.io.commit_file`: every file is written
+to a tmp sibling and published by one atomic rename, data files before
+the marker that makes them visible, and readers act only on what a
+marker has published.  A partition-epoch is committed iff its manifest
+exists, a base iff its compact marker does, so a re-executed Ray task
+(retry or replayed run) either skips (already committed) or
+deterministically rewrites identical bytes — replaying a committed
+epoch is a no-op (exactly-once).
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from typing import Iterable
 _MANIFEST_RE = re.compile(r"manifest-(\d{6,})\.json$")
 _DELTA_RE = re.compile(r"delta-(\d{6,})\.parquet$")
 _BASE_RE = re.compile(r"base-(\d{6,})\.parquet$")
+_COMPACT_RE = re.compile(r"compact-(\d{6,})\.json$")
 
 
 def partition_dir(lake_path: str, pid: int) -> str:
@@ -71,26 +76,8 @@ def is_file_not_found(e: BaseException) -> bool:
     )
 
 
-def atomic_write_json(path: str, payload: dict) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(payload, f)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
-
-
 def committed_epochs(lake_path: str, pid: int) -> set[int]:
-    d = partition_dir(lake_path, pid)
-    out = set()
-    if not os.path.isdir(d):
-        return out
-    for name in os.listdir(d):
-        m = _MANIFEST_RE.match(name)
-        if m:
-            out.add(int(m.group(1)))
-    return out
+    return _listing(lake_path, pid)[0]
 
 
 def committed_epoch_groups(
@@ -162,43 +149,61 @@ def state_changing_watermark(
     return wm if anchored else state_changing_watermark(lake_path, pid)
 
 
+def _listing(lake_path: str, pid: int):
+    """One directory listing of a partition, by kind: (committed group
+    ids, {epoch: delta path}, {generation: base path}, generations with
+    a compact marker)."""
+    d = partition_dir(lake_path, pid)
+    groups, deltas, bases, markers = set(), {}, {}, set()
+    for name in os.listdir(d) if os.path.isdir(d) else ():
+        if m := _MANIFEST_RE.match(name):
+            groups.add(int(m.group(1)))
+        elif m := _DELTA_RE.match(name):
+            deltas[int(m.group(1))] = os.path.join(d, name)
+        elif m := _BASE_RE.match(name):
+            bases[int(m.group(1))] = os.path.join(d, name)
+        elif m := _COMPACT_RE.match(name):
+            markers.add(int(m.group(1)))
+    return groups, deltas, bases, markers
+
+
+def _current_base(bases: dict, markers: set) -> tuple[int, str] | None:
+    valid = [g for g in bases if g in markers]  # committed by its marker
+    return (max(valid), bases[max(valid)]) if valid else None
+
+
 def delta_runs(lake_path: str, pid: int) -> list[tuple[int, str]]:
     """Committed delta runs, oldest first: [(epoch, path)].
 
     Only deltas whose manifest exists count — an orphan ``delta-*.parquet``
     from a crashed task is invisible until its commit marker lands.
+    Deltas already folded into the base are listed too; readers want
+    :func:`live_runs`.
     """
-    committed = committed_epochs(lake_path, pid)
-    d = partition_dir(lake_path, pid)
-    out = []
-    if not os.path.isdir(d):
-        return out
-    for name in os.listdir(d):
-        m = _DELTA_RE.match(name)
-        if m and int(m.group(1)) in committed:
-            out.append((int(m.group(1)), os.path.join(d, name)))
-    return sorted(out)
+    groups, deltas, _, _ = _listing(lake_path, pid)
+    return sorted((e, p) for e, p in deltas.items() if e in groups)
 
 
 def current_base(lake_path: str, pid: int) -> tuple[int, str] | None:
     """Newest committed base run: (generation, path) or None."""
-    d = partition_dir(lake_path, pid)
-    if not os.path.isdir(d):
-        return None
-    gens = []
-    for name in os.listdir(d):
-        m = _BASE_RE.match(name)
-        if m:
-            gens.append((int(m.group(1)), os.path.join(d, name)))
-    if not gens:
-        return None
-    # a base is valid iff its compaction marker exists
-    valid = [
-        (g, p)
-        for g, p in gens
-        if os.path.exists(os.path.join(d, f"compact-{g:06d}.json"))
-    ]
-    return max(valid) if valid else None
+    _, _, bases, markers = _listing(lake_path, pid)
+    return _current_base(bases, markers)
+
+
+def live_runs(
+    lake_path: str, pid: int
+) -> tuple[tuple[int, str] | None, int, list[tuple[int, str]]]:
+    """The runs that hold a partition's state, from one listing and at
+    most one marker read: ``(base, through, deltas)`` — the current base
+    ``(generation, path)`` or None, its fold watermark (-1 without a
+    base), and the committed deltas above it, oldest first.  A delta at
+    or below the watermark was folded into the base: a compaction cut
+    between its marker and its unlinks leaves it on disk, dead."""
+    groups, deltas, bases, markers = _listing(lake_path, pid)
+    base = _current_base(bases, markers)
+    through = -1 if base is None else compact_through(lake_path, pid, base[0])
+    live = sorted((e, p) for e, p in deltas.items() if e in groups and e > through)
+    return base, through, live
 
 
 def compact_marker_path(lake_path: str, pid: int, generation: int) -> str:

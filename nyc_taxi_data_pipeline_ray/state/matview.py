@@ -32,8 +32,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
+from nyc_taxi_data_pipeline_ray import io as nio
 from nyc_taxi_data_pipeline_ray.engine import read_partition_state
-from nyc_taxi_data_pipeline_ray.state import manifest as mf
 from nyc_taxi_data_pipeline_ray.state.consumer import ConsumerLedger
 
 #: Per-conversation aggregate row.
@@ -302,7 +302,7 @@ class DeltaAggregate:
                 cur[1] += c
 
         groups = {r: v for r, v in groups.items() if v[0] > 0}
-        mf.atomic_write_json(self.path, {"watermark": wm_now, "groups": groups})
+        nio.commit_json(self.path, {"watermark": wm_now, "groups": groups})
         return {"mode": mode, "groups": len(groups)}
 
     def _fold(self, diff_ds) -> list[tuple[str, int, int]]:

@@ -56,15 +56,10 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data as rd
 
-from nyc_taxi_data_pipeline_ray.io import fan_out
+from nyc_taxi_data_pipeline_ray import io as nio
 from nyc_taxi_data_pipeline_ray.state import manifest as mf
 
 Tombstones = list[tuple[int, np.ndarray]]
-
-
-def _write_atomic(t: pa.Table, path: str) -> None:
-    pq.write_table(t, path + ".tmp")
-    os.replace(path + ".tmp", path)
 
 
 def dead_mask(ids: np.ndarray, row_seg: int, tombs: Tombstones) -> np.ndarray:
@@ -283,7 +278,10 @@ class SegmentLedger:
             def write_file(g: pa.Table) -> pa.Table:
                 k = int(g[key][0].as_py())
                 name = f"{key}={k:0{digits}d}.parquet"
-                _write_atomic(g.drop_columns([key]), os.path.join(seg_dir, name))
+                nio.commit_file(
+                    os.path.join(seg_dir, name),
+                    lambda tmp: pq.write_table(g.drop_columns([key]), tmp),
+                )
                 return pa.table({key: pa.array([k], pa.int32()), "rows": [g.num_rows]})
 
             stats = (
@@ -292,7 +290,7 @@ class SegmentLedger:
                 .to_pandas()  # one row per key
             )
             n = int(stats["rows"].sum()) if len(stats) else 0
-        mf.atomic_write_json(seg_dir + ".json", {"segment": segment_id, **marker(n)})
+        nio.commit_json(seg_dir + ".json", {"segment": segment_id, **marker(n)})
         return n
 
     def delete(self, ids, segment_id: int) -> dict:
@@ -308,11 +306,11 @@ class SegmentLedger:
             return {"segment": segment_id, "skipped": True}
         self._check_watermark(segment_id, delete=True)
         seg_dir = self._fresh_seg_dir(segment_id)
-        _write_atomic(
-            pa.table({self.id_col: pa.array(ids, pa.int64())}),
-            os.path.join(seg_dir, "tombstones.parquet"),
+        t = pa.table({self.id_col: pa.array(ids, pa.int64())})
+        nio.commit_file(
+            os.path.join(seg_dir, "tombstones.parquet"), lambda tmp: pq.write_table(t, tmp)
         )
-        mf.atomic_write_json(
+        nio.commit_json(
             seg_dir + ".json", {"segment": segment_id, "tombstones": int(len(ids))}
         )
         return {"segment": segment_id, "skipped": False, "tombstones": int(len(ids))}
@@ -347,16 +345,20 @@ class SegmentLedger:
     # --------------------------------------------------------------- compact
     def vacuum(self) -> dict:
         """Remove run DIRECTORIES already folded into the newest base,
-        stale non-newest base dirs, and — when NO base marker exists —
-        any partial ``base-*/`` dir a crashed FIRST compact left.  That
-        last case matters: a retried compact would otherwise reuse the
-        partial dir and commit its stale files under the new marker —
-        files that may hold rows a tombstone has since deleted,
-        resurrecting them forever."""
+        stale non-newest base dirs, the tmp files of interrupted commits
+        at the top level, and — when NO base marker exists — any partial
+        ``base-*/`` dir a crashed FIRST compact left.  That last case
+        matters: a retried compact would otherwise reuse the partial dir
+        and commit its stale files under the new marker — files that may
+        hold rows a tombstone has since deleted, resurrecting them
+        forever."""
         base = self.base()
         removed = 0
         for name in os.listdir(self.path):
             full = os.path.join(self.path, name)
+            if nio.is_tmp(name) and os.path.isfile(full):
+                os.remove(full)
+                removed += 1
             if not os.path.isdir(full):
                 continue
             if base is None:
@@ -416,16 +418,19 @@ class SegmentLedger:
                     ]
                     if parts:
                         t = pa.concat_tables(parts, promote_options="default")
-                        _write_atomic(fold(t) if fold else t, os.path.join(new_dir, names[k]))
+                        nio.commit_file(
+                            os.path.join(new_dir, names[k]),
+                            lambda tmp: pq.write_table(fold(t) if fold else t, tmp),
+                        )
                 return batch
 
-            fan_out([{"key": k} for k in keys]).map_batches(
+            nio.fan_out([{"key": k} for k in keys]).map_batches(
                 fold_keys, batch_format="pyarrow", batch_size=None
             ).count()
         marker = {"generation": gen, "through_segment": through}
         if keys_field:
             marker[keys_field] = len(keys)
-        mf.atomic_write_json(new_dir + ".json", marker)
+        nio.commit_json(new_dir + ".json", marker)
         for d in runs:
             shutil.rmtree(d, ignore_errors=True)
         return {"folded": True, "generation": gen, "through_segment": through, "keys": len(keys)}
@@ -465,7 +470,7 @@ class SegmentLedger:
                 parts.append(part)
             return pa.concat_tables(parts) if parts else empty
 
-        return fan_out(files).map_batches(read, batch_format="pyarrow", batch_size=None)
+        return nio.fan_out(files).map_batches(read, batch_format="pyarrow", batch_size=None)
 
     # ---------------------------------------------------------------- report
     def describe(self) -> dict:
@@ -521,7 +526,7 @@ class SegmentLedger:
 
         names = sorted(os.listdir(self.path))
         for name in names:
-            if name.endswith(".tmp"):
+            if nio.is_tmp(name):
                 issue("warning", "tmp_file", file=name)
         markers = self._markers()
         newest = self.base()
@@ -565,7 +570,7 @@ class SegmentLedger:
                         pq.read_schema(os.path.join(d, f))
                     except Exception as e:
                         issue("fatal", "unreadable_file", file=rel, error=str(e)[:200])
-                elif f.endswith(".tmp") and d != adm:
+                elif nio.is_tmp(f) and d != adm:
                     issue("warning", "tmp_file", file=rel)
         return {
             "ok": not any(i["severity"] == "fatal" for i in issues),
@@ -588,11 +593,11 @@ class SegmentLedger:
         return pq.read_table(p).to_pandas() if os.path.exists(p) else None
 
     def persist_hits(self, segment_id: int, df: pd.DataFrame, params: dict) -> None:
-        """Write the epoch's probe hits as a sidecar, tmp+rename, with
-        the probe parameters in its schema metadata.  ``_admissions/``
-        is invisible to vacuum/compact, which only touch ``base-*`` /
-        ``seg-*``, so a persisted decision survives every later fold."""
-        os.makedirs(os.path.join(self.path, "_admissions"), exist_ok=True)
+        """Commit the epoch's probe hits as a sidecar, with the probe
+        parameters in its schema metadata.  ``_admissions/`` is
+        invisible to vacuum/compact, which only touch ``base-*`` /
+        ``seg-*`` and tmp files at the top level, so a persisted
+        decision survives every later fold."""
         t = (
             pa.Table.from_pandas(
                 df[self.hits_schema.names], preserve_index=False
@@ -606,7 +611,7 @@ class SegmentLedger:
                 **{str(k).encode(): str(v).encode() for k, v in params.items()},
             }
         )
-        _write_atomic(t, self._hits_path(segment_id))
+        nio.commit_file(self._hits_path(segment_id), lambda tmp: pq.write_table(t, tmp))
 
     def hits_params(self, segment_id: int) -> dict[str, str]:
         """Probe parameters recorded in the sidecar's schema metadata

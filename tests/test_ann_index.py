@@ -676,25 +676,25 @@ def test_crashed_first_compact_cannot_resurrect_tombstoned_vectors(tmp_path):
 
     import pyarrow.parquet as pq
 
-    import nyc_taxi_data_pipeline_ray.state.manifest as mf
+    from nyc_taxi_data_pipeline_ray import io as nio
 
     ids, mat = _vectors()
     idx = _build(tmp_path, ids, mat)
-    orig = mf.atomic_write_json
+    orig = nio.commit_json
 
     def crash_on_marker(path, obj):
         if "base-" in os.path.basename(path):
             raise RuntimeError("simulated crash before base marker")
         return orig(path, obj)
 
-    mf.atomic_write_json = crash_on_marker
+    nio.commit_json = crash_on_marker
     try:
         import pytest
 
         with pytest.raises(RuntimeError, match="simulated crash"):
             idx.compact()
     finally:
-        mf.atomic_write_json = orig
+        nio.commit_json = orig
     partial = os.path.join(idx.path, "base-000001")
     assert os.path.isdir(partial) and not os.path.exists(partial + ".json")
 
@@ -1062,7 +1062,8 @@ def test_fsck_healthy_and_corruptions(tmp_path):
     kinds = {i["kind"] for i in rep["issues"]}
     assert kinds == {"uncommitted_run_dir", "tmp_file"}
     os.rmdir(os.path.join(idx.path, "seg-000099"))
-    os.remove(os.path.join(idx.path, "marker.json.tmp"))
+    assert idx.vacuum() == {"removed": 1}  # the tmp file fsck reported
+    assert idx.fsck()["issues"] == []
 
     # truncate a live cell file: fatal unreadable_file
     d = os.path.join(idx.path, "seg-000000")

@@ -403,21 +403,21 @@ def test_crashed_first_compact_cannot_resurrect_tombstoned_docs(tmp_path, corpus
 
     # crash the first compact right before its marker write
     real = type(idx).__mro__[0]  # noqa: F841 (clarity)
-    import nyc_taxi_data_pipeline_ray.state.manifest as mf
+    from nyc_taxi_data_pipeline_ray import io as nio
 
-    orig = mf.atomic_write_json
+    orig = nio.commit_json
 
     def crash_on_marker(path, obj):
         if "base-" in os.path.basename(path):
             raise RuntimeError("simulated crash before base marker")
         return orig(path, obj)
 
-    mf.atomic_write_json = crash_on_marker
+    nio.commit_json = crash_on_marker
     try:
         with pytest.raises(RuntimeError, match="simulated crash"):
             idx.compact()
     finally:
-        mf.atomic_write_json = orig
+        nio.commit_json = orig
     partial = os.path.join(idx.path, "base-000001")
     assert os.path.isdir(partial) and not os.path.exists(partial + ".json")
 

@@ -138,6 +138,72 @@ def test_fsck(applied):
     _assert_equal_state(eng, applied[0])  # lake state untouched
 
 
+def _lake_files(root: str) -> list[str]:
+    return sorted(
+        os.path.relpath(os.path.join(d, f), root) for d, _, fs in os.walk(root) for f in fs
+    )
+
+
+def test_compaction_cut_before_unlinks_leaves_reclaimable_runs(tmp_path, monkeypatch):
+    """A compaction cut between its marker and the unlinks that follow
+    has committed, but leaves the folded delta and the superseded base
+    (with its bloom) on disk.  They are dead: ``describe`` counts what a
+    crash-free compaction counts, ``fsck`` lists them as reclaimable,
+    and after ``vacuum`` the lake holds a crash-free run's files."""
+    from nyc_taxi_data_pipeline_ray.engine import _compact_partition as compact_partition
+
+    spec = WalSpec(seed=21, num_conversations=60, num_epochs=2, events_per_epoch=400)
+    gen = WalGenerator(spec)
+    wal = str(tmp_path / "wal")
+    gen.write(wal)
+    lakes = {}
+    for name in ("clean", "cut"):
+        eng = CdcEngine(LakeConfig.open_or_create(str(tmp_path / name), num_partitions=2))
+        eng.apply(wal, max_epochs=1)
+        eng.compact()
+        eng.apply(wal, max_epochs=1)
+        lakes[name] = eng
+    clean, cut = lakes["clean"], lakes["cut"]
+    rgr = clean.cfg.base_row_group_rows
+    assert compact_partition(clean.cfg.path, 0, row_group_rows=rgr)
+
+    def refuse(path):
+        raise OSError(f"cut before unlinking {path}")
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "remove", refuse)
+        assert compact_partition(cut.cfg.path, 0, row_group_rows=rgr)
+    assert cut.describe()["total_rows"] == clean.describe()["total_rows"]
+    _assert_equal_state(cut, gen)
+    rep = cut.fsck()
+    assert rep["ok"] and rep["issues"] == []
+    assert sorted((r["kind"], r["file"]) for r in rep["reclaimable"]) == [
+        ("folded_delta", os.path.join("p=0000", "delta-000001.parquet")),
+        ("superseded_base", os.path.join("p=0000", "base-000001.parquet")),
+    ]
+    # the next compaction folds only live runs: the remnants stay for vacuum
+    assert not compact_partition(cut.cfg.path, 0, row_group_rows=rgr)
+    assert cut.vacuum()["removed"] == 3  # delta, base, bloom sidecar
+    assert _lake_files(cut.cfg.path) == _lake_files(clean.cfg.path)
+    _assert_equal_state(cut, gen)
+
+
+def test_fsck_lists_tmp_files_outside_partitions(applied):
+    """A commit cut before its rename leaves its tmp sibling wherever the
+    file lives: the lake root and ``_epochs/`` too, not only partitions."""
+    _, _, eng, _ = applied
+    names = [os.path.join("_epochs", "epoch-000099.json.tmp"), "_watermark.json.tmp"]
+    for n in names:
+        open(os.path.join(eng.cfg.path, n), "w").close()
+    rep = eng.fsck()
+    assert rep["ok"]
+    assert sorted(r["file"] for r in rep["reclaimable"] if r["kind"] == "tmp_file") == sorted(
+        names
+    )
+    assert eng.vacuum()["removed"] == 2
+    assert eng.fsck()["reclaimable"] == []
+
+
 def test_get_conversations_bulk_lookup(applied):
     # partition-pruned bulk point reads == the snapshot filtered to the
     # same keys; unknown keys return nothing; empty request is empty
@@ -1845,14 +1911,15 @@ def test_resume_check_reads_only_manifests_that_can_cover_the_group(tmp_path):
     at or above E (a manifest's name is its group's max epoch), so an
     unreadable older manifest does not matter, and a multi-epoch group
     reaching below E is still seen."""
+    from nyc_taxi_data_pipeline_ray import io as nio
     from nyc_taxi_data_pipeline_ray.state import manifest as mf
 
     lake = str(tmp_path)
     os.makedirs(mf.partition_dir(lake, 0))
     with open(mf.manifest_path(lake, 0, 1), "w") as f:
         f.write("{not json")
-    mf.atomic_write_json(mf.manifest_path(lake, 0, 4), {"group_id": 4, "epochs": [2, 3, 4]})
-    mf.atomic_write_json(mf.manifest_path(lake, 0, 5), {"group_id": 5, "epochs": [5]})
+    nio.commit_json(mf.manifest_path(lake, 0, 4), {"group_id": 4, "epochs": [2, 3, 4]})
+    nio.commit_json(mf.manifest_path(lake, 0, 5), {"group_id": 5, "epochs": [5]})
     assert mf.committed_epoch_groups(lake, 0, min_epoch=3) == {2, 3, 4, 5}
     assert mf.committed_epoch_groups(lake, 0, min_epoch=5) == {5}
     assert mf.committed_epoch_groups(lake, 1, min_epoch=0) == set()

@@ -399,11 +399,12 @@ def test_state_changing_watermark_after_foreign_group_scans_all(tmp_path):
     """``after_group`` skips older manifests only when it names a
     state-changing commit of the partition; otherwise the whole ledger
     decides."""
+    from nyc_taxi_data_pipeline_ray import io as nio
     from nyc_taxi_data_pipeline_ray.state import manifest as mf
 
     lake = str(tmp_path)
     for g, upserts in ((1, 5), (3, 0), (4, 2), (6, 0)):
-        mf.atomic_write_json(
+        nio.commit_json(
             mf.manifest_path(lake, 0, g), {"group_id": g, "counters": {"upserts": upserts}}
         )
     assert mf.state_changing_watermark(lake, 0) == 4
