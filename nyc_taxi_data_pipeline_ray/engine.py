@@ -69,6 +69,8 @@ unit of truth.
 
 from __future__ import annotations
 
+import bisect
+import collections
 import contextlib
 import glob
 import hashlib
@@ -77,6 +79,7 @@ import os
 import re
 import shutil
 import sys
+import threading
 import time
 import uuid
 from dataclasses import dataclass, field
@@ -97,6 +100,9 @@ from nyc_taxi_data_pipeline_ray.state import manifest as mf
 from nyc_taxi_data_pipeline_ray.state import merge as mg
 
 _EPOCH_DIR_RE = re.compile(r"epoch=(\d{6,})$")
+# {4,}: mf.partition_dir formats p={pid:04d}, which grows to five digits
+# at partition 10 000
+_PARTITION_DIR_RE = re.compile(r"p=(\d{4,})$")
 
 
 def _wal_epochs(wal_dir: str) -> list[tuple[int, str]]:
@@ -879,7 +885,6 @@ class CdcEngine:
         self,
         pids: list[int] | None = None,
         *,
-        force: bool = True,
         drop_tombstones: bool = False,
     ) -> int:
         """Merge each partition's base + delta runs into a new base
@@ -894,8 +899,8 @@ class CdcEngine:
         epoch can still deliver an older write) — the event-time
         watermark decision belongs to the operator, not the engine.
 
-        A partition without a live delta run is left as it is, whatever
-        ``force`` says: its base is already the fold of everything.
+        A partition without a live delta run is left as it is: its base
+        is already the fold of everything.
         """
         pids = pids if pids is not None else self.live_pids()
         if not pids:
@@ -927,7 +932,7 @@ class CdcEngine:
         if not os.path.isdir(self.cfg.path):
             return out
         for name in os.listdir(self.cfg.path):
-            m = re.match(r"p=(\d{4})$", name)
+            m = _PARTITION_DIR_RE.match(name)
             if m:
                 out.append(int(m.group(1)))
         return sorted(out)
@@ -2535,9 +2540,13 @@ def read_partition_state(
 
 def _partition_run_paths(lake_path: str, pid: int) -> list[str]:
     """Current base + live delta paths, oldest first (the file list
-    ``_partition_runs`` reads, without reading them)."""
+    ``_partition_runs`` reads, without reading them).  The point-lookup
+    listing: it also drops the partition's lookup-cache entries of runs
+    that are no longer live (:meth:`_RunCache.retain`)."""
     base, _, deltas = mf.live_runs(lake_path, pid)
-    return ([base[1]] if base is not None else []) + [p for _, p in deltas]
+    paths = ([base[1]] if base is not None else []) + [p for _, p in deltas]
+    _LOOKUP_CACHE.retain(mf.partition_dir(lake_path, pid), paths)
+    return paths
 
 
 #: Bloom sidecar parameters: ~10 bits/key, 6 double-hashed probes ->
@@ -2585,10 +2594,10 @@ def _write_bloom(base_path: str, conv_ids) -> None:
 
 def _bloom_filter_keys(base_path: str, keys: list[str]) -> list[str] | None:
     """Subset of ``keys`` the base MIGHT contain, or None when no
-    sidecar exists (older lakes: read everything)."""
-    path = _bloom_path(base_path)
+    sidecar exists (older lakes: read everything).  The bits come
+    through the lookup cache: the sidecar is write-once, like its base."""
     try:
-        bits = np.load(path, allow_pickle=False)
+        bits = _LOOKUP_CACHE.bloom_bits(_bloom_path(base_path))
     except (OSError, ValueError):
         return None
     m = int(bits.shape[0]) << 3
@@ -2596,6 +2605,186 @@ def _bloom_filter_keys(base_path: str, keys: list[str]) -> list[str] | None:
     pos = _bloom_positions(arr, m)
     hit = (bits[pos >> 3] & (np.uint8(1) << (pos & 7).astype(np.uint8))) != 0
     return [k for k, ok in zip(keys, hit.all(axis=1)) if ok]
+
+
+def _group_bounds(f: pq.ParquetFile, column: str) -> list[tuple | None]:
+    """Per row group, the footer ``(min, max)`` of ``column``, or None
+    for a group without usable statistics (it is always read)."""
+    md = f.metadata
+    try:
+        ci = f.schema_arrow.get_field_index(column)
+    except KeyError:
+        ci = -1
+    out: list[tuple | None] = []
+    for g in range(md.num_row_groups):
+        st = md.row_group(g).column(ci).statistics if ci >= 0 else None
+        out.append((st.min, st.max) if st is not None and st.has_min_max else None)
+    return out
+
+
+def _pick_groups(bounds: list[tuple | None], keys_sorted: list[str]) -> list[int]:
+    """The row groups whose bounds can hold one of ``keys_sorted``."""
+    pick = []
+    for g, b in enumerate(bounds):
+        if b is not None:
+            j = bisect.bisect_left(keys_sorted, b[0])
+            if not (j < len(keys_sorted) and keys_sorted[j] <= b[1]):
+                continue
+        pick.append(g)
+    return pick
+
+
+def _file_ident(path: str, st: os.stat_result) -> tuple:
+    return (path, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+#: Byte cap of the process-wide lookup cache (:data:`_LOOKUP_CACHE`).
+#: Live-set eviction keeps it far below this on a follow-style lake (8
+#: partitions of one base and a few deltas each); the cap bounds a lake
+#: whose live runs outgrow it.
+_LOOKUP_CACHE_BYTES = 64 << 20
+
+#: the write-once lake runs, the only files the lookup cache holds
+#: (with a base's bloom sidecar); a consumer's ``p=NNNN.parquet``, whose
+#: name gets new bytes on every refresh, never matches
+_LAKE_RUN_RE = re.compile(r"(?:^|/)p=\d{4,}/(?:base|delta)-\d{6,}\.parquet$")
+
+
+class _RunCache:
+    """Process-wide, byte-capped LRU of what point lookups decode from
+    lake runs: each run's footer key bounds, its decoded row groups and
+    a base's bloom bits — the block cache of an LSM store over immutable
+    runs.
+
+    Only write-once files are cached: once committed, a lake run's name
+    never gets other bytes (a retry renames identical bytes over it).
+    Entries are keyed by the file's stat identity ``(path, st_dev,
+    st_ino, st_size, st_mtime_ns)``, so a lake deleted and rebuilt at
+    the same path misses instead of serving the old rows.  A miss opens
+    the file and keys what it decodes by that open file's ``fstat``, so
+    an entry always holds the bytes of the inode its key names; a
+    vanished file raises ``FileNotFoundError`` from the stat, which the
+    readers' one-retry re-list handles.
+
+    Bounded twice: :meth:`retain` drops a partition's entries of runs no
+    longer live (folded by compaction) whenever a lookup lists that
+    partition, and the LRU evicts past :data:`_LOOKUP_CACHE_BYTES`."""
+
+    def __init__(self, cap_bytes: int):
+        self.cap = cap_bytes
+        self._lru: collections.OrderedDict = collections.OrderedDict()  # key -> (value, nbytes)
+        self._files: dict[str, dict[str, set]] = {}  # dir -> file -> keys
+        self._lock = threading.Lock()
+        self.bytes = self.hits = self.misses = 0
+
+    def stats(self) -> dict:
+        with self._lock:
+            return {
+                "entries": len(self._lru),
+                "bytes": self.bytes,
+                "hits": self.hits,
+                "misses": self.misses,
+            }
+
+    def files(self) -> set[str]:
+        """The paths of the files with a cached entry."""
+        with self._lock:
+            return {f for files in self._files.values() for f in files}
+
+    def _get(self, key: tuple):
+        with self._lock:
+            hit = self._lru.get(key)
+            if hit is None:
+                self.misses += 1
+                return None
+            self._lru.move_to_end(key)
+            self.hits += 1
+            return hit[0]
+
+    def _drop(self, key: tuple) -> None:
+        _, nbytes = self._lru.pop(key)
+        self.bytes -= nbytes
+        path = key[0][0]
+        d = os.path.dirname(path)
+        keys = self._files[d][path]
+        keys.discard(key)
+        if not keys:
+            del self._files[d][path]
+            if not self._files[d]:
+                del self._files[d]
+
+    def _put(self, key: tuple, value, nbytes: int) -> None:
+        ident = key[0]
+        path = ident[0]
+        with self._lock:
+            if key in self._lru:
+                return
+            # one identity per path: a rebuilt file's entries replace the old one's
+            old = self._files.get(os.path.dirname(path), {}).get(path, ())
+            for k in [k for k in old if k[0] != ident]:
+                self._drop(k)
+            self._lru[key] = (value, nbytes)
+            self.bytes += nbytes
+            self._files.setdefault(os.path.dirname(path), {}).setdefault(path, set()).add(key)
+            while self.bytes > self.cap:
+                self._drop(next(iter(self._lru)))
+
+    def retain(self, partition_dir: str, live_runs: list[str]) -> None:
+        """Drop the entries of ``partition_dir``'s files that belong to
+        no run in ``live_runs``."""
+        with self._lock:
+            files = self._files.get(partition_dir)
+            if not files:
+                return
+            keep = set(live_runs) | {_bloom_path(p) for p in live_runs}
+            for path in [p for p in files if p not in keep]:
+                for key in list(files[path]):
+                    self._drop(key)
+
+    def bloom_bits(self, path: str) -> np.ndarray:
+        ident = _file_ident(path, os.stat(path))
+        bits = self._get((ident, "bloom"))
+        if bits is None:
+            with open(path, "rb") as f:
+                ident = _file_ident(path, os.fstat(f.fileno()))
+                bits = np.load(f, allow_pickle=False)
+            self._put((ident, "bloom"), bits, bits.nbytes)
+        return bits
+
+    def run_groups(
+        self, path: str, column: str, keys_sorted: list[str]
+    ) -> tuple[list, list[int], list[pa.Table]]:
+        """``(bounds, picked groups, their decoded tables)`` of a lake
+        run for a pruned read; only the missing parts are decoded."""
+        ident = _file_ident(path, os.stat(path))
+        bounds = self._get((ident, "bounds", column))
+        pick = [] if bounds is None else _pick_groups(bounds, keys_sorted)
+        got = {g: self._get((ident, g)) for g in pick}
+        if bounds is None or any(t is None for t in got.values()):
+            with open(path, "rb") as fh:
+                opened = _file_ident(path, os.fstat(fh.fileno()))
+                if opened != ident:  # replaced since the stat: read the new file
+                    ident, bounds, got = opened, None, {}
+                f = pq.ParquetFile(fh)
+                if bounds is None:
+                    bounds = _group_bounds(f, column)
+                    pick = _pick_groups(bounds, keys_sorted)
+                    self._put((ident, "bounds", column), bounds, 128 * (len(bounds) + 1))
+                for g in pick:
+                    if got.get(g) is None:
+                        got[g] = f.read_row_group(g)
+                        self._put((ident, g), got[g], got[g].nbytes)
+        return bounds, pick, [got[g] for g in pick]
+
+
+_LOOKUP_CACHE = _RunCache(_LOOKUP_CACHE_BYTES)
+
+
+def lookup_cache_stats() -> dict:
+    """This process's lookup cache: ``entries`` (footer bounds, decoded
+    row groups and bloom bitmaps held), their ``bytes``, and the
+    ``hits``/``misses`` of every cache probe so far; a miss decodes."""
+    return _LOOKUP_CACHE.stats()
 
 
 def read_run_pruned(
@@ -2610,31 +2799,25 @@ def read_run_pruned(
     ``(rows, groups_read, groups_total)``; rows are already filtered to
     the requested keys.  Parquet string stats may be truncated, but
     truncation keeps them valid bounds, so pruning is always safe —
-    a group with no stats is read (correctness over selectivity)."""
-    import bisect
+    a group with no stats is read (correctness over selectivity).
 
+    A lake run's bounds and groups come through the lookup cache
+    (:class:`_RunCache`); any other file (a consumer's ``p=NNNN.parquet``,
+    rewritten by every refresh) is read from disk every time."""
     keys_sorted = sorted(keys)
-    f = pq.ParquetFile(path)
-    md = f.metadata
-    try:
-        ci = f.schema_arrow.get_field_index(column)
-    except KeyError:
-        ci = -1
-    pick: list[int] = []
-    for g in range(md.num_row_groups):
-        st = md.row_group(g).column(ci).statistics if ci >= 0 else None
-        if st is None or not st.has_min_max:
-            pick.append(g)
-            continue
-        lo, hi = st.min, st.max
-        j = bisect.bisect_left(keys_sorted, lo)
-        if j < len(keys_sorted) and keys_sorted[j] <= hi:
-            pick.append(g)
-    if not pick:
-        return None, 0, md.num_row_groups
-    t = f.read_row_groups(pick)
-    t = t.filter(pc.is_in(t[column], value_set=pa.array(keys_sorted, pa.string())))
-    return (t if t.num_rows else None), len(pick), md.num_row_groups
+    if _LAKE_RUN_RE.search(path):
+        bounds, pick, groups = _LOOKUP_CACHE.run_groups(path, column, keys_sorted)
+    else:
+        f = pq.ParquetFile(path)
+        bounds = _group_bounds(f, column)
+        pick = _pick_groups(bounds, keys_sorted)
+        groups = [f.read_row_groups(pick)] if pick else []
+    if not groups:
+        return None, 0, len(bounds)
+    value_set = pa.array(keys_sorted, pa.string())
+    hits = [t.filter(pc.is_in(t[column], value_set=value_set)) for t in groups]
+    t = hits[0] if len(hits) == 1 else pa.concat_tables(hits)
+    return (t if t.num_rows else None), len(pick), len(bounds)
 
 
 def _read_keys_pruned(

@@ -2619,7 +2619,7 @@ def q_cdc_point_lookup(sf_dir: str) -> pd.DataFrame:
     root = "/tmp/nyc_ray_q_point_lookup"
     eng, wal_dir = _events_as_transcript_wal(sf_dir, root)
     eng.apply(wal_dir)
-    eng.compact(force=True)
+    eng.compact()
     import pyarrow.parquet as _pq
 
     ev = _pq.read_table(f"{sf_dir}/events.parquet", columns=["user_id"])

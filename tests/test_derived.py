@@ -140,7 +140,7 @@ def test_derived_full_rebuild_below_compaction_watermark(tmp_path):
     eng.apply(wal, max_epochs=1)
     dt.refresh()
     eng.apply(wal)
-    eng.compact(force=True)
+    eng.compact()
     r = dt.refresh()
     assert r["refreshed"] == 4
     assert dt.table().equals(_expected(eng))

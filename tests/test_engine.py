@@ -804,7 +804,7 @@ def test_bloom_sidecar_skips_absent_keys(tmp_path):
     spec = WalSpec(seed=91, num_conversations=80, num_epochs=2, events_per_epoch=900)
     gen, wal, eng = _build(str(tmp_path), spec)
     eng.apply(wal)
-    eng.compact(force=True)
+    eng.compact()
 
     snap = eng.snapshot_table()
     present = sorted(set(snap["conv_id"].to_pylist()))
@@ -861,7 +861,7 @@ def test_row_group_pruned_lookup(tmp_path):
         )
     )
     eng.apply(wal)
-    eng.compact(force=True)
+    eng.compact()
 
     snap = eng.snapshot_table()
     conv = snap["conv_id"][0].as_py()
@@ -922,7 +922,7 @@ def test_time_travel_rejects_mid_group_and_compacted_history(tmp_path):
     snap = eng.snapshot_table(as_of_epoch=2)
     assert snap.num_rows > 0
     # compaction folds the history away -> earlier as-of raises
-    eng.compact(force=True)
+    eng.compact()
     with pytest.raises(Exception, match="compact"):
         eng.snapshot_table(as_of_epoch=1)
 
@@ -971,7 +971,7 @@ def test_change_feed_reconstructs_state(tmp_path):
 def test_change_feed_compaction_guard(tmp_path):
     gen, wal, eng = _build(str(tmp_path), SPEC)
     eng.apply(wal)
-    eng.compact(force=True)
+    eng.compact()
     with pytest.raises(Exception, match="folded into the base"):
         eng.changes(after_epoch=-1).materialize()
     # at-or-above the watermark: empty feed, no error
@@ -1012,7 +1012,7 @@ def test_describe_reports_physical_stats(tmp_path):
     # footer row counts cover every live row (upserts incl. superseded
     # versions across runs >= final distinct keys)
     assert d["total_rows"] >= eng.snapshot_table().num_rows
-    eng.compact(force=True)
+    eng.compact()
     d2 = eng.describe()
     assert d2["max_delta_runs"] == 0
     assert all(p["base_generation"] is not None for p in d2["per_partition"])
@@ -2387,3 +2387,15 @@ def test_event_watermark_after_lost_markers_equals_full_scan(tmp_path):
     assert m[0]["late_upserts"] == m[1]["late_upserts"] and m[0]["late_upserts"] > 0
     for eng in lakes:
         _assert_equal_state(eng, gen)
+
+
+def test_live_pids_lists_five_digit_partitions(tmp_path):
+    """``mf.partition_dir`` formats ``p={pid:04d}``, which grows to five
+    digits at partition 10 000; ``live_pids`` must list those dirs too
+    (compact, snapshot, fsck and every consumer iterate it)."""
+    from nyc_taxi_data_pipeline_ray.state import manifest as mf
+
+    eng = CdcEngine(LakeConfig.open_or_create(str(tmp_path / "lake"), num_partitions=4))
+    for pid in (9999, 10000, 10001):
+        os.makedirs(mf.partition_dir(eng.cfg.path, pid))
+    assert eng.live_pids() == [9999, 10000, 10001]
