@@ -353,7 +353,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "cdc_checksum": R.q_cdc_checksum,
         # cross-lake replication: feed export -> apply -> checksum match
         "cdc_replicate": R.q_cdc_replicate,
-        # per-epoch fold of the partition-epoch manifest lineage counters
+        # per-epoch fold of the commit-log records' lineage counters
         "cdc_lineage": R.q_cdc_lineage,
         # event-time watermark + late-arrival accounting per epoch
         "cdc_watermarks": R.q_cdc_watermarks,

@@ -10,9 +10,9 @@ The Ray-Data-native replacement for the reference's whole ELT loop:
   fct_trips.sql:1-13``)                   -> per-partition LWW delta runs
 - schema evolution (``snowflake/setup.sql:58-61``) -> Arrow unification
 - checkpoint/resume (``streaming/spark/fraud_detector.py:190``)
-                                          -> epoch manifests + markers
-- Redis counters (``fraud_detector.py:54-118``) -> manifest lineage,
-  merged monoid-style by :meth:`CdcEngine.metrics`
+                                          -> one commit log per lake
+- Redis counters (``fraud_detector.py:54-118``) -> lineage in the log
+  records, merged monoid-style by :meth:`CdcEngine.metrics`
 
 Dataflow of one :meth:`apply` run (a group of unapplied epochs) — ONE
 Ray Data execution, Stage A -> [A2] -> Stage B::
@@ -40,8 +40,9 @@ Ray Data execution, Stage A -> [A2] -> Stage B::
 
     Stage B  (one call per pid group):
       one group per lake partition: its slice rows ARE its slice index.
-      Memory-map the named batches, drop already-committed epochs (resume),
-      LWW-merge, write delta run + rejects + manifest (the commit point).
+      Memory-map the named batches, LWW-merge, write the delta run and
+      rejects (data files only) and return the partition's counters and
+      alerts in its report row.
 
     Units enter as min(units, cluster CPUs // task_cpus) blocks
     (``io.fan_out``), one per task slot, and the block count picks the
@@ -53,7 +54,9 @@ Ray Data execution, Stage A -> [A2] -> Stage B::
     through its units or partitions one at a time.  Both plans call the
     same task bodies; only the grouping differs.
 
-    driver: global epoch markers, then staging cleanup.
+    driver: staging cleanup, then the group's one log record — the
+    commit point that makes it visible in every partition at once
+    (state/manifest.py).
 
 The payload never crosses the object store: an exchange moves only the
 small slice rows, while the rows themselves go through the partitioned
@@ -63,8 +66,8 @@ at the 10^10-event scale, where a sort-based exchange of the full text
 payload would bottleneck the object store.  Per-unit pre-combine
 collapses repeated writes to the same key before anything is staged.
 State lives in the lake (base + delta runs per partition), never in
-actor memory — tasks are stateless and retryable; the manifest is the
-unit of truth.
+actor memory — tasks are stateless and retryable; the log record is
+the unit of truth.
 """
 
 from __future__ import annotations
@@ -78,7 +81,6 @@ import json
 import os
 import re
 import shutil
-import sys
 import threading
 import time
 import uuid
@@ -300,7 +302,7 @@ class _StageUnits:
         O(units x partitions) slice map (~10 GB of heap at 10^10 events /
         4096 partitions).  The first unit also emits a
         placeholder row for every partition, so a partition this group
-        does not touch still gets its (empty) manifest."""
+        does not touch still gets its (empty) report row."""
         _ensure_worker_thread_limit()
         rows = []
         for u in units.to_pylist():  # tiny descriptor rows, not a data loop
@@ -379,11 +381,10 @@ class _PreMergeSalts:
     at most one staged run passes through whole and writes nothing: the
     run is one unit of one epoch, which Stage A already combined per key.
 
-    The pre-combine runs PER EPOCH (not across the whole group): a
-    cross-epoch combine would sum ``_nsrc`` lineage weights across epoch
-    boundaries, which breaks the per-epoch resume filter's row
-    accounting when a later retry must drop already-committed epochs.
-    Stage B's final resolve collapses the per-epoch winners anyway.
+    The pre-combine runs PER EPOCH (not across the whole group), so the
+    fragment keeps every epoch's winner of a key; Stage B's final
+    resolve collapses them.  ``_nsrc`` lineage weights sum within each
+    epoch, so Stage B's ``rows_in`` stays exact.
     """
 
     def __init__(self, staging_dir: str):
@@ -418,9 +419,13 @@ class ApplyReport:
     rejects: int = 0
     upserts: int = 0
     deletes: int = 0
-    skipped_partitions: int = 0
     staged_bytes: int = 0  # size of the group's staging dir just before cleanup
     seconds: float = 0.0
+    #: ``unit_scan`` (schemas, units, the log read), ``execute`` (the one
+    #: Ray Data execution: Stage A, A2, B) and ``commit`` (staging cleanup,
+    #: the log record, this report); they sum to ``seconds``.  The record
+    #: stores them too, its ``commit`` stopping at the record's own write.
+    stage_seconds: dict = field(default_factory=dict)
     details: list[dict] = field(default_factory=list)
 
 
@@ -545,8 +550,11 @@ class CdcEngine:
         config that disagrees on the physical routing constants raises —
         ``num_partitions``/``salt_shards`` decide where every key lives,
         so silently overwriting ``_lake.json`` would misroute all
-        subsequent applies and break partition-pruned lookups."""
+        subsequent applies and break partition-pruned lookups.  A lake
+        in the retired per-partition-manifest layout raises
+        :class:`LakeLayoutError`."""
         if os.path.exists(cfg.meta_path):
+            mf.check_layout(cfg.path)
             existing = LakeConfig.load(cfg.path)
             for attr in ("num_partitions", "salt_shards"):
                 if getattr(existing, attr) != getattr(cfg, attr):
@@ -566,9 +574,9 @@ class CdcEngine:
 
         The smart-sync analog: instead of per-month S3 ``head_object``
         checks (``sync_manager.py:38-41``), list WAL epoch dirs and diff
-        against the lake's global epoch markers.
+        against the epochs of the lake's commit log.
         """
-        done = self._global_committed()
+        done = mf.read_log(self.cfg.path).epochs
         out = []
         for epoch, name in _wal_epochs(wal_dir):
             if epoch in done:
@@ -581,69 +589,11 @@ class CdcEngine:
                 out.append((epoch, files))
         return out
 
-    def _global_committed(self) -> set[int]:
-        d = os.path.join(self.cfg.path, "_epochs")
-        if not os.path.isdir(d):
-            return set()
-        out = set()
-        for name in os.listdir(d):
-            m = re.match(r"epoch-(\d{6,})\.json$", name)
-            if m:
-                out.add(int(m.group(1)))
-        return out
-
-    def _last_group_before(self, before_group: int) -> int:
-        """The newest commit group below ``before_group`` (-1: none).
-        Every committed group G has its own ``epoch-G.json`` naming G,
-        and a group's id is its largest epoch, so the markers of the
-        epochs below ``before_group`` are scanned newest first and the
-        first one naming a group below ``before_group`` answers: an
-        apply loads O(1) markers, not the whole history."""
-        d = os.path.join(self.cfg.path, "_epochs")
-        for e in sorted((e for e in self._global_committed() if e < before_group), reverse=True):
-            try:
-                with open(os.path.join(d, f"epoch-{e:06d}.json")) as f:
-                    g = int(json.load(f)["group_id"])
-            except (OSError, KeyError, ValueError):
-                continue
-            if g < before_group:
-                return g
-        return -1
-
     def last_committed_group(self) -> int:
-        """The newest commit group every partition has landed (-1: none):
-        the group named by the newest global ``_epochs`` marker.  ``apply``
-        writes a group's markers only after all its partitions
-        committed, so a group that landed in some partitions only (a
-        crash, or an apply still running) does not count yet."""
-        return self._last_group_before(sys.maxsize)
-
-    def _event_watermark(self, *, before_group: int) -> int | None:
-        """Event-time high-water mark (max committed event ts, µs) over
-        all groups committed BEFORE ``before_group`` — the lateness
-        threshold handed to that group's merge tasks.  Served from the
-        ``_watermark.json`` cache when it covers the committed ledger;
-        otherwise folded from the partition manifests (authoritative),
-        which is retry-deterministic because prior groups are fully
-        committed under the single-writer lease."""
-        hi = self._last_group_before(before_group)
-        try:
-            with open(os.path.join(self.cfg.path, "_watermark.json")) as f:
-                d = json.load(f)
-            if int(d.get("through_group", -1)) == hi:
-                w = d.get("watermark_us")
-                return int(w) if w is not None else None
-        except (OSError, ValueError):
-            pass
-        w: int | None = None
-        for pid in self.live_pids():
-            for m in mf.read_manifests(self.cfg.path, pid):
-                if int(m["group_id"]) >= before_group:
-                    continue
-                v = m.get("counters", {}).get("max_ts_us")
-                if v is not None:
-                    w = int(v) if w is None else max(w, int(v))
-        return w
+        """The largest committed group id (-1: none).  A group is
+        committed in every partition at once by its log record, so one
+        still running (or cut before its record) does not count."""
+        return max(mf.read_log(self.cfg.path).groups, default=-1)
 
     # ----------------------------------------------------------------- apply
     def apply(
@@ -654,15 +604,16 @@ class CdcEngine:
         lease_wait_s: float = 0.0,
     ) -> ApplyReport:
         """Apply all (or the next ``max_epochs``) unapplied epochs as one
-        Dataset pipeline run.  Idempotent: committed partition-epochs are
-        skipped inside the apply tasks; a fully committed run is a no-op."""
-        work = self.discover(wal_dir)
-        if max_epochs is not None:
-            work = work[:max_epochs]
-        if not work:
+        Dataset pipeline run, committed by one log record.  Idempotent:
+        committed epochs are not rediscovered, so a fully committed run is
+        a no-op, and a group cut before its record is rerun whole."""
+        if not self.discover(wal_dir)[:max_epochs]:
             return ApplyReport(epochs=[])
         with _LakeLease(self.cfg.path, wait_s=lease_wait_s):
-            return self._apply_locked(work)
+            # again under the lease: a writer that held it may have
+            # committed some of these epochs meanwhile
+            work = self.discover(wal_dir)[:max_epochs]
+            return self._apply_locked(work) if work else ApplyReport(epochs=[])
 
     def _apply_locked(self, work) -> ApplyReport:
         epochs = [e for e, _ in work]
@@ -686,27 +637,19 @@ class CdcEngine:
             for name in os.listdir(staging_root):
                 shutil.rmtree(os.path.join(staging_root, name), ignore_errors=True)
 
-        trace = os.environ.get("CDC_TRACE") == "1"
-
-        def _t(label, since):
-            if trace:
-                print(f"[cdc-trace] {label}: {time.perf_counter()-since:.2f}s", file=__import__('sys').stderr)
-            return time.perf_counter()
-
-        tt = time.perf_counter()
         units = self._stage_units(work)
-        # event-time watermark through all PRIOR committed groups — one
-        # threshold for every partition of this group.  Deterministic on
-        # retry: prior groups are fully committed under the lease, so the
-        # recompute fallback sees the same manifests.
-        late_threshold_us = self._event_watermark(before_group=group_id)
-        tt = _t("unit-scan", tt)
+        # the committed state this group builds on, read once under the
+        # lease: Stage B's auto-compaction folds only its runs, and its
+        # event-time watermark is the lateness threshold of every
+        # partition of this group (a retry reads the same log)
+        log = mf.read_log(self.cfg.path)
+        t_scan = time.perf_counter()
 
         # ONE execution: Stage A (partitioned staging write, one task per
         # task slot) -> [A2: (pid, salt) pre-merge] -> Stage B
-        # (per-partition LWW merge + commit).  Only the small slice rows
-        # pass between the stages, and this process collects just one
-        # report row per partition.
+        # (per-partition LWW merge, data files only).  Only the small
+        # slice rows pass between the stages, and this process collects
+        # just one report row per partition.
         task_cpus = nio.capped_cpus(self.cfg.task_cpus)
         stage = _StageUnits(
             staging_dir,
@@ -720,10 +663,9 @@ class CdcEngine:
             self.cfg.path,
             staging_dir,
             group_id,
-            sorted(epochs),
+            log.slim(),
             self.cfg.max_delta_runs,
             self.cfg.base_row_group_rows,
-            late_threshold_us,
         )
         units_ds = nio.fan_out(units, task_cpus)
         blocks = units_ds.num_blocks()
@@ -745,53 +687,39 @@ class CdcEngine:
                 )
             out = out.groupby("pid").map_groups(_named(merge, "merge_partitions"), **kw)
         reports = sorted(out.take_all(), key=lambda r: r["pid"])
-        tt = _t("stage-A -> stage-B", tt)
+        t_exec = time.perf_counter()
 
-        # every partition landed: drop the dead staging and advance the
-        # watermark cache BEFORE the global commit markers, which are the
-        # group's last commit point — a cut after them leaves a retry
-        # nothing to apply, so nothing may follow them.  The cache is
-        # only a cache: the manifests are authoritative, and
-        # _event_watermark recomputes from them whenever the cache's
-        # group is not the newest committed one.
+        # every partition wrote its data files: drop the dead staging, then
+        # commit the group with its one log record — the last commit
+        # point, so nothing may follow it
         staged = os.scandir(staging_dir) if os.path.isdir(staging_dir) else []
         staged_bytes = sum(f.stat().st_size for f in staged)
         shutil.rmtree(staging_dir, ignore_errors=True)
-        grp_max = max(
-            (r["max_ts_us"] for r in reports if r.get("max_ts_us") is not None),
-            default=None,
+        stage_seconds = {"unit_scan": t_scan - t0, "execute": t_exec - t_scan}
+        mf.append_record(
+            self.cfg.path,
+            log,
+            {
+                "group_id": group_id,
+                "epochs": epochs,
+                "partitions": _record_partitions(reports),
+                "alerts": mf.merge_alert_ring(json.loads(r["alerts"]) for r in reports),
+                "stage_seconds": {**stage_seconds, "commit": time.perf_counter() - t_exec},
+            },
         )
-        new_w = max(
-            (w for w in (late_threshold_us, grp_max) if w is not None), default=None
-        )
-        if new_w is not None:
-            nio.commit_json(
-                os.path.join(self.cfg.path, "_watermark.json"),
-                {"watermark_us": int(new_w), "through_group": group_id},
-            )
-        for e in epochs:
-            nio.commit_json(
-                os.path.join(self.cfg.path, "_epochs", f"epoch-{e:06d}.json"),
-                {"epoch": e, "group_id": group_id, "partitions": len(reports)},
-            )
-        tt = _t("commit+cleanup", tt)
 
         rep = ApplyReport(
             epochs=epochs,
             plan="fused" if blocks == 1 else "exchange",
             blocks=blocks,
+            partitions=len(reports),
             staged_bytes=staged_bytes,
-            seconds=time.perf_counter() - t0,
+            details=reports,
+            **{k: sum(r[k] for r in reports) for k in ("rows_in", "rejects", "upserts", "deletes")},
         )
-        for r in reports:
-            rep.partitions += 1
-            if r.get("skipped"):
-                rep.skipped_partitions += 1
-            rep.rows_in += r.get("rows_in", 0)
-            rep.rejects += r.get("rejects", 0)
-            rep.upserts += r.get("upserts", 0)
-            rep.deletes += r.get("deletes", 0)
-            rep.details.append(r)
+        t_end = time.perf_counter()
+        rep.stage_seconds = {**stage_seconds, "commit": t_end - t_exec}
+        rep.seconds = t_end - t0
         return rep
 
     def _stage_units(self, work) -> list[dict]:
@@ -817,7 +745,7 @@ class CdcEngine:
         """Consumer-lag metrics vs the WAL head (the Kafka-lag analog,
         ``streaming/README.md`` throughput dashboard): unapplied epoch
         count/ids and the newest WAL epoch vs newest committed."""
-        committed = self._global_committed()
+        committed = mf.read_log(self.cfg.path).epochs
         wal_epochs = [e for e, _ in _wal_epochs(wal_dir)] if os.path.isdir(wal_dir) else []
         pending = sorted(e for e in wal_epochs if e not in committed)
         return {
@@ -858,7 +786,7 @@ class CdcEngine:
     # ------------------------------------------------------------ compaction
     def wal_gc(self, wal_dir: str) -> dict:
         """WAL retention: delete epoch directories the lake has fully
-        committed (global ``_epochs`` markers — the same ledger
+        committed (the epochs of the commit log — the same ledger
         ``discover`` diffs against), so the log's disk footprint tracks
         lag instead of history.  The Kafka-retention analog with an
         exactly-once twist: a committed epoch is a no-op on re-apply,
@@ -866,7 +794,7 @@ class CdcEngine:
         Epochs at or above the first UNcommitted epoch are always kept
         (even if individually committed) so a resumable gap never loses
         its tail.  Returns ``{"removed": n, "kept": n}``."""
-        done = self._global_committed()
+        done = mf.read_log(self.cfg.path).epochs
         names = _wal_epochs(wal_dir)
         removed = kept = 0
         for epoch, name in names:
@@ -900,15 +828,20 @@ class CdcEngine:
         watermark decision belongs to the operator, not the engine.
 
         A partition without a live delta run is left as it is: its base
-        is already the fold of everything.
+        is already the fold of everything.  A full compaction (``pids``
+        None) then folds the commit log into one checkpoint
+        (:func:`state.manifest.write_checkpoint`), so later reads load it
+        instead of every record.
         """
-        pids = pids if pids is not None else self.live_pids()
+        full = pids is None
+        pids = self.live_pids() if full else pids
         if not pids:
             return 0
         lake_path = self.cfg.path
 
         with _LakeLease(self.cfg.path):
-
+            log = mf.read_log(lake_path)
+            slim = log.slim()
             row_group_rows = self.cfg.base_row_group_rows
 
             def compact_one(batch: pa.Table) -> pa.Table:
@@ -918,6 +851,7 @@ class CdcEngine:
                         _compact_partition(
                             lake_path,
                             int(pid),
+                            slim,
                             drop_tombstones=drop_tombstones,
                             row_group_rows=row_group_rows,
                         )
@@ -925,7 +859,10 @@ class CdcEngine:
                 return pa.table({"pid": batch["pid"], "compacted": pa.array(done, pa.bool_())})
 
             ds = _fan_out_pids(pids).map_batches(compact_one, batch_format="pyarrow")
-            return sum(1 for r in ds.take_all() if r["compacted"])
+            n = sum(1 for r in ds.take_all() if r["compacted"])
+            if full:
+                mf.write_checkpoint(lake_path, log)
+            return n
 
     def live_pids(self) -> list[int]:
         out = []
@@ -947,8 +884,8 @@ class CdcEngine:
         drops tombstones).
 
         ``as_of_epoch`` time-travels: the returned state is what the
-        lake held right after that epoch's commit group (manifests are
-        the ledger; deltas newer than the target are simply not read).
+        lake held right after that epoch's commit group (the log is the
+        ledger; deltas of larger groups are simply not read).
         Raises if the target predates the compaction watermark or falls
         inside a multi-epoch commit group.
 
@@ -959,6 +896,7 @@ class CdcEngine:
         """
         pids = self.live_pids()
         lake_path = self.cfg.path
+        log = mf.read_log(lake_path).slim()  # one committed view for every partition
 
         def select(t: pa.Table) -> pa.Table:
             if columns:
@@ -970,7 +908,7 @@ class CdcEngine:
 
         def read_one(batch: pa.Table):
             states = (
-                read_partition_state(lake_path, int(pid), as_of_epoch)
+                read_partition_state(lake_path, int(pid), as_of_epoch, log)
                 for pid in batch["pid"].to_pylist()
             )
             yield from map(select, _rows_or_empty(states, schemas.empty_state()))
@@ -1016,26 +954,21 @@ class CdcEngine:
         if not pids:
             return rd.from_arrow(empty)
 
+        log = mf.read_log(lake_path).slim()
+
         def partition_changes(pid: int) -> pa.Table | None:
-            _, through_g, deltas = mf.live_runs(lake_path, pid)
-            if after_epoch < through_g:
+            runs = mf.live_runs(lake_path, pid, log)
+            if after_epoch < runs.through_group:
                 raise ValueError(
                     f"changes after epoch {after_epoch} of partition {pid} were "
-                    f"folded into the base (compaction watermark {through_g}); "
+                    f"folded into the base (compaction watermark {runs.through_group}); "
                     "re-sync from a snapshot"
                 )
-            for m in mf.read_manifests(lake_path, pid):
-                eps = m.get("epochs") or [m["group_id"]]
-                lo, hi = min(eps), max(eps)
-                for edge in (after_epoch, through_epoch):
-                    if edge is not None and lo <= edge < hi:
-                        raise ValueError(
-                            f"epoch {edge} falls inside commit group "
-                            f"{m['group_id']} (epochs {sorted(eps)}); the "
-                            "change feed is commit-group-granular"
-                        )
+            for edge in (after_epoch, through_epoch):
+                if edge is not None:
+                    mf.check_group_boundary(log, edge)
             outs = []
-            for ep, path in deltas:
+            for ep, path in runs.live:
                 if ep > after_epoch and (through_epoch is None or ep <= through_epoch):
                     t = pq.read_table(path)
                     t = t.drop_columns(
@@ -1068,7 +1001,7 @@ class CdcEngine:
         handling (``streaming/api/main.py`` returns 422s that vanish;
         here every reject is addressable for replay after a fix).
 
-        Rejects files are committed by the same manifest as their
+        Rejects files are committed by the same log record as their
         group's delta (exactly-once: replaying a committed epoch never
         duplicates them) and are NEVER folded by compaction, so the
         full audit history stays readable regardless of the lake's
@@ -1084,14 +1017,12 @@ class CdcEngine:
         if not pids:
             return rd.from_arrow(empty)
 
+        log = mf.read_log(lake_path).slim()
+
         def partition_rejects(pid: int) -> pa.Table | None:
             outs = []
-            for m in mf.read_manifests(lake_path, pid):
-                g = int(m["group_id"])
+            for g, path in mf.rejects_runs(lake_path, pid, log):
                 if g <= after_epoch or (through_epoch is not None and g > through_epoch):
-                    continue
-                path = mf.rejects_path(lake_path, pid, g)
-                if not os.path.exists(path):
                     continue
                 t = pq.read_table(path)
                 t = t.drop_columns([c for c in (mg.NSRC, mg.RUN_SEQ) if c in t.schema.names])
@@ -1145,9 +1076,7 @@ class CdcEngine:
         present = [-1]
         if os.path.isdir(wal_dir):
             present += [e for e, _ in _wal_epochs(wal_dir)]
-        committed = self._global_committed()
-        if committed:
-            present.append(max(committed))
+        present += mf.read_log(self.cfg.path).epochs
         return max(present) + 1
 
     def _emit_derived_epoch(
@@ -1238,16 +1167,7 @@ class CdcEngine:
         the single-source, un-gc'd-feed topology."""
         feed = self.changes(after_epoch=after_epoch, through_epoch=through_epoch)
         if epoch is None:
-            if target is not None:
-                present = [-1]
-                if os.path.isdir(out_wal_dir):
-                    present += [e for e, _ in _wal_epochs(out_wal_dir)]
-                committed = target._global_committed()
-                if committed:
-                    present.append(max(committed))
-                epoch = max(present) + 1
-            else:
-                epoch = self._next_wal_epoch(out_wal_dir)
+            epoch = (target or self)._next_wal_epoch(out_wal_dir)
 
         def stamp(t: pa.Table) -> pa.Table:
             drop = [c for c in ("change_group", "epoch") if c in t.schema.names]
@@ -1461,14 +1381,14 @@ class CdcEngine:
            no re-merge needed: each key lived in exactly one source
            partition and arrives already LWW-resolved, keys from
            different sources are disjoint — key-sorts, and writes a
-           generation-1 base with bloom sidecar, compact marker, and a
-           bootstrap manifest carrying the source's applied-epoch
-           ledger.
+           generation-1 base with bloom sidecar and compact marker.
 
-        The target lake then behaves like a freshly-compacted lake at
-        the same watermark: ``discover``/``apply`` skip the already
-        applied epochs (the global ``_epochs`` markers are copied) and
-        later WAL epochs apply under the new partitioning; history
+        Then one bootstrap log record commits the source's applied
+        epochs and the target partitions' counters, whose ``max_ts_us``
+        carries the event-time watermark across.  The target lake behaves like a freshly-compacted lake
+        at the same watermark: ``discover``/``apply`` skip the already
+        applied epochs and later WAL epochs apply under the new
+        partitioning; history
         below the watermark reads as compacted-away (time travel /
         change feed re-sync from a snapshot, the documented LSM
         horizon).  Reject/audit history stays with the source lake.
@@ -1509,8 +1429,9 @@ class CdcEngine:
             base_row_group_rows=src.base_row_group_rows,
         )
         with _LakeLease(src.path):
-            applied = sorted(self._global_committed())
-            watermark = applied[-1] if applied else -1
+            log = mf.read_log(src.path)
+            slim = log.slim()
+            watermark = max(log.groups, default=-1)
             src_pids = self.live_pids()
             lake_path = src.path
             stage_dir = os.path.join(target_path, "_reshard")
@@ -1520,7 +1441,7 @@ class CdcEngine:
                 out_pid, out_rows = [], []
                 for pid in batch["pid"].to_pylist():
                     pid = int(pid)
-                    runs = _partition_runs(lake_path, pid)
+                    runs = _partition_runs(lake_path, pid, log=slim)
                     if not runs:
                         continue
                     state = mg.merge_runs(runs, drop_tombstones=False)
@@ -1545,7 +1466,7 @@ class CdcEngine:
                 _fan_out_pids(src_pids).map_batches(split_one, batch_format="pyarrow").count()
 
             def build_one(batch: pa.Table) -> pa.Table:
-                out_pid, out_rows = [], []
+                rows = []
                 for t in batch["pid"].to_pylist():
                     t = int(t)
                     frags = sorted(
@@ -1560,62 +1481,49 @@ class CdcEngine:
                     base = mg.sort_by_key(mg.concat_unified(parts)).combine_chunks()
                     _write_run(mf.base_path(target_path, t, 1), base, row_group_rows)
                     _write_bloom(mf.base_path(target_path, t, 1), base["conv_id"])
+                    # folded through the bootstrap record, log position 1
                     nio.commit_json(
                         mf.compact_marker_path(target_path, t, 1),
                         {
                             "generation": 1,
                             "through_group": watermark,
+                            "through_seq": 1,
                             "rows": base.num_rows,
                         },
                     )
-                    live = (
-                        base.filter(pc.not_equal(base["op"], "delete")).num_rows
-                        if "op" in base.schema.names
-                        else base.num_rows
-                    )
-                    nio.commit_json(
-                        mf.manifest_path(target_path, t, watermark if watermark >= 0 else 0),
-                        {
-                            "pid": t,
-                            "group_id": watermark if watermark >= 0 else 0,
-                            "epochs": applied or [0],
-                            "counters": {
-                                "rows_in": int(base.num_rows),
-                                "upserts": int(live),
-                                "deletes": int(base.num_rows - live),
-                                "rejects": 0,
-                                # preserve the event-time watermark across
-                                # the move: the max-ts row always wins its
-                                # key, so max over retained winners == max
-                                # over all valid source rows
-                                "max_ts_us": pc.max(
-                                    pc.cast(base["ts"], pa.int64())
-                                ).as_py(),
+                    live = mg.live_rows(base).num_rows
+                    # the max-ts row always wins its key, so max over
+                    # retained winners == max over all valid source rows
+                    max_ts = pc.max(pc.cast(base["ts"], pa.int64())).as_py()
+                    rows.append(
+                        _report_row(
+                            t,
+                            {
+                                "rows_in": base.num_rows,
+                                "upserts": live,
+                                "deletes": base.num_rows - live,
+                                "max_ts_us": max_ts,
                             },
-                            "resharded_from": src.path,
-                        },
+                        )
                     )
-                    out_pid.append(t)
-                    out_rows.append(base.num_rows)
-                return pa.table(
+                return pa.concat_tables(rows) if rows else _report_row(0, {}).slice(0, 0)
+
+            built = (
+                _fan_out_pids(range(num_partitions))
+                .map_batches(build_one, batch_format="pyarrow")
+                .take_all()
+            )
+            if log.groups:
+                mf.append_record(
+                    target_path,
+                    mf.Log(),
                     {
-                        "pid": pa.array(out_pid, pa.int32()),
-                        "rows": pa.array(out_rows, pa.int64()),
-                    }
+                        "group_id": watermark,
+                        "epochs": sorted(log.epochs),
+                        "partitions": _record_partitions(built),
+                        "resharded_from": src.path,
+                    },
                 )
-
-            _fan_out_pids(range(num_partitions)).map_batches(
-                build_one, batch_format="pyarrow"
-            ).count()
-
-            src_epochs = os.path.join(src.path, "_epochs")
-            tgt_epochs = os.path.join(target_path, "_epochs")
-            if os.path.isdir(src_epochs):
-                os.makedirs(tgt_epochs, exist_ok=True)
-                for name in os.listdir(src_epochs):
-                    shutil.copyfile(
-                        os.path.join(src_epochs, name), os.path.join(tgt_epochs, name)
-                    )
             shutil.rmtree(stage_dir, ignore_errors=True)
             # completion marker LAST: an interrupted reshard leaves no
             # _lake.json, so it can't pass for a healthy lake and the retry's
@@ -1656,13 +1564,10 @@ class CdcEngine:
             outs = _collect()
         except FileNotFoundError:
             outs = _collect()
-        if not outs:
-            return pa.table(
-                {
-                    f.name: pa.array([], f.type)
-                    for f in list(schemas.TRANSCRIPT_SCHEMA)
-                }
-            ).append_column("is_winner", pa.array([], pa.bool_()))
+        if not outs:  # the columns of a populated history
+            return schemas.EVENT_SCHEMA.empty_table().append_column(
+                "is_winner", pa.array([], pa.bool_())
+            )
         hist = mg.concat_unified(outs)
         ti = hist["turn_idx"].to_numpy(zero_copy_only=False)
         ts = pc.cast(hist["ts"], pa.int64()).to_numpy(zero_copy_only=False)
@@ -1820,6 +1725,7 @@ class CdcEngine:
         deltas) show whether a point lookup decodes bounded groups:
         it reads about one group per run."""
         parts = []
+        log = mf.read_log(self.cfg.path)
         for pid in self.live_pids():
             entry = {"pid": pid, "base_generation": None, "base_rows": 0,
                      "delta_runs": 0, "delta_rows": 0, "bytes": 0,
@@ -1835,11 +1741,11 @@ class CdcEngine:
                 )
                 return md.num_rows
 
-            base, _, deltas = mf.live_runs(self.cfg.path, pid)
-            if base is not None:
-                entry["base_generation"] = base[0]
-                entry["base_rows"] = add_run(base[1])
-            for _, path in deltas:
+            runs = mf.live_runs(self.cfg.path, pid, log)
+            if runs.base is not None:
+                entry["base_generation"] = runs.base[0]
+                entry["base_rows"] = add_run(runs.base[1])
+            for _, path in runs.live:
                 entry["delta_runs"] += 1
                 entry["delta_rows"] += add_run(path)
             parts.append(entry)
@@ -1852,25 +1758,28 @@ class CdcEngine:
         }
 
     def fsck(self) -> dict:
-        """Lake integrity audit from manifests + parquet footers (no
+        """Lake integrity audit from the commit log + parquet footers (no
         data read) — the recovery-time question "is every committed
-        epoch actually on disk, and does the ledger add up?":
+        group actually on disk, and does the ledger add up?":
 
-        - ``missing_delta``: a manifest commits a group whose delta
-          parquet is gone AND was not folded into the base (real loss);
-        - ``row_mismatch``: a committed delta's footer row count differs
-          from its manifest's ``upserts + deletes`` lineage;
+        - ``missing_delta``: the log commits a live delta whose parquet is
+          gone (real loss);
+        - ``row_mismatch``: a live delta's footer row count differs from
+          its record's ``upserts + deletes`` lineage;
         - ``orphan_base``: a base parquet without its compact marker
           (crashed compaction — ignored by readers, reclaimable);
-        - ``orphan_delta``: a delta parquet without a manifest (crashed
-          apply — invisible to readers, reclaimable);
+        - ``orphan_delta`` / ``orphan_rejects``: a delta or rejects
+          parquet of a group without a log record (crashed apply, rerun
+          as another group — invisible to readers, reclaimable);
         - ``folded_delta`` / ``superseded_base``: a committed delta at or
-          below the base's fold watermark, or an older committed base —
+          below the base's fold position, or an older committed base —
           runs a compaction folded but was cut before it unlinked them
           (invisible to readers, reclaimable);
+        - ``folded_log``: a log record or checkpoint the newest
+          checkpoint covers (a ``compact()`` cut before it deleted them);
         - ``tmp_file``: the unpublished tmp sibling (:func:`io.is_tmp`)
-          of an interrupted commit, in a partition, ``_epochs/`` or the
-          lake root (reclaimable).
+          of an interrupted commit, in a partition, the log or the lake
+          root (reclaimable).
 
         ``ok`` is True iff no REAL issues (missing_delta/row_mismatch);
         crash remnants are listed as reclaimable, not failures —
@@ -1878,53 +1787,48 @@ class CdcEngine:
         design.  Each reclaimable entry names its ``file`` under the
         lake."""
         lake = self.cfg.path
+        log = mf.read_log(lake)
         issues: list[dict] = []
-        reclaimable: list[dict] = []
-        for sub in ("", "_epochs"):
-            d = os.path.join(lake, sub)
-            for name in os.listdir(d) if os.path.isdir(d) else ():
-                if nio.is_tmp(name):
-                    reclaimable.append(
-                        {"kind": "tmp_file", "pid": None, "file": os.path.join(sub, name)}
-                    )
+        reclaimable = [
+            {"kind": "tmp_file", "pid": None, "file": name}
+            for name in sorted(os.listdir(lake))
+            if nio.is_tmp(name)
+        ] + mf.ledger_remnants(lake)
         for pid in self.live_pids():
             d = mf.partition_dir(lake, pid)
-            base, through, _ = mf.live_runs(lake, pid)
-            committed = {int(m["group_id"]): m for m in mf.read_manifests(lake, pid)}
-            for g, m in committed.items():
-                path = mf.delta_path(lake, pid, g)
-                c = m.get("counters", {})
-                expected = int(c.get("upserts", 0)) + int(c.get("deletes", 0))
-                if not os.path.exists(path):
-                    if g > through and expected > 0:
-                        issues.append({"kind": "missing_delta", "pid": pid, "group": g})
-                    continue
-                rows = pq.ParquetFile(path).metadata.num_rows
-                if rows != expected:
-                    issues.append(
-                        {
-                            "kind": "row_mismatch",
-                            "pid": pid,
-                            "group": g,
-                            "footer_rows": rows,
-                            "ledger_rows": expected,
-                        }
-                    )
+            runs = mf.live_runs(lake, pid, log)
+            live = dict(runs.live)
+            for g, rows in log.rows.items():
+                expected = rows.get(pid, 0)
+                if g in live:
+                    footer = pq.ParquetFile(live[g]).metadata.num_rows
+                    if footer != expected:
+                        issues.append(
+                            {
+                                "kind": "row_mismatch",
+                                "pid": pid,
+                                "group": g,
+                                "footer_rows": footer,
+                                "ledger_rows": expected,
+                            }
+                        )
+                elif expected > 0 and log.groups[g][0] > runs.through_seq:
+                    issues.append({"kind": "missing_delta", "pid": pid, "group": g})
             for name in os.listdir(d):
                 entry = {"pid": pid, "file": os.path.join(os.path.basename(d), name)}
                 if nio.is_tmp(name):
                     reclaimable.append({"kind": "tmp_file", **entry})
-                elif name.startswith("delta-") and name.endswith(".parquet"):
-                    g = int(name[6:-8])
-                    if g not in committed:
-                        reclaimable.append({"kind": "orphan_delta", "group": g, **entry})
-                    elif g <= through:
-                        reclaimable.append({"kind": "folded_delta", "group": g, **entry})
+                elif name.startswith(("delta-", "rejects-")) and name.endswith(".parquet"):
+                    kind, g = name[:-8].split("-")
+                    if int(g) not in log.groups:
+                        reclaimable.append({"kind": f"orphan_{kind}", "group": int(g), **entry})
+                    elif kind == "delta" and int(g) not in live:
+                        reclaimable.append({"kind": "folded_delta", "group": int(g), **entry})
                 elif name.startswith("base-") and name.endswith(".parquet"):
                     gen = int(name[5:-8])
                     if not os.path.exists(mf.compact_marker_path(lake, pid, gen)):
                         kind = "orphan_base"
-                    elif gen != base[0]:
+                    elif gen != runs.base[0]:
                         kind = "superseded_base"
                     else:
                         continue
@@ -1952,17 +1856,15 @@ class CdcEngine:
         return {"removed": removed, "had_issues": not rep["ok"]}
 
     def metrics(self) -> dict:
-        """Monoid-merged lineage counters across all committed
-        partition-epoch manifests (the Redis-dashboard analog,
+        """Monoid-merged lineage counters of every committed group, from
+        the commit log (the Redis-dashboard analog,
         ``streaming/dashboard/utils/redis_client.py:22-138``)."""
-        all_manifests = []
-        for pid in self.live_pids():
-            all_manifests.extend(mf.read_manifests(self.cfg.path, pid))
-        counters = mf.merge_counters(all_manifests)
+        log = mf.read_log(self.cfg.path)
+        counters = dict(log.counters)
         counters["partitions"] = len(self.live_pids())
-        counters["committed_epochs"] = len(self._global_committed())
+        counters["committed_epochs"] = len(log.epochs)
         # keep-last-K alert ring (the capped Redis fraud-alert list analog)
-        counters["recent_rejects"] = mf.merge_alert_ring(all_manifests)
+        counters["recent_rejects"] = list(log.alerts)
         return counters
 
 
@@ -2012,28 +1914,25 @@ def _diff_partitions(a_path: str, a_epoch, b_path: str, b_epoch):
 class _MergePartitions:
     """Stage B group task, called once per pid group of slice rows: one
     call per lake partition, whose slice rows name its staged runs (rejects
-    only ever arrive on partition 0) — read them, LWW-merge, and commit a
-    delta run (exactly-once via the manifest protocol, see
-    state/manifest.py docstring).  A partition with only its placeholder
-    row commits an empty manifest."""
+    only ever arrive on partition 0) — read them, LWW-merge and write the
+    partition's data files.  The driver commits them with the group's log
+    record (state/manifest.py)."""
 
     def __init__(
         self,
         lake_path: str,
         staging_dir: str,
         group_id: int,
-        epochs: list[int],
+        log: mf.Log,
         max_delta_runs: int,
         base_row_group_rows: int,
-        late_threshold_us: int | None = None,
     ):
         self.lake_path = lake_path
         self.staging_dir = staging_dir
         self.group_id = group_id
-        self.epochs = epochs
+        self.log = log
         self.max_delta_runs = max_delta_runs
         self.base_row_group_rows = base_row_group_rows
-        self.late_threshold_us = late_threshold_us
 
     def __call__(self, group: pa.Table) -> pa.Table:
         _ensure_worker_thread_limit()
@@ -2044,20 +1943,10 @@ class _MergePartitions:
             int(group["pid"][0].as_py()),
             self.lake_path,
             self.group_id,
-            set(self.epochs),
+            self.log,
             self.max_delta_runs,
             self.base_row_group_rows,
-            self.late_threshold_us,
         )
-
-
-def _epoch_filter(t: pa.Table | None, new_epochs: list[int]) -> pa.Table | None:
-    if t is None:
-        return None
-    # a retry after partial commit: only count/apply uncommitted epochs
-    return t.filter(
-        pc.is_in(t["epoch"], value_set=pa.array(new_epochs, t["epoch"].type))
-    )
 
 
 def _apply_partition_group(
@@ -2066,54 +1955,40 @@ def _apply_partition_group(
     pid: int,
     lake_path: str,
     group_id: int,
-    epoch_set: set[int],
+    log: mf.Log,
     max_delta_runs: int,
     base_row_group_rows: int,
-    late_threshold_us: int | None = None,
 ) -> pa.Table:
-    already = mf.committed_epoch_groups(lake_path, pid, min_epoch=min(epoch_set))
-    new_epochs = sorted(e for e in epoch_set if e not in already)
-    if not new_epochs:
-        # retry of a committed group: surface the committed watermark so
-        # the driver's post-commit fold still sees every partition, and
-        # finish an auto-compaction the first attempt was cut inside
-        # (it reads the same live runs, so it decides the same way; one
-        # that committed left no live delta)
-        prev = {}
-        try:
-            with open(mf.manifest_path(lake_path, pid, group_id)) as f:
-                prev = json.load(f).get("counters", {})
-        except OSError:
-            pass
-        if prev.get("rows_in"):
-            _auto_compact(lake_path, pid, group_id, max_delta_runs, base_row_group_rows)
-        return _report_row(pid, skipped=True, max_ts_us=prev.get("max_ts_us"))
-    good = _epoch_filter(good, new_epochs)
-    bad = _epoch_filter(bad, new_epochs)
-    if (good is None or good.num_rows == 0) and (bad is None or bad.num_rows == 0):
-        # still record the commit so this partition never re-scans the epoch
-        _write_manifest(lake_path, pid, group_id, new_epochs, counters={"rows_in": 0})
-        return _report_row(pid, skipped=False)
+    """Write one partition's data files of group ``group_id`` and return
+    its report row.  Files an earlier attempt at the same group left
+    here and this attempt does not rewrite are removed: the group's
+    record commits every ``delta-G``/``rejects-G`` of the lake."""
+    has_good = good is not None and good.num_rows > 0
+    has_bad = bad is not None and bad.num_rows > 0
+    delta_path = mf.delta_path(lake_path, pid, group_id)
+    rejects_path = mf.rejects_path(lake_path, pid, group_id)
+    for stale, written in ((delta_path, has_good or has_bad), (rejects_path, has_bad)):
+        if not written:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(stale)
+    if not (has_good or has_bad):
+        os.makedirs(mf.partition_dir(lake_path, pid), exist_ok=True)
+        return _report_row(pid, {})
     if good is None:
-        good = pa.table(
-            {
-                f.name: pa.array([], f.type)
-                for f in (bad.schema if bad is not None else schemas.EVENT_SCHEMA)
-            }
-        ).append_column(mg.NSRC, pa.array([], pa.int64()))
+        good = bad.schema.empty_table().append_column(mg.NSRC, pa.array([], pa.int64()))
 
     # exact lineage despite the pre-shuffle combiner: _nsrc sums source rows
     n_valid_src = int(pc.sum(good[mg.NSRC]).as_py() or 0) if good.num_rows else 0
-    n_bad_src = bad.num_rows if bad is not None else 0
+    n_bad_src = bad.num_rows if has_bad else 0
 
     alerts: list[dict] = []
-    if bad is not None and bad.num_rows:
-        atomic_write_parquet(mf.rejects_path(lake_path, pid, group_id), bad)
+    if has_bad:
+        atomic_write_parquet(rejects_path, bad)
         alerts = _alert_ring_entries(bad, mf.ALERT_RING_K)
 
     delta = mg.resolve_lww(mg.with_run_seq(good, 0), drop_tombstones=False)
     delta = delta.drop_columns([mg.RUN_SEQ, mg.NSRC])
-    _write_run(mf.delta_path(lake_path, pid, group_id), delta, base_row_group_rows)
+    _write_run(delta_path, delta, base_row_group_rows)
 
     ops = pc.fill_null(delta["op"], "insert")
     n_del = pc.sum(pc.cast(pc.equal(ops, "delete"), pa.int64())).as_py() or 0
@@ -2125,18 +2000,18 @@ def _apply_partition_group(
         pc.max(pc.cast(good["ts"], pa.int64())).as_py() if good.num_rows else None
     )
     # late-data accounting vs the lake's event-time watermark BEFORE this
-    # group (driver-computed, same threshold for every partition): delta
+    # group (the log's, the same threshold for every partition): delta
     # rows that arrived with event time at or below it.  Deterministic
-    # under retry — prior groups are fully committed, so the threshold
-    # recomputes identically.
+    # under retry — the group's record is not there yet, so a retry
+    # reads the same log.
     late = 0
-    if late_threshold_us is not None and delta.num_rows:
+    if log.watermark_us is not None and delta.num_rows:
         late = (
             pc.sum(
                 pc.cast(
                     pc.less_equal(
                         pc.cast(delta["ts"], pa.int64()),
-                        pa.scalar(late_threshold_us, pa.int64()),
+                        pa.scalar(log.watermark_us, pa.int64()),
                     ),
                     pa.int64(),
                 )
@@ -2155,24 +2030,20 @@ def _apply_partition_group(
         "max_ts_us": max_ts_us,
         "late_upserts": late,
     }
-    _write_manifest(lake_path, pid, group_id, new_epochs, counters, alerts=alerts)
-    _auto_compact(lake_path, pid, group_id, max_delta_runs, base_row_group_rows)
-
-    return _report_row(
-        pid,
-        skipped=False,
-        rows_in=counters["rows_in"],
-        rejects=n_bad_src,
-        upserts=counters["upserts"],
-        deletes=n_del,
-        max_ts_us=max_ts_us,
-    )
+    # opportunistic LSM compaction when read amplification grows, of the
+    # COMMITTED runs only: the delta just written commits with the
+    # group's record, after this compaction's marker (state/manifest.py)
+    runs = mf.live_runs(lake_path, pid, log)
+    if _compaction_due(len(runs.live) + 1, pid, group_id, max_delta_runs):
+        _compact_partition(lake_path, pid, log, row_group_rows=base_row_group_rows)
+    return _report_row(pid, counters, alerts)
 
 
 def _compaction_due(runs: int, pid: int, group_id: int, max_delta_runs: int) -> bool:
     """Stage B's auto-compaction rule, staggered by pid.  A partition past
-    ``max_delta_runs`` live delta runs compacts in a group whose id is on
-    its phase, ``(group_id + pid) % (max_delta_runs + 1) == 0``, and at
+    ``max_delta_runs`` live delta runs (the one being written included)
+    compacts in a group whose id is on its phase,
+    ``(group_id + pid) % (max_delta_runs + 1) == 0``, and at
     ``2 * max_delta_runs`` runs in any group.  In a loop of one-epoch
     groups that touch every partition, each partition still compacts
     every ``max_delta_runs + 1`` groups, but no longer all in the same
@@ -2184,33 +2055,37 @@ def _compaction_due(runs: int, pid: int, group_id: int, max_delta_runs: int) -> 
     return runs >= 2 * max_delta_runs or (group_id + pid) % (max_delta_runs + 1) == 0
 
 
-def _auto_compact(
-    lake_path: str, pid: int, group_id: int, max_delta_runs: int, row_group_rows: int
-) -> None:
-    """Stage B's opportunistic LSM compaction when read amplification
-    grows (:func:`_compaction_due`)."""
-    if _compaction_due(len(mf.live_runs(lake_path, pid)[2]), pid, group_id, max_delta_runs):
-        _compact_partition(lake_path, pid, row_group_rows=row_group_rows)
+#: the lineage counters a Stage-B report row carries and the group's log
+#: record stores per partition; ``min_``/``max_`` ones are null without
+#: valid rows, the others 0
+_REPORT_COUNTERS = (
+    "rows_in", "valid", "rejects", "upserts", "deletes",
+    "delta_bytes", "min_lsn", "max_lsn", "max_ts_us", "late_upserts",
+)
 
 
-def _report_row(pid: int, *, skipped: bool, **counts) -> pa.Table:
-    row = {
-        "pid": [pid],
-        "skipped": [skipped],
-        "rows_in": [counts.get("rows_in", 0)],
-        "rejects": [counts.get("rejects", 0)],
-        "upserts": [counts.get("upserts", 0)],
-        "deletes": [counts.get("deletes", 0)],
-        "max_ts_us": pa.array([counts.get("max_ts_us")], pa.int64()),
-    }
+def _report_row(pid: int, counters: dict, alerts: list[dict] = ()) -> pa.Table:
+    row = {"pid": pa.array([pid], pa.int64())}
+    for k in _REPORT_COUNTERS:
+        default = None if k.startswith(("min_", "max_")) else 0
+        row[k] = pa.array([counters.get(k, default)], pa.int64())
+    row["alerts"] = pa.array([json.dumps(list(alerts))])
     return pa.table(row)
+
+
+def _record_partitions(reports: list[dict]) -> dict:
+    """A log record's per-partition counters: the report rows of the
+    partitions that received rows."""
+    return {
+        str(r["pid"]): {k: r[k] for k in _REPORT_COUNTERS} for r in reports if r["rows_in"]
+    }
 
 
 def _alert_ring_entries(bad: pa.Table, k: int) -> list[dict]:
     """The K most recent reject rows as compact alert descriptors — the
-    manifest-resident analog of the reference's capped Redis alert list
-    (``fraud_detector.py:76-77`` lpush + ltrim 0..99).  Stored per
-    partition-epoch manifest and merged keep-last-K at read time
+    log-resident analog of the reference's capped Redis alert list
+    (``fraud_detector.py:76-77`` lpush + ltrim 0..99).  Merged keep-last-K
+    into the group's record and at read time
     (:func:`state.manifest.merge_alert_ring`), so replays never
     double-push."""
     idx = pc.sort_indices(
@@ -2231,13 +2106,6 @@ def _alert_ring_entries(bad: pa.Table, k: int) -> list[dict]:
         }
         for i in range(top.num_rows)
     ]
-
-
-def _write_manifest(lake_path, pid, group_id, epochs, counters, alerts=None) -> None:
-    payload = {"pid": pid, "group_id": group_id, "epochs": epochs, "counters": counters}
-    if alerts:
-        payload["alerts"] = alerts
-    nio.commit_json(mf.manifest_path(lake_path, pid, group_id), payload)
 
 
 def _dict_cols(schema: pa.Schema) -> list[str]:
@@ -2340,7 +2208,7 @@ def _write_run(path: str, table: pa.Table, row_group_rows: int) -> None:
 
 
 def _partition_runs(
-    lake_path: str, pid: int, as_of_epoch: int | None = None
+    lake_path: str, pid: int, as_of_epoch: int | None = None, log: mf.Log | None = None
 ) -> list[pa.Table]:
     """Reader-vs-compactor race guard: a concurrent ``compact()`` may
     fold the runs this reader just listed (old base/deltas unlinked
@@ -2350,15 +2218,15 @@ def _partition_runs(
     merged content.  One retry suffices — a second loss means a second
     full compaction cycle inside one read, i.e. misuse."""
     try:
-        return _partition_runs_once(lake_path, pid, as_of_epoch)
+        return _partition_runs_once(lake_path, pid, as_of_epoch, log)
     except FileNotFoundError:
-        return _partition_runs_once(lake_path, pid, as_of_epoch)
+        return _partition_runs_once(lake_path, pid, as_of_epoch, log)
 
 
 def _partition_runs_once(
-    lake_path: str, pid: int, as_of_epoch: int | None = None
+    lake_path: str, pid: int, as_of_epoch: int | None, log: mf.Log | None
 ) -> list[pa.Table]:
-    """Base + committed deltas, oldest first, as Arrow tables.
+    """Base + live deltas, oldest group first, as Arrow tables.
 
     ``as_of_epoch`` time-travels to the state after that epoch's commit:
     delta groups are named by their max epoch, so a group is included
@@ -2366,26 +2234,20 @@ def _partition_runs_once(
     a multi-epoch commit group (no mid-group state ever existed) or
     below the compaction watermark (that history has been folded away —
     the retention horizon of any LSM lake)."""
-    base, through, deltas = mf.live_runs(lake_path, pid)
-    if as_of_epoch is not None and through > as_of_epoch:
+    log = mf.read_log(lake_path) if log is None else log
+    runs = mf.live_runs(lake_path, pid, log)
+    if as_of_epoch is not None and runs.through_group > as_of_epoch:
         raise ValueError(
             f"as_of_epoch={as_of_epoch} predates partition {pid}'s compaction "
-            f"watermark (folded through group {through}); that history was "
+            f"watermark (folded through group {runs.through_group}); that history was "
             "compacted away"
         )
     if as_of_epoch is not None:
-        # groups folded into the base (<= through) are history, not
-        # snapshot candidates — only live groups can straddle the target
-        for m in mf.read_manifests(lake_path, pid):
-            eps = m.get("epochs") or [m["group_id"]]
-            if m["group_id"] > through and min(eps) <= as_of_epoch < max(eps):
-                raise ValueError(
-                    f"as_of_epoch={as_of_epoch} falls inside commit group "
-                    f"{m['group_id']} (epochs {sorted(eps)}) of partition {pid}; "
-                    "snapshots exist only at commit-group boundaries"
-                )
-    paths = [base[1]] if base is not None else []
-    paths += [p for ep, p in deltas if as_of_epoch is None or ep <= as_of_epoch]
+        # groups folded into the base are history, not snapshot
+        # candidates — only later groups can straddle the target
+        mf.check_group_boundary(log, as_of_epoch, above=runs.through_group)
+    paths = [runs.base[1]] if runs.base is not None else []
+    paths += [p for ep, p in runs.live if as_of_epoch is None or ep <= as_of_epoch]
     return [pq.read_table(p) for p in paths]
 
 
@@ -2532,9 +2394,11 @@ def _merge_lake_runs(runs: list[pa.Table]) -> pa.Table:
 
 
 def read_partition_state(
-    lake_path: str, pid: int, as_of_epoch: int | None = None
+    lake_path: str, pid: int, as_of_epoch: int | None = None, log: mf.Log | None = None
 ) -> pa.Table | None:
-    runs = _partition_runs(lake_path, pid, as_of_epoch)
+    """A partition's merged live state (None without runs); ``log``: the
+    committed view to read it in (default: the lake's current log)."""
+    runs = _partition_runs(lake_path, pid, as_of_epoch, log)
     return _merge_lake_runs(runs) if runs else None
 
 
@@ -2543,8 +2407,8 @@ def _partition_run_paths(lake_path: str, pid: int) -> list[str]:
     ``_partition_runs`` reads, without reading them).  The point-lookup
     listing: it also drops the partition's lookup-cache entries of runs
     that are no longer live (:meth:`_RunCache.retain`)."""
-    base, _, deltas = mf.live_runs(lake_path, pid)
-    paths = ([base[1]] if base is not None else []) + [p for _, p in deltas]
+    runs = mf.live_runs(lake_path, pid)
+    paths = ([runs.base[1]] if runs.base is not None else []) + [p for _, p in runs.live]
     _LOOKUP_CACHE.retain(mf.partition_dir(lake_path, pid), paths)
     return paths
 
@@ -2861,11 +2725,15 @@ def _read_keys_pruned_once(
 def _compact_partition(
     lake_path: str,
     pid: int,
+    log: mf.Log | None = None,
     *,
     drop_tombstones: bool = False,
     row_group_rows: int,
 ) -> bool:
-    """Fold base + deltas into a new base generation.  Tombstones are
+    """Fold base + the live deltas ``log`` commits (default: the lake's
+    current log) into a new base generation, whose marker records
+    ``log.seq`` as the position it folded through (a delta committed
+    later stays live).  Tombstones are
     RETAINED unless ``drop_tombstones`` (full compaction, WAL complete):
     dropping them mid-stream would let a later epoch's out-of-order
     event with an older ``(ts, lsn)`` resurrect a deleted key (the WAL's
@@ -2874,20 +2742,24 @@ def _compact_partition(
     The folded runs are unlinked after the marker, best effort: a cut
     before that leaves them dead (``fsck`` lists them, ``vacuum``
     removes them)."""
-    base, through, deltas = mf.live_runs(lake_path, pid)
+    log = mf.read_log(lake_path) if log is None else log
+    base, through, _, deltas = mf.live_runs(lake_path, pid, log)
     if not deltas:  # a lone base has nothing to fold
         return False
     runs = [pq.read_table(p) for p in ([base[1]] if base else []) + [p for _, p in deltas]]
     merged = mg.merge_runs(runs, drop_tombstones=drop_tombstones)
     gen = (base[0] + 1) if base else 1
-    through = max([through] + [ep for ep, _ in deltas])
     _write_run(mf.base_path(lake_path, pid, gen), merged, row_group_rows)
     _write_bloom(mf.base_path(lake_path, pid, gen), merged["conv_id"])
     nio.commit_json(
         mf.compact_marker_path(lake_path, pid, gen),
-        {"generation": gen, "through_group": through, "rows": merged.num_rows},
+        {
+            "generation": gen,
+            "through_group": max([through] + [g for g, _ in deltas]),
+            "through_seq": log.seq,
+            "rows": merged.num_rows,
+        },
     )
-    # manifests stay: they are the ledger
     for victim in [p for _, p in deltas] + ([base[1], _bloom_path(base[1])] if base else []):
         with contextlib.suppress(OSError):
             os.remove(victim)

@@ -2540,7 +2540,7 @@ def q_cdc_rejects_feed(sf_dir: str) -> pd.DataFrame:
     and ``CdcEngine.rejects()`` must return exactly the poisoned rows
     — group-tagged, with the vectorized first-failing-rule reason —
     while the valid rows commit normally.  Exactly-once: rejects are
-    committed by the same manifest as their group's delta, so the
+    committed by the same log record as their group's delta, so the
     feed's row set is replay-stable (engine pytest covers re-apply)."""
     import os
 
@@ -4051,15 +4051,15 @@ def q_cdc_lineage(sf_dir: str) -> pd.DataFrame:
     """Per-partition lineage counters, driver-visible WITH a full SQL
     oracle — the north-star's "per-partition lineage counters" surfaced
     as a reconciliation table: the poisoned events-as-transcripts WAL
-    replays epoch by epoch, then every committed partition-epoch
-    manifest's counters are folded per EPOCH (the monoid merge of
-    ``state/manifest.py:154`` restricted to one epoch's manifests) and
+    replays epoch by epoch, then the partition counters of every
+    commit-log record are folded per EPOCH (the monoid merge of
+    ``state/manifest.py`` restricted to one epoch's record) and
     must equal the SQL recomputation from the raw events: ``rows_in`` =
     all WAL rows, ``valid``/``rejects`` = the validation-gate split,
     ``upserts`` = LWW winner count per (conv_id, turn_idx) within the
     epoch.  ``rows_in``/``valid`` stay exact despite the pre-shuffle
     combiner because staged winners carry ``_nsrc`` source-row counts
-    (engine.py ``n_valid_src``).  Exactly-once manifests make this a
+    (engine.py ``n_valid_src``).  Exactly-once records make this a
     replay-stable reconciliation the reference's Redis counters cannot
     pass (increments double-count under replay,
     ``streaming/spark/fraud_detector.py:54-118``)."""
@@ -4070,16 +4070,12 @@ def q_cdc_lineage(sf_dir: str) -> pd.DataFrame:
     eng.apply(wal_dir, max_epochs=1)
     eng.apply(wal_dir)
     per_epoch: dict[int, dict[str, int]] = {}
-    for pid in range(eng.cfg.num_partitions):
-        for m in mf.read_manifests(eng.cfg.path, pid):
-            assert len(m["epochs"]) == 1, m  # epoch-at-a-time replay
-            c = m.get("counters", {})
-            r = per_epoch.setdefault(
-                int(m["epochs"][0]),
-                {"rows_in": 0, "valid": 0, "rejects": 0, "upserts": 0, "deletes": 0},
-            )
-            for k in r:
-                r[k] += int(c.get(k, 0))
+    for rec in mf.read_log(eng.cfg.path).records:
+        assert len(rec["epochs"]) == 1, rec  # epoch-at-a-time replay
+        c = mf.merge_counters(rec["partitions"].values())
+        per_epoch[int(rec["epochs"][0])] = {
+            k: int(c.get(k, 0)) for k in ("rows_in", "valid", "rejects", "upserts", "deletes")
+        }
     epochs = sorted(per_epoch)
     return pd.DataFrame(
         {
@@ -4136,21 +4132,13 @@ def q_cdc_watermarks(sf_dir: str) -> pd.DataFrame:
     eng.apply(wal_dir, max_epochs=1)
     eng.apply(wal_dir)
     per_epoch: dict[int, dict[str, int]] = {}
-    for pid in range(eng.cfg.num_partitions):
-        for m in mf.read_manifests(eng.cfg.path, pid):
-            assert len(m["epochs"]) == 1, m
-            c = m.get("counters", {})
-            r = per_epoch.setdefault(
-                int(m["epochs"][0]), {"watermark_us": None, "late_upserts": 0}
-            )
-            v = c.get("max_ts_us")
-            if v is not None:
-                r["watermark_us"] = (
-                    int(v)
-                    if r["watermark_us"] is None
-                    else max(r["watermark_us"], int(v))
-                )
-            r["late_upserts"] += int(c.get("late_upserts", 0))
+    for rec in mf.read_log(eng.cfg.path).records:
+        assert len(rec["epochs"]) == 1, rec
+        c = mf.merge_counters(rec["partitions"].values())
+        per_epoch[int(rec["epochs"][0])] = {
+            "watermark_us": c.get("max_ts_us"),
+            "late_upserts": int(c.get("late_upserts", 0)),
+        }
     epochs = sorted(per_epoch)
     return pd.DataFrame(
         {

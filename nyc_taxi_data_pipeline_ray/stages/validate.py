@@ -6,7 +6,7 @@ row-level-skip bulk load ``ON_ERROR='CONTINUE'``
 (``airflow/dags/nyc_taxi_sync_dag.py:47``).  Instead of per-row model
 validation, a single Arrow boolean mask per batch marks invalid rows;
 they are routed to a per-partition dead-letter file (``rejects-*.parquet``)
-by the apply stage and counted in the manifest.
+by the apply stage and counted in the commit log.
 
 Rules (keep in sync with ``state.oracle.is_valid_event``):
   conv_id non-null & non-empty; turn_idx non-null & >= 0; ts and lsn

@@ -23,8 +23,8 @@ Protocol:
   partitions, and untouched partitions' files are reused byte-for-byte.
 - A partition is stale when its marker is missing, corrupt, or records
   a watermark other than the lake partition's latest state-changing
-  commit group (:func:`~state.manifest.state_changing_watermark`).  The
-  scan loads only the lake manifests at or after the stored watermark.
+  commit group (:func:`~state.manifest.state_changing_watermark`), read
+  from one fold of the lake's commit log per refresh.
 - Exactly-once: the data file is written tmp+rename, then its marker.
   A crash between the two leaves the partition stale, and the re-run
   deterministically rewrites the same bytes; a committed partition is
@@ -132,8 +132,8 @@ class ConsumerLedger:
     def stored_watermark(self, pid: int) -> int | None:
         return stored_watermark(self.path, pid)
 
-    def lake_watermark(self, pid: int, stored: int | None = None) -> int:
-        return mf.state_changing_watermark(self.engine.cfg.path, pid, stored)
+    def lake_watermark(self, pid: int) -> int:
+        return mf.state_changing_watermark(self.engine.cfg.path, pid)
 
     # --------------------------------------------------------------- refresh
     def refresh(
@@ -149,11 +149,12 @@ class ConsumerLedger:
         ``(manifest_field, report_key)`` records each partition's build
         work in its manifest and reports the total before ``rows``."""
         pids = self.engine.live_pids()
+        log = mf.read_log(self.engine.cfg.path)
         stale: list[dict] = []
         work = rows = 0
         for pid in pids:
             old, n = _load_marker(self.path, pid)
-            wm = self.lake_watermark(pid, old)
+            wm = mf.state_changing_watermark(self.engine.cfg.path, pid, log)
             if old != wm:
                 stale.append({"pid": pid, "wm": wm, "old": old})
             else:

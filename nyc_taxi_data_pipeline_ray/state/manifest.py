@@ -1,4 +1,5 @@
-"""Epoch manifests, idempotent commits, lineage counters, resume scan.
+"""The lake's layout and its one commit log: committed groups, lineage
+counters, the event-time watermark and the resume scan.
 
 Replaces three reference mechanisms at once:
 
@@ -7,64 +8,121 @@ Replaces three reference mechanisms at once:
 - the Spark streaming checkpoint dir (``streaming/spark/
   fraud_detector.py:190``),
 - the Redis metric counters (``fraud_detector.py:54-118``) — lineage
-  and per-epoch metrics live *in* the manifest, summed monoid-style
-  across epochs when queried (exactly-once, unlike Redis increments
-  which double-count under replay — a documented reference weakness).
+  and per-partition metrics live *in* the log records, summed
+  monoid-style when folded (exactly-once, unlike Redis increments which
+  double-count under replay — a documented reference weakness).
 
-Layout under ``lake/p=NNNN/``:
+Layout under ``lake/``:
 
-- ``base-GGGGGG.parquet``      compacted base run (generation G)
-- ``delta-EEEEEE.parquet``     delta run committed by epoch E
-- ``manifest-EEEEEE.json``     commit marker + lineage for epoch E
-- ``rejects-EEEEEE.parquet``   dead-letter rows of epoch E (if any)
+- ``_log/commit-SSSSSS.json``      commit record number S, in commit
+  order: the group's id and epochs, the counters of each partition it
+  wrote, its alert ring, the event-time watermark after it and the
+  apply's stage seconds
+- ``_log/checkpoint-SSSSSS.json``  the fold of records 1..S
+- ``p=NNNN/delta-GGGGGG.parquet``   delta run of commit group G (a
+  group's id is its largest epoch)
+- ``p=NNNN/rejects-GGGGGG.parquet`` dead-letter rows of group G (if any)
+- ``p=NNNN/base-GGGGGG.parquet``    compacted base run (generation G)
+- ``p=NNNN/compact-GGGGGG.json``    its marker: ``generation``,
+  ``through_group`` (the largest group id folded), ``through_seq`` (the
+  log position folded through) and ``rows``
 
 The commit rule (Delta Lake, VLDB 2020), kept by one primitive,
 :func:`nyc_taxi_data_pipeline_ray.io.commit_file`: every file is written
 to a tmp sibling and published by one atomic rename, data files before
-the marker that makes them visible, and readers act only on what a
-marker has published.  A partition-epoch is committed iff its manifest
-exists, a base iff its compact marker does, so a re-executed Ray task
-(retry or replayed run) either skips (already committed) or
-deterministically rewrites identical bytes — replaying a committed
-epoch is a no-op (exactly-once).
+the record that makes them visible.  Apply's tasks write only data
+files; the driver then commits the whole group with one fsynced record
+numbered ``head + 1`` under the single-writer lease, so the group
+becomes visible in every partition at once.  A delta run is committed
+iff its group has a record, and live iff that record comes after its
+partition's ``through_seq``: a late group, committed after a compaction
+that folded larger group ids, is still live.  A base is committed iff
+its marker exists.  Replaying a committed epoch is a no-op
+(exactly-once); a crashed group has no record, and its retry rewrites
+the same data files.
+
+:func:`read_log` is the one reader: one listing of ``_log/``, then the
+newest checkpoint plus the records after it, folded.  Records and
+checkpoints are write-once, so a process-wide cache keyed by each
+file's stat identity serves a repeat read without loading JSON.
+``compact()`` folds a checkpoint (:func:`write_checkpoint`) and deletes
+the records it covers, so one checkpoint stays live.
 """
 
 from __future__ import annotations
 
+import contextlib
 import glob
 import json
 import os
 import re
-from typing import Iterable
+import threading
+from dataclasses import dataclass, field, replace
+from typing import Iterable, NamedTuple
+
+from nyc_taxi_data_pipeline_ray import io as nio
 
 # {6,} not {6}: the writers format with :06d, which GROWS past six
 # digits at epoch/generation 1,000,000 — an exact-width match would
 # silently drop those commits from every merge (data loss at the scale
 # this lake is designed for)
-_MANIFEST_RE = re.compile(r"manifest-(\d{6,})\.json$")
 _DELTA_RE = re.compile(r"delta-(\d{6,})\.parquet$")
+_REJECTS_RE = re.compile(r"rejects-(\d{6,})\.parquet$")
 _BASE_RE = re.compile(r"base-(\d{6,})\.parquet$")
 _COMPACT_RE = re.compile(r"compact-(\d{6,})\.json$")
+_RECORD_RE = re.compile(r"commit-(\d{6,})\.json$")
+_CHECKPOINT_RE = re.compile(r"checkpoint-(\d{6,})\.json$")
+_LOG_DIR = "_log"
+
+
+class LakeLayoutError(RuntimeError):
+    """The lake was written in a layout this engine does not read: the
+    per-partition-manifest layout of earlier versions, which has no
+    commit log.  Rebuild such a lake by replaying its WAL."""
+
+
+def check_layout(lake_path: str) -> None:
+    """Raise :class:`LakeLayoutError` on a lake in the retired layout
+    (global ``_epochs`` markers, a ``_watermark.json`` cache or
+    per-partition ``manifest-*.json`` files)."""
+    retired = glob.glob(os.path.join(lake_path, "_epochs")) + glob.glob(
+        os.path.join(lake_path, "_watermark.json")
+    )
+    if not retired and not os.path.isdir(os.path.join(lake_path, _LOG_DIR)):
+        retired = glob.glob(os.path.join(lake_path, "p=*", "manifest-*.json"))
+    if retired:
+        raise LakeLayoutError(
+            f"lake at {lake_path} uses the per-partition manifest layout "
+            f"({retired[0]}) and has no commit log; rebuild it from its WAL"
+        )
 
 
 def partition_dir(lake_path: str, pid: int) -> str:
     return os.path.join(lake_path, f"p={pid:04d}")
 
 
-def manifest_path(lake_path: str, pid: int, epoch: int) -> str:
-    return os.path.join(partition_dir(lake_path, pid), f"manifest-{epoch:06d}.json")
+def delta_path(lake_path: str, pid: int, group: int) -> str:
+    return os.path.join(partition_dir(lake_path, pid), f"delta-{group:06d}.parquet")
 
 
-def delta_path(lake_path: str, pid: int, epoch: int) -> str:
-    return os.path.join(partition_dir(lake_path, pid), f"delta-{epoch:06d}.parquet")
-
-
-def rejects_path(lake_path: str, pid: int, epoch: int) -> str:
-    return os.path.join(partition_dir(lake_path, pid), f"rejects-{epoch:06d}.parquet")
+def rejects_path(lake_path: str, pid: int, group: int) -> str:
+    return os.path.join(partition_dir(lake_path, pid), f"rejects-{group:06d}.parquet")
 
 
 def base_path(lake_path: str, pid: int, generation: int) -> str:
     return os.path.join(partition_dir(lake_path, pid), f"base-{generation:06d}.parquet")
+
+
+def compact_marker_path(lake_path: str, pid: int, generation: int) -> str:
+    return os.path.join(partition_dir(lake_path, pid), f"compact-{generation:06d}.json")
+
+
+def record_path(lake_path: str, seq: int) -> str:
+    return os.path.join(lake_path, _LOG_DIR, f"commit-{seq:06d}.json")
+
+
+def checkpoint_path(lake_path: str, seq: int) -> str:
+    return os.path.join(lake_path, _LOG_DIR, f"checkpoint-{seq:06d}.json")
 
 
 def is_file_not_found(e: BaseException) -> bool:
@@ -76,95 +134,243 @@ def is_file_not_found(e: BaseException) -> bool:
     )
 
 
-def committed_epochs(lake_path: str, pid: int) -> set[int]:
-    return _listing(lake_path, pid)[0]
+# ------------------------------------------------------------------- the log
 
 
-def committed_epoch_groups(
-    lake_path: str, pid: int, min_epoch: int | None = None
-) -> set[int]:
-    """All epochs covered by this partition's committed manifests (a
-    manifest file may commit several epochs applied as one group).
+@dataclass
+class Log:
+    """A lake's committed state: the fold of its newest checkpoint and
+    the records after it.  Shared through the read cache, so callers
+    treat it as read-only."""
 
-    With ``min_epoch``, only the manifests that can cover an epoch at or
-    above it are loaded: a manifest is named by its group id, which is
-    the maximum epoch of its group, so ``manifest-G.json`` with
-    ``G < min_epoch`` covers no such epoch.  A resume check then reads
-    the manifests of the groups it may be retrying, not the whole
-    history."""
-    out: set[int] = set()
-    d = partition_dir(lake_path, pid)
-    if not os.path.isdir(d):
-        return out
-    for name in os.listdir(d):
-        m = _MANIFEST_RE.match(name)
-        if m and (min_epoch is None or int(m.group(1)) >= min_epoch):
-            with open(os.path.join(d, name)) as f:
-                man = json.load(f)
-            out.update(man.get("epochs", [man.get("group_id")]))
-    return out
+    seq: int = 0  #: position of the newest record (0: empty log)
+    #: group id -> [record position, epochs]
+    groups: dict[int, list] = field(default_factory=dict)
+    counters: dict = field(default_factory=dict)  #: :func:`merge_counters` of every partition
+    alerts: list = field(default_factory=list)  #: :func:`merge_alert_ring` of every group
+    #: pid -> the largest group id that changed its merged state
+    changed: dict[int, int] = field(default_factory=dict)
+    #: group id -> {pid: delta rows} of the records after the checkpoint
+    #: (a checkpoint follows a full compaction: no delta before it is live)
+    rows: dict[int, dict[int, int]] = field(default_factory=dict)
+    records: list[dict] = field(default_factory=list)  #: the records after the checkpoint
+
+    @property
+    def epochs(self) -> set[int]:
+        return {e for _, eps in self.groups.values() for e in eps}
+
+    @property
+    def watermark_us(self) -> int | None:
+        """The event-time watermark: max committed event time (µs)."""
+        return self.counters.get("max_ts_us")
+
+    def fold(self, rec: dict) -> None:
+        g, parts = rec["group_id"], {int(p): c for p, c in rec["partitions"].items()}
+        self.seq = rec["seq"]
+        self.groups[g] = [self.seq, rec["epochs"]]
+        self.counters = merge_counters([self.counters, *parts.values()])
+        self.alerts = merge_alert_ring([self.alerts, rec.get("alerts", [])])
+        for p, c in parts.items():
+            if c.get("upserts") or c.get("deletes"):
+                self.changed[p] = max(self.changed.get(p, -1), g)
+        self.rows[g] = {p: c.get("upserts", 0) + c.get("deletes", 0) for p, c in parts.items()}
+        self.records.append(rec)
+
+    def copy(self) -> "Log":
+        return replace(
+            self,
+            groups=dict(self.groups),
+            changed=dict(self.changed),
+            rows=dict(self.rows),
+            records=list(self.records),
+        )
+
+    def slim(self) -> "Log":
+        """What a partition task needs — group positions and epochs, the
+        watermark — without the rest, for shipping into Ray tasks."""
+        return replace(self, alerts=[], changed={}, rows={}, records=[])
+
+    def checkpoint(self) -> dict:
+        """The checkpoint document; JSON keys are strings, so the int-keyed
+        maps are stored as pairs."""
+        return {
+            "seq": self.seq,
+            "groups": sorted(self.groups.items()),
+            "counters": self.counters,
+            "alerts": self.alerts,
+            "changed": sorted(self.changed.items()),
+        }
+
+    @classmethod
+    def from_checkpoint(cls, d: dict) -> "Log":
+        return cls(**{**d, "groups": dict(d["groups"]), "changed": dict(d["changed"])})
 
 
-def read_manifests(lake_path: str, pid: int) -> list[dict]:
-    d = partition_dir(lake_path, pid)
+def _load(path: str) -> dict:
+    """The one reader of ledger JSON: log files and compact markers."""
+    with open(path) as f:
+        return json.load(f)
+
+
+def _ident(path: str) -> tuple:
+    st = os.stat(path)
+    return (path, st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+#: lake path -> (stat identities of the files folded, their Log), for
+#: at most :data:`_CACHE_LAKES` lakes, oldest dropped first
+_LOGS: dict[str, tuple[tuple, Log]] = {}
+_CACHE_LAKES = 64
+_CACHE_LOCK = threading.Lock()
+
+
+def _cache(lake_path: str, idents: tuple, log: Log) -> None:
+    with _CACHE_LOCK:
+        _LOGS.pop(lake_path, None)
+        _LOGS[lake_path] = (idents, log)
+        while len(_LOGS) > _CACHE_LAKES:
+            _LOGS.pop(next(iter(_LOGS)))
+
+
+def _log_names(names: Iterable[str]) -> tuple[int, list[int]]:
+    """The newest checkpoint's position (0: none) and the positions of
+    the records after it, in order."""
+    ckpt, recs = 0, []
+    for name in names:
+        if m := _CHECKPOINT_RE.match(name):
+            ckpt = max(ckpt, int(m.group(1)))
+        elif m := _RECORD_RE.match(name):
+            recs.append(int(m.group(1)))
+    return ckpt, sorted(s for s in recs if s > ckpt)
+
+
+def read_log(lake_path: str) -> Log:
+    """The lake's committed state, from one listing of ``_log/``: the
+    newest checkpoint plus the records after it.  A file that vanishes
+    under the listing (``compact()`` deleting the records its new
+    checkpoint covers) makes it list once more."""
+    try:
+        return _read_log_once(lake_path)
+    except FileNotFoundError:
+        return _read_log_once(lake_path)
+
+
+def _read_log_once(lake_path: str) -> Log:
+    try:
+        names = os.listdir(os.path.join(lake_path, _LOG_DIR))
+    except FileNotFoundError:
+        names = []
+    ckpt, recs = _log_names(names)
+    paths = ([checkpoint_path(lake_path, ckpt)] if ckpt else []) + [
+        record_path(lake_path, s) for s in recs
+    ]
+    idents = tuple(_ident(p) for p in paths)
+    cached = _LOGS.get(lake_path)
+    if cached is not None and cached[0] == idents:
+        return cached[1]
+    if cached is not None and cached[0] and idents[: len(cached[0])] == cached[0]:
+        log, done = cached[1].copy(), len(cached[0])
+    elif ckpt:
+        log, done = Log.from_checkpoint(_load(paths[0])), 1
+    else:
+        log, done = Log(), 0
+    for p in paths[done:]:
+        log.fold(_load(p))
+    _cache(lake_path, idents, log)
+    return log
+
+
+def append_record(lake_path: str, log: Log, record: dict) -> Log:
+    """Commit ``record`` as log position ``log.seq + 1`` — ``log`` is the
+    state the writer read under its lease — and return the new state.
+    The record is fsynced before its rename (:func:`io.commit_json`); it
+    is the group's one commit point."""
+    rec = {"seq": log.seq + 1, **record}
+    path = record_path(lake_path, rec["seq"])
+    nio.commit_json(path, rec)
+    new = log.copy()
+    new.fold(rec)
+    cached = _LOGS.get(lake_path)
+    if cached is not None and cached[1] is log:  # the next read loads nothing
+        _cache(lake_path, cached[0] + (_ident(path),), new)
+    return new
+
+
+def write_checkpoint(lake_path: str, log: Log) -> None:
+    """Fold ``log`` into ``_log/checkpoint-S.json`` (S: its head), then
+    delete the records and the checkpoint it covers — best effort: a cut
+    leaves them for ``vacuum``.  Called after a full compaction, which
+    left no delta of those records live, so the checkpoint keeps no
+    per-partition row counts.  A log without records after its
+    checkpoint is left as it is."""
+    if not log.records:
+        return
+    nio.commit_json(checkpoint_path(lake_path, log.seq), log.checkpoint())
+    for r in ledger_remnants(lake_path):
+        if r["kind"] == "folded_log":
+            with contextlib.suppress(OSError):
+                os.remove(os.path.join(lake_path, r["file"]))
+
+
+def ledger_remnants(lake_path: str) -> list[dict]:
+    """``fsck`` entries for ``_log/``: tmp siblings of cut commits, and
+    the records and checkpoints the newest checkpoint covers
+    (``folded_log``); reclaimable, invisible to readers."""
+    d = os.path.join(lake_path, _LOG_DIR)
+    names = sorted(os.listdir(d)) if os.path.isdir(d) else []
+    ckpt, _ = _log_names(names)
     out = []
-    for path in sorted(glob.glob(os.path.join(d, "manifest-*.json"))):
-        with open(path) as f:
-            out.append(json.load(f))
+    for name in names:
+        m = _RECORD_RE.match(name) or _CHECKPOINT_RE.match(name)
+        seq = int(m.group(1)) if m else None
+        folded = m is not None and (seq < ckpt or (seq == ckpt and m.re is _RECORD_RE))
+        kind = "tmp_file" if nio.is_tmp(name) else "folded_log" if folded else None
+        if kind:
+            out.append({"kind": kind, "pid": None, "file": os.path.join(_LOG_DIR, name)})
     return out
 
 
-def state_changing_watermark(
-    lake_path: str, pid: int, after_group: int | None = None
-) -> int:
-    """Latest commit group that CHANGED a partition's merged state.
+def state_changing_watermark(lake_path: str, pid: int, log: Log | None = None) -> int:
+    """Largest commit group that CHANGED a partition's merged state (-1:
+    none) — the staleness rule of the consumer ledger
+    (:mod:`state.consumer`).  A group that delivered no upserts/deletes
+    there (empty slice, or rejects-only) leaves the merged state
+    untouched, so it must not invalidate a consumer's cached partition."""
+    log = read_log(lake_path) if log is None else log
+    return log.changed.get(pid, -1)
 
-    The engine writes a manifest for every partition in every commit
-    group (the exactly-once ledger needs that), but a group that
-    delivered no upserts/deletes there (empty slice, or rejects-only)
-    leaves the merged state untouched, so it must not invalidate an
-    incremental consumer's cached partition.  The staleness rule of the
-    consumer ledger (:mod:`state.consumer`).
 
-    ``after_group`` is a watermark this function returned earlier (a
-    consumer's stored one).  Manifests are never rewritten and groups
-    only grow, so then only ``manifest-G.json`` with ``G >= after_group``
-    is loaded: a refresh reads the manifests committed since, not the
-    whole history.  When ``manifest-{after_group}.json`` is not a
-    state-changing commit of this partition (a watermark of another
-    lake), the whole ledger is scanned."""
-    d = partition_dir(lake_path, pid)
-    lo = -1 if after_group is None else after_group
-    wm, anchored = -1, lo < 0
-    for name in os.listdir(d) if os.path.isdir(d) else ():
-        m = _MANIFEST_RE.match(name)
-        if not m or int(m.group(1)) < lo:
-            continue
-        with open(os.path.join(d, name)) as f:
-            c = json.load(f).get("counters", {})
-        if c.get("upserts", 0) or c.get("deletes", 0):
-            g = int(m.group(1))
-            wm = max(wm, g)
-            anchored = anchored or g == lo
-    return wm if anchored else state_changing_watermark(lake_path, pid)
+def check_group_boundary(log: Log, epoch: int, above: int = -1) -> None:
+    """Raise ValueError when ``epoch`` falls inside a committed group
+    above ``above`` (epochs reaching below it and past it): the group
+    committed its epochs at once, so no state exists at that epoch."""
+    for g, (_, eps) in log.groups.items():
+        if g > above and min(eps) <= epoch < max(eps):
+            raise ValueError(
+                f"epoch {epoch} falls inside commit group {g} (epochs {sorted(eps)}); "
+                "lake states and changes exist only at commit-group boundaries"
+            )
+
+
+# ------------------------------------------------------------ partition runs
 
 
 def _listing(lake_path: str, pid: int):
-    """One directory listing of a partition, by kind: (committed group
-    ids, {epoch: delta path}, {generation: base path}, generations with
-    a compact marker)."""
+    """One directory listing of a partition, by kind: ({group: delta
+    path}, {group: rejects path}, {generation: base path}, generations
+    with a compact marker)."""
     d = partition_dir(lake_path, pid)
-    groups, deltas, bases, markers = set(), {}, {}, set()
+    deltas, rejects, bases, markers = {}, {}, {}, set()
     for name in os.listdir(d) if os.path.isdir(d) else ():
-        if m := _MANIFEST_RE.match(name):
-            groups.add(int(m.group(1)))
-        elif m := _DELTA_RE.match(name):
+        if m := _DELTA_RE.match(name):
             deltas[int(m.group(1))] = os.path.join(d, name)
+        elif m := _REJECTS_RE.match(name):
+            rejects[int(m.group(1))] = os.path.join(d, name)
         elif m := _BASE_RE.match(name):
             bases[int(m.group(1))] = os.path.join(d, name)
         elif m := _COMPACT_RE.match(name):
             markers.add(int(m.group(1)))
-    return groups, deltas, bases, markers
+    return deltas, rejects, bases, markers
 
 
 def _current_base(bases: dict, markers: set) -> tuple[int, str] | None:
@@ -172,16 +378,50 @@ def _current_base(bases: dict, markers: set) -> tuple[int, str] | None:
     return (max(valid), bases[max(valid)]) if valid else None
 
 
-def delta_runs(lake_path: str, pid: int) -> list[tuple[int, str]]:
-    """Committed delta runs, oldest first: [(epoch, path)].
+class Runs(NamedTuple):
+    """The runs that hold a partition's state."""
 
-    Only deltas whose manifest exists count — an orphan ``delta-*.parquet``
-    from a crashed task is invisible until its commit marker lands.
-    Deltas already folded into the base are listed too; readers want
-    :func:`live_runs`.
+    base: tuple[int, str] | None  #: current base (generation, path)
+    through_group: int  #: largest group id folded into it (-1: no base)
+    through_seq: int  #: log position it folded through (-1: no base)
+    live: list[tuple[int, str]]  #: live deltas (group, path), oldest group first
+
+
+def live_runs(lake_path: str, pid: int, log: Log | None = None) -> Runs:
+    """A partition's :class:`Runs`, from one listing, at most one marker
+    read and the log (read here unless given).  A delta is live iff its
+    group is committed after the base's ``through_seq``: one at or below
+    it was folded, and a compaction cut between its marker and its
+    unlinks leaves it on disk, dead."""
+    log = read_log(lake_path) if log is None else log
+    deltas, _, bases, markers = _listing(lake_path, pid)
+    base = _current_base(bases, markers)
+    # only the current generation's marker: superseded ones are never opened
+    m = _load(compact_marker_path(lake_path, pid, base[0])) if base is not None else {}
+    through_seq = int(m.get("through_seq", -1))
+    live = sorted(
+        (g, p) for g, p in deltas.items() if g in log.groups and log.groups[g][0] > through_seq
+    )
+    return Runs(base, int(m.get("through_group", -1)), through_seq, live)
+
+
+def delta_runs(lake_path: str, pid: int) -> list[tuple[int, str]]:
+    """Committed delta runs, oldest group first: [(group, path)].
+
+    Only deltas whose group has a log record count — an orphan
+    ``delta-*.parquet`` from a crashed apply is invisible until its
+    record lands.  Deltas already folded into the base are listed too;
+    readers want :func:`live_runs`.
     """
-    groups, deltas, _, _ = _listing(lake_path, pid)
-    return sorted((e, p) for e, p in deltas.items() if e in groups)
+    log = read_log(lake_path)
+    deltas = _listing(lake_path, pid)[0]
+    return sorted((g, p) for g, p in deltas.items() if g in log.groups)
+
+
+def rejects_runs(lake_path: str, pid: int, log: Log) -> list[tuple[int, str]]:
+    """Committed dead-letter files, oldest group first: [(group, path)]."""
+    rejects = _listing(lake_path, pid)[1]
+    return sorted((g, p) for g, p in rejects.items() if g in log.groups)
 
 
 def current_base(lake_path: str, pid: int) -> tuple[int, str] | None:
@@ -190,57 +430,28 @@ def current_base(lake_path: str, pid: int) -> tuple[int, str] | None:
     return _current_base(bases, markers)
 
 
-def live_runs(
-    lake_path: str, pid: int
-) -> tuple[tuple[int, str] | None, int, list[tuple[int, str]]]:
-    """The runs that hold a partition's state, from one listing and at
-    most one marker read: ``(base, through, deltas)`` — the current base
-    ``(generation, path)`` or None, its fold watermark (-1 without a
-    base), and the committed deltas above it, oldest first.  A delta at
-    or below the watermark was folded into the base: a compaction cut
-    between its marker and its unlinks leaves it on disk, dead."""
-    groups, deltas, bases, markers = _listing(lake_path, pid)
-    base = _current_base(bases, markers)
-    through = -1 if base is None else compact_through(lake_path, pid, base[0])
-    live = sorted((e, p) for e, p in deltas.items() if e in groups and e > through)
-    return base, through, live
-
-
-def compact_marker_path(lake_path: str, pid: int, generation: int) -> str:
-    return os.path.join(partition_dir(lake_path, pid), f"compact-{generation:06d}.json")
-
-
-def compact_through(lake_path: str, pid: int, generation: int) -> int:
-    """The last commit group folded into base ``generation``, from that
-    generation's marker alone (-1 when it has none).  Markers of
-    superseded generations are never opened."""
-    try:
-        with open(compact_marker_path(lake_path, pid, generation)) as f:
-            return int(json.load(f).get("through_group", -1))
-    except FileNotFoundError:
-        return -1
-
-
 def read_compact_markers(lake_path: str, pid: int) -> list[dict]:
-    out = []
-    for path in sorted(
-        glob.glob(os.path.join(partition_dir(lake_path, pid), "compact-*.json"))
-    ):
-        with open(path) as f:
-            out.append(json.load(f))
-    return out
+    return [
+        _load(path)
+        for path in sorted(
+            glob.glob(os.path.join(partition_dir(lake_path, pid), "compact-*.json"))
+        )
+    ]
 
 
-def merge_counters(manifests: Iterable[dict]) -> dict:
-    """Monoid merge of lineage counters across partition-epoch manifests
-    (the Redis-counter analog, exactly-once because manifests are
-    per-committed-epoch, not increments).  Keys prefixed ``min_`` fold
-    by min and ``max_`` by max (the event-time watermark rides the
-    ``max_ts_us`` counter); everything else sums.  Summing a bound
-    across partitions would be meaningless."""
+# ------------------------------------------------------------------ lineage
+
+
+def merge_counters(counters: Iterable[dict]) -> dict:
+    """Monoid merge of lineage counter dicts (the Redis-counter analog,
+    exactly-once because each committed group's counters are recorded
+    once, not incremented).  Keys prefixed ``min_`` fold by min and
+    ``max_`` by max (the event-time watermark rides the ``max_ts_us``
+    counter); everything else sums.  Summing a bound across partitions
+    would be meaningless."""
     total: dict[str, float] = {}
-    for m in manifests:
-        for k, v in m.get("counters", {}).items():
+    for c in counters:
+        for k, v in c.items():
             if not isinstance(v, (int, float)):
                 continue
             if k.startswith("min_"):
@@ -258,17 +469,17 @@ def merge_counters(manifests: Iterable[dict]) -> dict:
 ALERT_RING_K = 100
 
 
-def merge_alert_ring(manifests: Iterable[dict], k: int = ALERT_RING_K) -> list[dict]:
-    """Most-recent-K alert entries across all committed manifests.
+def merge_alert_ring(rings: Iterable[list[dict]], k: int = ALERT_RING_K) -> list[dict]:
+    """Most-recent-K alert entries across alert lists.
 
-    Each manifest carries at most K ``alerts`` entries; the merge is a
-    keep-last-K monoid (concat -> sort by event recency -> truncate), so
-    the ring is exactly-once by construction — replaying a committed
-    epoch re-reads the same manifest instead of re-pushing entries (the
+    Each committed group records at most K ``alerts`` entries; the merge
+    is a keep-last-K monoid (concat -> sort by event recency ->
+    truncate), so the ring is exactly-once by construction — replaying a
+    committed epoch commits nothing instead of re-pushing entries (the
     documented double-count weakness of the reference's Redis lpush).
     Entries with a ``ts`` sort before ts-less ones; ``lsn`` breaks ties.
     """
-    entries = [e for m in manifests for e in m.get("alerts", [])]
+    entries = [e for ring in rings for e in ring]
     entries.sort(
         key=lambda e: (e.get("ts") is not None, e.get("ts") or 0, e.get("lsn") or 0),
         reverse=True,

@@ -230,9 +230,8 @@ class DeltaAggregate:
             return None
 
     def _watermark_now(self) -> int:
-        # fully committed groups only: a group that has landed in some
-        # partitions (a crash, or an apply still running) folded now
-        # would be recorded as done and never folded in full
+        # committed groups only: a group cut before its log record (a
+        # crash, or an apply still running) is in no partition yet
         return self.engine.last_committed_group()
 
     # --------------------------------------------------------------- refresh

@@ -26,7 +26,7 @@ from nyc_taxi_data_pipeline_ray import schemas
 RUN_SEQ = "_run_seq"
 
 #: internal lineage weight: how many source rows collapsed into this row
-#: (kept exact across combiner stages so manifest counters reconcile).
+#: (kept exact across combiner stages so the log's counters reconcile).
 NSRC = "_nsrc"
 
 # merge key, then LWW order, then run order — the last row per key wins

@@ -22,7 +22,8 @@ the end state must match a crash-free run's:
 The operations (:data:`OPS`): a 2-epoch apply into a 4-partition lake
 with rejects, a one-epoch apply whose Stage B auto-compacts every
 partition, ``compact()``, a 2-epoch apply with ``salt_shards=2`` (Stage
-A2's pre-merged staging), ``reshard()``, ``export_snapshot()``, a view
+A2's pre-merged staging), a late epoch applied into a lake compacted
+past it (its group id is below the bases' fold), ``reshard()``, ``export_snapshot()``, a view
 refresh, MinHash index ``add``/``delete``/``compact``/``merge_from`` and
 ``probe_and_add(persist_hits=True)`` (the admission sidecar), and IVF
 index ``add``/``compact``.
@@ -63,6 +64,7 @@ OPS = (
     "apply_auto_compact",
     "compact",
     "apply_salted",
+    "apply_late_epoch",
     "reshard",
     "export_snapshot",
     "view_refresh",
@@ -178,6 +180,17 @@ class _Matrix:
         eng.compact()
         MaterializedView(eng, os.path.join(folded, "view")).refresh()
         eng.apply(self.wal, max_epochs=1)
+        # epochs 0 and 2 applied and compacted; epoch 1 arrives late
+        late = os.path.join(pre, "late")
+        for e in ("epoch=000000", "epoch=000002"):
+            shutil.copytree(os.path.join(self.wal, e), os.path.join(late, "wal", e))
+        eng = CdcEngine(LakeConfig.open_or_create(os.path.join(late, "lake"), num_partitions=4))
+        eng.apply(os.path.join(late, "wal"), max_epochs=1)
+        eng.apply(os.path.join(late, "wal"))
+        eng.compact()
+        shutil.copytree(
+            os.path.join(self.wal, "epoch=000001"), os.path.join(late, "wal", "epoch=000001")
+        )
 
         rng = np.random.default_rng(5)
         words = [f"w{i}" for i in range(300)]
@@ -225,6 +238,9 @@ class _Matrix:
             ),
             "compact": lake_op("folded", lambda r: self.engine(r).compact()),
             "apply_salted": lake_op("salted", lambda r: self.engine(r).apply(self.wal2)),
+            "apply_late_epoch": lake_op(
+                "late", lambda r: self.engine(r).apply(os.path.join(r, "wal"))
+            ),
             "reshard": lake_op(
                 "folded", lambda r: self.engine(r).reshard(os.path.join(r, "resharded"), 2)
             ),
@@ -265,7 +281,7 @@ class _Matrix:
     def lake_state(self, op: str, root: str) -> dict:
         """The checks that hold after any run, then the observable end
         state (after ``vacuum``, so the file names exclude remnants)."""
-        exp = self.expected[2 if op == "apply_auto_compact" else 1]
+        exp = self.expected[2 if op in ("apply_auto_compact", "apply_late_epoch") else 1]
         cols = sorted(exp.schema.names)
         rows = []
         for lake in ["lake"] + (["resharded"] if op == "reshard" else []):

@@ -190,9 +190,12 @@ def test_compaction_cut_before_unlinks_leaves_reclaimable_runs(tmp_path, monkeyp
 
 def test_fsck_lists_tmp_files_outside_partitions(applied):
     """A commit cut before its rename leaves its tmp sibling wherever the
-    file lives: the lake root and ``_epochs/`` too, not only partitions."""
+    file lives: the lake root and the commit log too, not only partitions."""
+    from nyc_taxi_data_pipeline_ray.state import manifest as mf
+
     _, _, eng, _ = applied
-    names = [os.path.join("_epochs", "epoch-000099.json.tmp"), "_watermark.json.tmp"]
+    record = os.path.relpath(mf.record_path(eng.cfg.path, 99), eng.cfg.path)
+    names = [record + ".tmp", "_lake.json.tmp"]
     for n in names:
         open(os.path.join(eng.cfg.path, n), "w").close()
     rep = eng.fsck()
@@ -289,14 +292,22 @@ def test_exactly_once_reapply(applied):
     _assert_equal_state(eng, gen)
 
 
+def _lose_last_record(eng) -> None:
+    """Simulate a driver crash before a group's log record landed: its
+    data files are on disk, its record is not."""
+    from nyc_taxi_data_pipeline_ray.state import manifest as mf
+
+    os.remove(mf.record_path(eng.cfg.path, mf.read_log(eng.cfg.path).seq))
+
+
 def test_crash_resume(tmp_path):
     gen, wal, eng = _build(str(tmp_path), SPEC)
     eng.apply(wal, max_epochs=2)
-    # driver crash before global commit markers: remove them all
-    for p in glob.glob(os.path.join(eng.cfg.path, "_epochs", "*.json")):
-        os.remove(p)
+    # driver crash before the group's log record
+    _lose_last_record(eng)
     eng.apply(wal)
     _assert_equal_state(eng, gen)
+    assert eng.fsck()["ok"]
 
 
 def test_compaction_preserves_state(applied):
@@ -371,9 +382,10 @@ def test_lag_and_follow(tmp_path):
 
 
 def test_resume_with_new_epochs_after_partial_commit(tmp_path):
-    # crash between per-partition commits and the global markers, with NEW
-    # epochs landing before the retry: the regrouped apply must skip the
-    # partition-committed epochs and still converge to the oracle state
+    # crash after every partition wrote its data files but before the
+    # group's log record, with NEW epochs landing before the retry: the
+    # regrouped apply reruns the uncommitted epochs with the new ones and
+    # converges to the oracle state
     spec = WalSpec(seed=33, num_conversations=70, num_epochs=4, events_per_epoch=600)
     gen = WalGenerator(spec)
     wal = str(tmp_path / "wal")
@@ -381,22 +393,24 @@ def test_resume_with_new_epochs_after_partial_commit(tmp_path):
     gen.write_epoch(wal, 1)
     eng = CdcEngine(LakeConfig.open_or_create(str(tmp_path / "lake"), num_partitions=4))
     eng.apply(wal)
-    # simulate the crash: per-partition manifests exist, global markers gone
-    for f in glob.glob(os.path.join(eng.cfg.path, "_epochs", "*.json")):
-        os.remove(f)
+    # simulate the crash: the data files exist, the record is gone
+    _lose_last_record(eng)
     # new epochs arrive before the retry
     gen.write_epoch(wal, 2)
     gen.write_epoch(wal, 3)
     rep = eng.apply(wal)
     assert rep.epochs == [0, 1, 2, 3]
-    # epochs 0/1 were already partition-committed: their rows were filtered
-    # inside the merge tasks, so only the new epochs' rows count
+    # the first attempt's data files are orphans: never read, each
+    # delivered event counted once
     exp = oracle.replay(gen.events_table())
     snap = eng.snapshot_table()
     cols = sorted(exp.schema.names)
     assert snap.select(cols).equals(exp.select(cols))
-    # lineage: total rows_in across manifests equals total delivered events
+    # lineage: total rows_in across the log equals total delivered events
     assert eng.metrics()["rows_in"] == gen.events_table().num_rows
+    kinds = {r["kind"] for r in eng.fsck()["reclaimable"]}
+    assert kinds <= {"orphan_delta", "orphan_rejects"} and eng.vacuum()["removed"] > 0
+    assert not glob.glob(os.path.join(eng.cfg.path, "p=*", "*-000001.parquet"))
 
 
 def test_type_widen_text_tool(tmp_path):
@@ -600,8 +614,7 @@ def test_salted_resume_rows_in_reconciles(tmp_path):
         LakeConfig.open_or_create(str(tmp_path / "lake"), num_partitions=4, salt_shards=4)
     )
     eng.apply(wal)
-    for f in glob.glob(os.path.join(eng.cfg.path, "_epochs", "*.json")):
-        os.remove(f)
+    _lose_last_record(eng)
     gen.write_epoch(wal, 2)
     gen.write_epoch(wal, 3)
     eng.apply(wal)
@@ -1333,9 +1346,9 @@ def test_reshard_crash_is_detectable_and_retryable(tmp_path, monkeypatch):
     tgt = os.path.join(str(tmp_path), "tgt")
 
     def boom(*a, **k):
-        raise RuntimeError("simulated crash during _epochs copy")
+        raise RuntimeError("simulated crash during the bootstrap log record")
 
-    monkeypatch.setattr(E.shutil, "copyfile", boom)
+    monkeypatch.setattr(E.mf, "append_record", boom)
     with pytest.raises(RuntimeError):
         eng.reshard(tgt, 2)
     # half-built target: data may exist but the completion marker must not
@@ -1424,9 +1437,9 @@ def test_pruned_point_lookups_retry_compactor_race(tmp_path, monkeypatch):
 
 
 def test_event_time_watermark_and_lateness(tmp_path):
-    """Per-partition-epoch manifests carry the event-time watermark
-    (max_ts_us — exact through the pre-shuffle combiner) and the
-    late-arrival count vs the lake's prior watermark (late_upserts);
+    """Each log record's partition counters carry the event-time
+    watermark (max_ts_us — exact through the pre-shuffle combiner) and
+    the late-arrival count vs the lake's prior watermark (late_upserts);
     both match an independent pandas recomputation and stay stable
     across idempotent re-apply and crash-retry."""
     from nyc_taxi_data_pipeline_ray.stages.validate import split_valid
@@ -1458,10 +1471,9 @@ def test_event_time_watermark_and_lateness(tmp_path):
         .last()
     )
     got = {e: {"watermark_us": None, "late_upserts": 0} for e in wm.index}
-    for pid in range(eng.cfg.num_partitions):
-        for m in mf.read_manifests(eng.cfg.path, pid):
-            e = int(m["epochs"][0])
-            c = m.get("counters", {})
+    for rec in mf.read_log(eng.cfg.path).records:
+        e = int(rec["epochs"][0])
+        for c in rec["partitions"].values():
             v = c.get("max_ts_us")
             if v is not None:
                 cur = got[e]["watermark_us"]
@@ -1475,27 +1487,18 @@ def test_event_time_watermark_and_lateness(tmp_path):
         assert got[e]["late_upserts"] == exp_late, e
         prior = int(wm[e]) if prior is None else max(prior, int(wm[e]))
 
-    # crash-retry: drop global markers AND the watermark cache — the
-    # committed manifests (authoritative) must not change
-    before = [
-        sorted(
-            (m["group_id"], m["counters"].get("late_upserts", 0))
-            for m in mf.read_manifests(eng.cfg.path, pid)
-        )
-        for pid in range(eng.cfg.num_partitions)
-    ]
-    for p in glob.glob(os.path.join(eng.cfg.path, "_epochs", "*.json")):
-        os.remove(p)
-    os.remove(os.path.join(eng.cfg.path, "_watermark.json"))
+    # crash-retry: lose the last group's record — the re-applied group
+    # commits the same counters against the same prior watermark
+    def late_counts():
+        return [
+            (rec["group_id"], sorted((p, c["late_upserts"]) for p, c in rec["partitions"].items()))
+            for rec in mf.read_log(eng.cfg.path).records
+        ]
+
+    before = late_counts()
+    _lose_last_record(eng)
     eng.apply(wal)
-    after = [
-        sorted(
-            (m["group_id"], m["counters"].get("late_upserts", 0))
-            for m in mf.read_manifests(eng.cfg.path, pid)
-        )
-        for pid in range(eng.cfg.num_partitions)
-    ]
-    assert before == after
+    assert late_counts() == before
     _assert_equal_state(eng, gen)
 
 
@@ -1503,9 +1506,9 @@ def test_merge_counters_folds_bounds():
     from nyc_taxi_data_pipeline_ray.state.manifest import merge_counters
 
     ms = [
-        {"counters": {"rows_in": 3, "min_lsn": 5, "max_lsn": 9, "max_ts_us": 100}},
-        {"counters": {"rows_in": 4, "min_lsn": 2, "max_lsn": 11, "max_ts_us": 70}},
-        {"counters": {"rows_in": 1}},
+        {"rows_in": 3, "min_lsn": 5, "max_lsn": 9, "max_ts_us": 100},
+        {"rows_in": 4, "min_lsn": 2, "max_lsn": 11, "max_ts_us": 70},
+        {"rows_in": 1, "min_lsn": None},
     ]
     out = merge_counters(ms)
     assert out == {
@@ -1517,7 +1520,7 @@ def test_merge_counters_folds_bounds():
 
 
 def test_watermark_survives_reshard(tmp_path):
-    """Reshard's bootstrap manifests preserve the event-time watermark
+    """Reshard's bootstrap log record preserves the event-time watermark
     (max_ts_us), so late-arrival accounting doesn't reset after a
     layout change."""
     spec = WalSpec(
@@ -1526,10 +1529,13 @@ def test_watermark_survives_reshard(tmp_path):
     )
     gen, wal, eng = _build(str(tmp_path), spec)
     eng.apply(wal)
-    w_src = eng._event_watermark(before_group=10**6)
+    from nyc_taxi_data_pipeline_ray.state import manifest as mf
+
+    w_src = mf.read_log(eng.cfg.path).watermark_us
     tgt = eng.reshard(os.path.join(str(tmp_path), "lake2"), 8)
     assert w_src is not None
-    assert tgt._event_watermark(before_group=10**6) == w_src
+    assert mf.read_log(tgt.cfg.path).watermark_us == w_src
+    assert tgt.metrics()["max_ts_us"] == w_src
 
 
 def test_reshard_refuses_unrelated_nonempty_target(tmp_path):
@@ -1577,16 +1583,19 @@ def test_apply_retry_discards_stale_staging(tmp_path):
 
 
 def _assert_ledger(eng, events, rep, num_partitions):
-    """One report row and one manifest per partition, in pid order; the
-    state equals the oracle; every reject sits in partition 0 and the
-    rejects() / metrics() counts agree with the report."""
+    """One report row per partition, in pid order, and one log record
+    naming the group and the partitions it wrote; the state equals the
+    oracle; every reject sits in partition 0 and the rejects() /
+    metrics() counts agree with the report."""
     from nyc_taxi_data_pipeline_ray.state import manifest as mf
 
     assert rep.partitions == num_partitions
     assert [d["pid"] for d in rep.details] == list(range(num_partitions))
+    assert eng.live_pids() == list(range(num_partitions))
     group = max(rep.epochs)
-    for pid in range(num_partitions):
-        assert os.path.exists(mf.manifest_path(eng.cfg.path, pid, group))
+    rec = mf.read_log(eng.cfg.path).records[-1]
+    assert (rec["group_id"], rec["epochs"]) == (group, rep.epochs)
+    assert sorted(map(int, rec["partitions"])) == [d["pid"] for d in rep.details if d["rows_in"]]
     snap = eng.snapshot_table()
     exp = oracle.replay(events)
     cols = sorted(exp.schema.names)
@@ -1601,21 +1610,21 @@ def _assert_ledger(eng, events, rep, num_partitions):
 
 def _assert_reapply_noop(eng, wal, num_partitions):
     """Re-applying is a no-op: nothing left to discover, and with the
-    global epoch markers lost (crash before they landed) every partition
-    skips the group it already committed."""
+    group's log record lost (crash before it landed) the rerun group
+    rewrites the same data files and commits the same state."""
     before = eng.snapshot_table()
     assert eng.apply(wal).epochs == []
-    for f in glob.glob(os.path.join(eng.cfg.path, "_epochs", "*.json")):
-        os.remove(f)
+    _lose_last_record(eng)
     rep = eng.apply(wal)
-    assert rep.skipped_partitions == rep.partitions == num_partitions
+    assert rep.partitions == num_partitions
     assert [d["pid"] for d in rep.details] == list(range(num_partitions))
     assert eng.snapshot_table().equals(before)
+    assert eng.fsck()["reclaimable"] == []
 
 
 def test_single_conversation_commits_every_partition(tmp_path):
-    """A group that touches one partition of 16 still commits a manifest
-    for all 16 (untouched ones empty), reported in pid order."""
+    """A group that touches one partition of 16 still reports all 16
+    (untouched ones empty) in pid order; its record names the one."""
     T = 1_735_689_600_000_000
     wal = str(tmp_path / "wal")
     events = _write_custom_wal(
@@ -1906,23 +1915,32 @@ def test_corrupt_superseded_compact_marker_is_ignored(tmp_path):
     _assert_equal_state(eng, gen)
 
 
-def test_resume_check_reads_only_manifests_that_can_cover_the_group(tmp_path):
-    """``committed_epoch_groups(min_epoch=E)`` opens only manifests named
-    at or above E (a manifest's name is its group's max epoch), so an
-    unreadable older manifest does not matter, and a multi-epoch group
-    reaching below E is still seen."""
-    from nyc_taxi_data_pipeline_ray import io as nio
+def test_resume_check_reads_only_manifests_that_can_cover_the_group(tmp_path, monkeypatch):
+    """The resume check (the committed epochs ``discover`` diffs
+    against) reads the newest checkpoint and the records after it: a
+    record the checkpoint covers is never opened, even unreadable, and a
+    multi-epoch group folded into the checkpoint still covers all its
+    epochs."""
     from nyc_taxi_data_pipeline_ray.state import manifest as mf
 
     lake = str(tmp_path)
-    os.makedirs(mf.partition_dir(lake, 0))
-    with open(mf.manifest_path(lake, 0, 1), "w") as f:
+    log = mf.Log()
+    for g, eps in ((1, [0, 1]), (4, [2, 3, 4])):
+        log = mf.append_record(lake, log, {"group_id": g, "epochs": eps, "partitions": {}})
+    mf.write_checkpoint(lake, log)
+    with open(mf.record_path(lake, 1), "w") as f:  # left by a cut compact(), damaged
         f.write("{not json")
-    nio.commit_json(mf.manifest_path(lake, 0, 4), {"group_id": 4, "epochs": [2, 3, 4]})
-    nio.commit_json(mf.manifest_path(lake, 0, 5), {"group_id": 5, "epochs": [5]})
-    assert mf.committed_epoch_groups(lake, 0, min_epoch=3) == {2, 3, 4, 5}
-    assert mf.committed_epoch_groups(lake, 0, min_epoch=5) == {5}
-    assert mf.committed_epoch_groups(lake, 1, min_epoch=0) == set()
+    mf.append_record(lake, mf.read_log(lake), {"group_id": 5, "epochs": [5], "partitions": {}})
+    loaded = []
+    real_load = mf._load
+    monkeypatch.setattr(mf, "_load", lambda p: loaded.append(os.path.basename(p)) or real_load(p))
+    monkeypatch.setattr(mf, "_LOGS", {})
+    log = mf.read_log(lake)
+    assert loaded == ["checkpoint-000002.json", "commit-000003.json"]
+    assert log.epochs == {0, 1, 2, 3, 4, 5} and log.seq == 3
+    with pytest.raises(ValueError, match=r"inside commit group 4 \(epochs \[2, 3, 4\]\)"):
+        mf.check_group_boundary(log, 3)
+    assert [r["kind"] for r in mf.ledger_remnants(lake)] == ["folded_log"]
 
 
 # ------------------------------------------------- one-block (fused) plan
@@ -1933,8 +1951,8 @@ def test_fused_micro_batches_equal_oracle(tmp_path, salt_shards):
     """One-epoch applies of one Stage-A unit each take the fused plan:
     Stage A, the salted pre-merge and Stage B run in the one map task.
     After every epoch the ledger and the state equal the oracle over the
-    applied prefix; losing the last epoch marker and re-applying is a
-    no-op that still equals the oracle."""
+    applied prefix; losing the last group's log record and re-applying
+    reruns the group to the same state."""
     spec = WalSpec(
         seed=81,
         num_conversations=30,
@@ -1953,10 +1971,10 @@ def test_fused_micro_batches_equal_oracle(tmp_path, salt_shards):
         _assert_ledger(eng, events.filter(pc.less_equal(events["epoch"], e)), rep, 4)
     assert eng.metrics()["rejects"] > 0
     before = eng.snapshot_table()
-    os.remove(os.path.join(eng.cfg.path, "_epochs", f"epoch-{spec.num_epochs - 1:06d}.json"))
+    _lose_last_record(eng)
     rep = eng.apply(wal)
     assert rep.epochs == [spec.num_epochs - 1] and rep.plan == "fused"
-    assert rep.skipped_partitions == rep.partitions == 4
+    assert rep.partitions == 4
     assert eng.snapshot_table().equals(before)
     _assert_equal_state(eng, gen)
     assert eng.fsck()["ok"]
@@ -2312,13 +2330,15 @@ def test_follow_loop_without_compact_equals_oracle(tmp_path):
     assert eng.fsck()["ok"]
 
 
-# ------------------------------------------------ epoch markers per apply
+# ------------------------------------------------- ledger loads per apply
 
 
 def test_apply_loads_constant_epoch_markers(tmp_path, monkeypatch):
-    """The event-time watermark needs the newest group below the one
-    being applied; finding it loads O(1) ``_epochs`` markers, so the JSON
-    loads one apply makes here do not grow with the lake's history."""
+    """An apply reads the committed epochs and the event-time watermark
+    from the commit log, which the process-wide read cache already
+    holds (the previous apply seeded it with its own record), so the
+    JSON loads one apply makes here do not grow with the lake's
+    history."""
     import json
 
     spec = WalSpec(seed=12, num_conversations=40, num_epochs=16, events_per_epoch=200)
@@ -2340,23 +2360,13 @@ def test_apply_loads_constant_epoch_markers(tmp_path, monkeypatch):
     assert loads_of_one_apply() == after_5
 
 
-def _full_scan_last_group(eng, before_group: int) -> int:
-    """The newest committed group below ``before_group`` by loading every
-    epoch marker."""
-    import json
-
-    groups = []
-    for f in glob.glob(os.path.join(eng.cfg.path, "_epochs", "epoch-*.json")):
-        with open(f) as fh:
-            groups.append(int(json.load(fh)["group_id"]))
-    return max((g for g in groups if g < before_group), default=-1)
-
-
 def test_event_watermark_after_lost_markers_equals_full_scan(tmp_path):
-    """Markers lost from a multi-epoch group (a crash before all of them
-    landed): the newest-first marker scan still finds the group the full
-    scan finds for every ``before_group``, and the re-apply's watermark
-    and ``late_upserts`` equal those of a lake that lost nothing."""
+    """A group whose log record was lost (a crash before it landed) is
+    rerun whole: afterwards the lake's records, event-time watermark and
+    ``late_upserts`` equal those of a lake that lost nothing, and the
+    watermark equals the full scan of the records' partition counters."""
+    from nyc_taxi_data_pipeline_ray.state import manifest as mf
+
     spec = WalSpec(seed=37, num_conversations=40, num_epochs=8, events_per_epoch=300, ooo_fraction=0.3)
     gen = WalGenerator(spec)
     wal = str(tmp_path / "wal")
@@ -2369,20 +2379,23 @@ def test_event_watermark_after_lost_markers_equals_full_scan(tmp_path):
         eng.apply(wal, max_epochs=2)  # group 1 = {0, 1}
         eng.apply(wal, max_epochs=3)  # group 4 = {2, 3, 4}
     lossy = lakes[1]
-    os.remove(os.path.join(lossy.cfg.path, "_epochs", "epoch-000002.json"))
-    os.remove(os.path.join(lossy.cfg.path, "_watermark.json"))
-    for bg in range(0, 10):
-        assert lossy._last_group_before(bg) == _full_scan_last_group(lossy, bg), bg
-    # the lossy lake re-discovers epoch 2: group 5 = {2, 5}, whose
-    # partitions skip the already committed epoch 2
-    assert lossy.apply(wal, max_epochs=2).epochs == [2, 5]
-    assert lakes[0].apply(wal, max_epochs=1).epochs == [5]
+    _lose_last_record(lossy)
+    assert lossy.apply(wal, max_epochs=3).epochs == [2, 3, 4]
     for eng in lakes:
+        assert eng.apply(wal, max_epochs=1).epochs == [5]
         assert eng.apply(wal).epochs == [6, 7]
-    for bg in range(0, 10):
-        assert lossy._last_group_before(bg) == _full_scan_last_group(lossy, bg), bg
-    w = [e._event_watermark(before_group=99) for e in lakes]
-    assert w[0] is not None and w[0] == w[1]
+
+    def ledger(eng):
+        return [
+            (r["seq"], r["group_id"], r["epochs"], r["partitions"])
+            for r in mf.read_log(eng.cfg.path).records
+        ]
+
+    assert ledger(lakes[0]) == ledger(lakes[1])
+    for eng in lakes:
+        log = mf.read_log(eng.cfg.path)
+        full = mf.merge_counters(c for r in log.records for c in r["partitions"].values())
+        assert log.watermark_us is not None and log.watermark_us == full["max_ts_us"]
     m = [e.metrics() for e in lakes]
     assert m[0]["late_upserts"] == m[1]["late_upserts"] and m[0]["late_upserts"] > 0
     for eng in lakes:

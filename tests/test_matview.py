@@ -14,6 +14,7 @@ import pyarrow.parquet as pq
 from nyc_taxi_data_pipeline_ray import CdcEngine, LakeConfig, schemas
 from nyc_taxi_data_pipeline_ray.engine import hash_partition_ids
 from nyc_taxi_data_pipeline_ray.sources.generator import WalGenerator, WalSpec
+from nyc_taxi_data_pipeline_ray.state import manifest as mf
 from nyc_taxi_data_pipeline_ray.state import oracle
 from nyc_taxi_data_pipeline_ray.state.matview import MaterializedView
 
@@ -167,11 +168,10 @@ def test_delta_aggregate_incremental(tmp_path):
 
 
 def test_delta_aggregate_ignores_partially_committed_group(tmp_path):
-    """A group that has landed in some partitions only (a crash before
-    ``apply`` writes its ``_epochs`` markers, or an apply still running)
-    is not committed yet.  Folding its landed part would record the
-    group as done, and the rest would never be folded once the apply
-    resumes."""
+    """A group whose data files have landed but whose log record has not
+    (a crash before ``apply`` commits it, or an apply still running) is
+    not committed yet.  Folding its landed part would record the group
+    as done, and it would never be folded once the apply resumes."""
     from nyc_taxi_data_pipeline_ray.state.matview import DeltaAggregate
 
     gen, wal, eng, _ = _build(str(tmp_path))
@@ -179,11 +179,10 @@ def test_delta_aggregate_ignores_partially_committed_group(tmp_path):
     eng.apply(wal, max_epochs=2)
     assert da.refresh()["mode"] == "full"
     eng.apply(wal)
-    # group 2 landed in partitions 0-2 only, and apply never marked it
-    os.remove(os.path.join(eng.cfg.path, "p=0003", "manifest-000002.json"))
-    os.remove(os.path.join(eng.cfg.path, "_epochs", "epoch-000002.json"))
+    # group 2's data files landed, and apply never committed its record
+    os.remove(mf.record_path(eng.cfg.path, mf.read_log(eng.cfg.path).seq))
     assert da.refresh()["mode"] == "noop"
-    assert eng.apply(wal).epochs == [2]  # the resumed apply lands partition 3
+    assert eng.apply(wal).epochs == [2]  # the resumed apply commits it
     assert da.refresh()["mode"] == "incremental"
     got = da.table().to_pandas()
     exp = _expected_role_stats(gen.events_table())
@@ -396,20 +395,15 @@ def test_noop_refresh_reads_only_manifests_since_its_watermark(tmp_path, monkeyp
 
 
 def test_state_changing_watermark_after_foreign_group_scans_all(tmp_path):
-    """``after_group`` skips older manifests only when it names a
-    state-changing commit of the partition; otherwise the whole ledger
-    decides."""
-    from nyc_taxi_data_pipeline_ray import io as nio
-    from nyc_taxi_data_pipeline_ray.state import manifest as mf
-
+    """A partition's state-changing watermark is the largest group whose
+    record gives it upserts or deletes, folded from the whole log
+    (checkpoint included) whatever watermark a consumer stored."""
     lake = str(tmp_path)
+    log = mf.Log()
     for g, upserts in ((1, 5), (3, 0), (4, 2), (6, 0)):
-        nio.commit_json(
-            mf.manifest_path(lake, 0, g), {"group_id": g, "counters": {"upserts": upserts}}
-        )
+        part = {"rows_in": upserts + 1, "upserts": upserts, "deletes": 0}
+        log = mf.append_record(lake, log, {"group_id": g, "epochs": [g], "partitions": {"0": part}})
+        if g == 3:
+            mf.write_checkpoint(lake, log)
     assert mf.state_changing_watermark(lake, 0) == 4
-    assert mf.state_changing_watermark(lake, 0, after_group=1) == 4
-    assert mf.state_changing_watermark(lake, 0, after_group=4) == 4
-    for foreign in (3, 5, 9):
-        assert mf.state_changing_watermark(lake, 0, after_group=foreign) == 4
-    assert mf.state_changing_watermark(lake, 1, after_group=2) == -1
+    assert mf.state_changing_watermark(lake, 1) == -1

@@ -124,24 +124,21 @@ def test_oracle_tie_keeps_later_arrival():
 def test_manifest_ledger_survives_seven_digit_ids(tmp_path):
     """:06d grows past six digits at id 1,000,000 — the ledger regexes
     must keep matching or those commits silently vanish from merges."""
-    import json
     import os
 
     import pyarrow.parquet as pq
 
     from nyc_taxi_data_pipeline_ray.state import manifest as mf
 
-    d = os.path.join(str(tmp_path), "p=0000")
-    os.makedirs(d)
+    lake = str(tmp_path)
+    os.makedirs(mf.partition_dir(lake, 0))
+    log = mf.Log()
     for epoch in (999999, 1000000):
-        pq.write_table(
-            _t([("c", 0, 1, 1, "insert", "x")]),
-            os.path.join(d, f"delta-{epoch:06d}.parquet"),
-        )
-        with open(os.path.join(d, f"manifest-{epoch:06d}.json"), "w") as f:
-            json.dump({"group_id": epoch, "epochs": [epoch]}, f)
-    assert mf.committed_epochs(str(tmp_path), 0) == {999999, 1000000}
-    assert [e for e, _ in mf.delta_runs(str(tmp_path), 0)] == [999999, 1000000]
+        pq.write_table(_t([("c", 0, 1, 1, "insert", "x")]), mf.delta_path(lake, 0, epoch))
+        log = mf.append_record(lake, log, {"group_id": epoch, "epochs": [epoch], "partitions": {}})
+    assert os.path.basename(mf.delta_path(lake, 0, 1000000)) == "delta-1000000.parquet"
+    assert mf.read_log(lake).epochs == {999999, 1000000}
+    assert [e for e, _ in mf.delta_runs(lake, 0)] == [999999, 1000000]
 
 
 def test_consumer_watermark_corrupt_json_is_stale(tmp_path):
