@@ -381,10 +381,10 @@ class _PreMergeSalts:
     at most one staged run passes through whole and writes nothing: the
     run is one unit of one epoch, which Stage A already combined per key.
 
-    The pre-combine runs PER EPOCH (not across the whole group), so the
-    fragment keeps every epoch's winner of a key; Stage B's final
-    resolve collapses them.  ``_nsrc`` lineage weights sum within each
-    epoch, so Stage B's ``rows_in`` stays exact.
+    The pre-combine is one LWW resolve across the group's epochs, the
+    same resolve Stage B runs over the whole group, so it keeps each
+    key's winner; ``_nsrc`` lineage weights sum over each key's rows, so
+    Stage B's ``rows_in`` stays exact.
     """
 
     def __init__(self, staging_dir: str):
@@ -397,14 +397,9 @@ class _PreMergeSalts:
             return group
         rest = group.filter(pc.invert(runs))
         good = _read_slices(self.staging_dir, group.filter(runs))
-        parts = []
-        for e in sorted(pc.unique(good["epoch"]).to_pylist()):
-            sub = good.filter(pc.equal(good["epoch"], e))
-            sub = mg.resolve_lww(mg.with_run_seq(sub, 0), drop_tombstones=False)
-            parts.append(sub.drop_columns([mg.RUN_SEQ]))
+        pre = mg.merge_runs([good], drop_tombstones=False)
         pid, salt = int(group["pid"][0].as_py()), int(group["salt"][0].as_py())
         name = f"pre-p{pid:04d}-s{salt:02d}.arrow"
-        pre = mg.concat_unified(parts)
         _write_staged(os.path.join(self.staging_dir, name), pre.schema, pre.to_batches())
         return pa.concat_tables([rest, _slice_table([(pid, salt, name, None, False)])])
 
@@ -860,7 +855,7 @@ class CdcEngine:
 
             ds = _fan_out_pids(pids).map_batches(compact_one, batch_format="pyarrow")
             n = sum(1 for r in ds.take_all() if r["compacted"])
-            if full:
+            if full and log.records:
                 mf.write_checkpoint(lake_path, log)
             return n
 
@@ -2230,12 +2225,19 @@ def _partition_runs_once(
 
     ``as_of_epoch`` time-travels to the state after that epoch's commit:
     delta groups are named by their max epoch, so a group is included
-    iff ``group_id <= as_of_epoch``.  Raises if the target falls inside
-    a multi-epoch commit group (no mid-group state ever existed) or
-    below the compaction watermark (that history has been folded away —
-    the retention horizon of any LSM lake)."""
+    iff ``group_id <= as_of_epoch``; a ``log`` truncated by
+    :meth:`Log.upto` reads the state after its log position.  Raises if
+    the target falls inside a multi-epoch commit group (no mid-group
+    state ever existed) or below the compaction watermark (that history
+    has been folded away — the retention horizon of any LSM lake), and
+    when the base folded past the ``log`` read."""
     log = mf.read_log(lake_path) if log is None else log
     runs = mf.live_runs(lake_path, pid, log)
+    if runs.through_seq > log.seq:
+        raise ValueError(
+            f"partition {pid}'s base folded through log position {runs.through_seq}, "
+            f"past the view's {log.seq}; that history was compacted away"
+        )
     if as_of_epoch is not None and runs.through_group > as_of_epoch:
         raise ValueError(
             f"as_of_epoch={as_of_epoch} predates partition {pid}'s compaction "

@@ -16,7 +16,7 @@ index persists the IVF cell assignment once, so:
                  filename), never the other ``ncells - nprobe`` cells;
 - ``compact()``  folds segments per cell when file counts grow (LSM).
 
-Payload under ``path/`` (the segments, bases, tombstones, markers and
+Payload under ``path/`` (the segments, bases, tombstones, commit log and
 admission sidecars around it are :mod:`state.segment_ledger`'s):
 
 - ``meta.json``                 write-once params INCLUDING the trained
@@ -227,7 +227,7 @@ class IvfIndex:
     # ---------------------------------------------------------------- ledger
     def segments(self) -> list[int]:
         """Every committed segment id, INCLUDING ones folded into a
-        base — markers are the ledger (idempotent add needs them)."""
+        base — the log keeps them (idempotent add needs them)."""
         return self.ledger.segments()
 
     def describe(self) -> dict:
@@ -415,7 +415,7 @@ class IvfIndex:
         read).  Raises once compaction has folded past ``N``.
 
         Reader-vs-compactor: a concurrent ``compact()`` removes folded
-        run dirs only AFTER the new base marker lands, so a probe that
+        run dirs only AFTER the new base's checkpoint lands, so a probe that
         raced it re-lists once and reads a consistent newer view (the
         same one-retry idiom as the engine's pruned key readers)."""
         return self.ledger.read_view(
@@ -450,8 +450,8 @@ class IvfIndex:
         Compaction interplay: once a ``compact()`` folds past
         ``segment_id``, the strictly-earlier view is gone.  With
         ``persist_hits=True`` the epoch's hits are written to an
-        ``_admissions/epoch-N.parquet`` sidecar BEFORE the segment
-        marker, so any replay — folded or not — returns the original
+        ``_admissions/epoch-N.parquet`` sidecar BEFORE the segment's
+        record, so any replay — folded or not — returns the original
         hits verbatim (``report["replayed_hits"]`` marks them).  The
         sidecar records its probe parameters: a FOLDED replay returns
         the recorded decision regardless of the per-call ``k``/
@@ -716,12 +716,10 @@ class IvfIndex:
         """Fold base + live segments into one new base generation (cell
         by cell, in parallel Ray tasks), then drop the folded runs.  Probes
         running concurrently keep working: the old runs are removed only
-        after the new base's marker lands (readers re-list on miss).
+        after the new base's checkpoint lands (readers re-list on miss).
         Starts with a :meth:`vacuum` so a previously crashed compact's
         orphans are reclaimed before deciding whether to skip."""
-        r = self.ledger.compact(
-            fold_lone_segment=False, fold=_sort_by_vec_id, keys_field="cells"
-        )
+        r = self.ledger.compact(fold_lone_segment=False, fold=_sort_by_vec_id)
         if not r["folded"]:
             return {"skipped": True, "runs": r["runs"]}
         return {"skipped": False, "generation": r["generation"], "cells": r["keys"]}

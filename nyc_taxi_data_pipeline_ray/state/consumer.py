@@ -6,36 +6,42 @@
 :class:`ConsumerLedger`.  The split follows Delta Lake's (VLDB 2020): a
 reader acts only on fully committed versions, and one log protocol
 serves every table format.  The ledger owns the layout, staleness, the
-per-partition commit, the refresh report and the committed read view; a
-consumer owns only its build step (lake partition -> output table) and
-its own read API.
+commit, the refresh report and the committed read view; a consumer owns
+only its build step (lake partition -> output table) and its own read
+API.
 
 Layout under ``path/``:
 
 - ``p=NNNN.parquet``  the consumer's output for lake partition NNNN
-- ``p=NNNN.json``     its commit marker: ``{"pid", "watermark", "rows"}``
-                      plus the consumer's witness field, if any
+- the commit log of :mod:`state.manifest` (:class:`Outputs` is its
+  fold): one checkpoint per refresh that rebuilt anything, holding each
+  committed partition's ``watermark`` and ``rows`` plus the consumer's
+  witness field, if any.  The state is P small entries, so each commit
+  writes it whole: a read loads one file whatever the history
 
 Protocol:
 
 - Consumers are partition-local: the lake hash-partitions on
   ``conv_id``, so a refresh is a shuffle-free parallel map over stale
   partitions, and untouched partitions' files are reused byte-for-byte.
-- A partition is stale when its marker is missing, corrupt, or records
-  a watermark other than the lake partition's latest state-changing
-  commit group (:func:`~state.manifest.state_changing_watermark`), read
-  from one fold of the lake's commit log per refresh.
-- Exactly-once: the data file is written tmp+rename, then its marker.
-  A crash between the two leaves the partition stale, and the re-run
-  deterministically rewrites the same bytes; a committed partition is
-  never rebuilt until the lake moves past its watermark.
+- A partition's watermark is the lake log position of the latest record
+  that changed it (:func:`~state.manifest.state_changing_watermark`).
+  A partition is stale when the consumer's log commits no output for
+  it, or one at another watermark; a log that cannot be read makes
+  every partition stale.  Staleness costs one cached read of each log.
+- Exactly-once: the refresh's tasks write only data files (tmp+rename);
+  the driver then commits them with one checkpoint.  A crash before it
+  leaves those partitions stale, and the re-run deterministically
+  rewrites the same bytes; a committed partition is never rebuilt until
+  the lake moves past its watermark.  A refresh first deletes what a
+  cut commit left in the log (:func:`~state.manifest.vacuum_log`).
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import os
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import pyarrow as pa
@@ -53,87 +59,85 @@ from nyc_taxi_data_pipeline_ray.state import manifest as mf
 Build = Callable[[str, int, "int | None", str], "tuple[pa.Table, int]"]
 
 
-def manifest_path(view_path: str, pid: int) -> str:
-    return os.path.join(view_path, f"p={pid:04d}.json")
-
-
 def data_path(view_path: str, pid: int) -> str:
     return os.path.join(view_path, f"p={pid:04d}.parquet")
 
 
-def _load_marker(view_path: str, pid: int) -> tuple[int | None, int]:
-    """``(watermark, rows)`` of a consumer's committed partition
-    manifest, or ``(None, 0)`` when missing/corrupt (treated as stale)."""
-    try:
-        with open(manifest_path(view_path, pid)) as f:
-            entry = json.load(f)
-        return int(entry["watermark"]), int(entry.get("rows", 0))
-    except (OSError, ValueError, KeyError, TypeError):
-        # TypeError: valid JSON of the wrong shape (null, a list,
-        # {"watermark": null}) — corrupt means stale, never a crash
-        return None, 0
+@dataclass
+class Outputs:
+    """A consumer's committed outputs: per lake partition, the entry of
+    the newest refresh that rebuilt it (``watermark``, ``rows`` and the
+    witness field, if any).  Shared through the log's read cache, so
+    callers treat it as read-only."""
 
+    seq: int = 0  #: position of the newest checkpoint (0: empty log)
+    partitions: dict[int, dict] = field(default_factory=dict)
 
-def stored_watermark(view_path: str, pid: int) -> int | None:
-    """Watermark recorded by a consumer's committed partition manifest,
-    or None when missing/corrupt (treated as stale)."""
-    return _load_marker(view_path, pid)[0]
+    def fold(self, rec: dict) -> None:
+        for pid, e in rec["partitions"]:
+            # a malformed entry raises: the log is unreadable, not half-read
+            self.partitions[int(pid)] = {
+                **e, "watermark": int(e["watermark"]), "rows": int(e["rows"])
+            }
+        self.seq = rec["seq"]
+
+    def copy(self) -> "Outputs":
+        return replace(self, partitions=dict(self.partitions))
+
+    def checkpoint(self) -> dict:
+        return {"seq": self.seq, "partitions": sorted(self.partitions.items())}
+
+    @classmethod
+    def from_checkpoint(cls, d: dict) -> "Outputs":
+        out = cls()
+        out.fold(d)
+        return out
 
 
 def _refresh_batch(
     build: Build,
     lake_path: str,
     view_path: str,
-    witness_field: str | None,
     row_group_rows: int | None,
     batch: pa.Table,
 ) -> pa.Table:
-    """Ray task body: build, write and commit each stale partition of the
-    batch; returns each one's work and rows.  Module-level, so a task
-    carries no consumer or engine."""
-    work, rows = [], []
-    for pid, wm, old in zip(
-        batch["pid"].to_pylist(), batch["wm"].to_pylist(), batch["old"].to_pylist()
-    ):
-        pid = int(pid)
-        out, n = build(lake_path, pid, old, data_path(view_path, pid))
-        atomic_write_parquet(
-            data_path(view_path, pid), out, row_group_rows=row_group_rows
-        )
-        entry = {"pid": pid, "watermark": int(wm), "rows": out.num_rows}
-        if witness_field is not None:
-            entry[witness_field] = int(n)
-        nio.commit_json(manifest_path(view_path, pid), entry)
-        work.append(int(n))
-        rows.append(out.num_rows)
-    return pa.table(
-        {
-            "pid": batch["pid"],
-            "work": pa.array(work, pa.int64()),
-            "rows": pa.array(rows, pa.int64()),
-        }
-    )
+    """Ray task body: build and write each stale partition of the batch;
+    returns each one's ``(pid, wm, rows, work)`` for the driver's
+    commit.  Module-level, so a task carries no consumer or engine."""
+    done = []
+    for r in batch.to_pylist():
+        path = data_path(view_path, r["pid"])
+        out, n = build(lake_path, r["pid"], r["old"], path)
+        atomic_write_parquet(path, out, row_group_rows=row_group_rows)
+        done.append({"pid": r["pid"], "wm": r["wm"], "rows": out.num_rows, "work": int(n)})
+    return pa.Table.from_pylist(done)
 
 
 class ConsumerLedger:
-    """One consumer's per-partition commit ledger over a lake."""
+    """One consumer's commit ledger over a lake."""
 
     def __init__(self, engine, path: str):
         self.engine = engine
         self.path = path
         os.makedirs(path, exist_ok=True)
-
-    def manifest_path(self, pid: int) -> str:
-        return manifest_path(self.path, pid)
+        mf.check_layout(path, "p=*.json")
 
     def data_path(self, pid: int) -> str:
         return data_path(self.path, pid)
 
-    def stored_watermark(self, pid: int) -> int | None:
-        return stored_watermark(self.path, pid)
+    def outputs(self) -> Outputs:
+        """The committed outputs.  A log that cannot be read commits none
+        (every partition stale, never a crash) and is positioned at its
+        newest file, so the next refresh's checkpoint supersedes it."""
+        try:
+            return mf.read_log(self.path, Outputs)
+        except (OSError, ValueError, KeyError, TypeError):
+            return Outputs(seq=mf.log_head(self.path))
 
-    def lake_watermark(self, pid: int) -> int:
-        return mf.state_changing_watermark(self.engine.cfg.path, pid)
+    def stored_watermark(self, pid: int) -> int | None:
+        """The watermark of the partition's committed output, or None."""
+        entry = self.outputs().partitions.get(pid)
+        return None if entry is None else entry["watermark"]
 
     # --------------------------------------------------------------- refresh
     def refresh(
@@ -143,36 +147,41 @@ class ConsumerLedger:
         witness: tuple[str, str] | None = None,
         row_group_rows: int | None = None,
     ) -> dict:
-        """Rebuild the stale partitions in parallel Ray tasks (the caller
-        reads only small JSON manifests to decide staleness).  Returns
-        ``{"refreshed", "reused", "rows"}``; a ``witness`` of
-        ``(manifest_field, report_key)`` records each partition's build
-        work in its manifest and reports the total before ``rows``."""
+        """Rebuild the stale partitions in parallel Ray tasks and commit
+        them with one checkpoint.  Returns ``{"refreshed", "reused",
+        "rows"}``; a ``witness`` of ``(record_field, report_key)``
+        records each partition's build work in its entry and reports the
+        total before ``rows``."""
+        mf.vacuum_log(self.path)
         pids = self.engine.live_pids()
-        log = mf.read_log(self.engine.cfg.path)
+        lake = mf.read_log(self.engine.cfg.path)
+        out = self.outputs()
+        done = out.partitions
         stale: list[dict] = []
         work = rows = 0
         for pid in pids:
-            old, n = _load_marker(self.path, pid)
-            wm = mf.state_changing_watermark(self.engine.cfg.path, pid, log)
+            wm = mf.state_changing_watermark(self.engine.cfg.path, pid, lake)
+            old = done[pid]["watermark"] if pid in done else None
             if old != wm:
                 stale.append({"pid": pid, "wm": wm, "old": old})
             else:
-                rows += n  # reused as committed: one manifest load each
+                rows += done[pid]["rows"]
 
         if stale:
             task = functools.partial(
-                _refresh_batch,
-                build,
-                self.engine.cfg.path,
-                self.path,
-                witness[0] if witness else None,
-                row_group_rows,
+                _refresh_batch, build, self.engine.cfg.path, self.path, row_group_rows
             )
-            ds = nio.fan_out(stale).map_batches(task, batch_format="pyarrow")
-            for r in ds.take_all():
+            entries = []
+            for r in nio.fan_out(stale).map_batches(task, batch_format="pyarrow").take_all():
+                entry = {"watermark": int(r["wm"]), "rows": int(r["rows"])}
+                if witness:
+                    entry[witness[0]] = int(r["work"])
+                entries.append([int(r["pid"]), entry])
                 work += int(r["work"])
                 rows += int(r["rows"])
+            new = out.copy()
+            new.fold({"seq": new.seq + 1, "partitions": sorted(entries)})
+            mf.write_checkpoint(self.path, new)
         report = {"refreshed": len(stale), "reused": len(pids) - len(stale)}
         if witness:
             report[witness[1]] = work
@@ -182,11 +191,8 @@ class ConsumerLedger:
     # ----------------------------------------------------------------- reads
     def committed_pids(self) -> list[int]:
         """Live partitions with a committed output."""
-        return [
-            pid
-            for pid in self.engine.live_pids()
-            if self.stored_watermark(pid) is not None
-        ]
+        done = self.outputs().partitions
+        return [pid for pid in self.engine.live_pids() if pid in done]
 
     def read(self, empty: pa.Table) -> rd.Dataset:
         """The committed outputs as a streaming Dataset (``empty`` when

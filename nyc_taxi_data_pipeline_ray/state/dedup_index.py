@@ -9,7 +9,7 @@ O(new docs): signatures of accepted docs are persisted once, as banded
 LSH rows hash-partitioned into bucket files, and a probe reads only
 the bucket files its own band hashes touch.
 
-Payload under ``path/`` (the segments, bases, tombstones, markers and
+Payload under ``path/`` (the segments, bases, tombstones, commit log and
 admission sidecars around it are :mod:`state.segment_ledger`'s):
 
 - ``meta.json``                     write-once hash params, so every
@@ -148,7 +148,7 @@ class MinHashIndex:
     # ---------------------------------------------------------------- ledger
     def segments(self) -> list[int]:
         """Every committed segment id, INCLUDING ones folded into a
-        base — markers are the ledger (idempotent add needs them)."""
+        base — the log keeps them (idempotent add needs them)."""
         return self.ledger.segments()
 
     def describe(self) -> dict:
@@ -194,11 +194,11 @@ class MinHashIndex:
         """Fold the base + all live segments into one new base
         generation, bucket by bucket in parallel Ray tasks (the LSM
         step: probe read amplification goes back to one file per
-        bucket).  Segment manifests stay — they are the ledger that
-        keeps ``add()`` idempotent for folded ids; only their parquet
-        is removed.  Idempotent: generation = prior + 1, committed by
-        its marker, and a crash before the marker leaves the old runs
-        authoritative.  Starts with a :meth:`vacuum` so a previously
+        bucket).  The checkpoint keeps the folded segment ids, so
+        ``add()`` stays idempotent for them; only their parquet is
+        removed.  Idempotent: generation = prior + 1, committed by its
+        checkpoint, and a crash before the checkpoint leaves the old
+        runs authoritative.  Starts with a :meth:`vacuum` so a previously
         crashed compact's orphans are reclaimed first."""
         r = self.ledger.compact(fold_lone_segment=True)
         if not r["folded"]:
@@ -290,7 +290,7 @@ class MinHashIndex:
         fine-group sizes LSH produces.
 
         Reader-vs-compactor: a concurrent ``compact()`` removes folded
-        run dirs only AFTER the new base marker lands, so a probe that
+        run dirs only AFTER the new base's checkpoint lands, so a probe that
         raced it (a pre-listed dir vanished mid-read) re-lists once and
         reads a consistent newer view — the same one-retry idiom as
         :meth:`IvfIndex.probe`."""
@@ -324,8 +324,8 @@ class MinHashIndex:
         Compaction interplay: once a ``compact()`` folds past
         ``segment_id``, the strictly-earlier view is gone.  With
         ``persist_hits=True`` the epoch's candidates are written to an
-        ``_admissions/epoch-N.parquet`` sidecar BEFORE the segment
-        marker, so any replay — folded or not — returns the original
+        ``_admissions/epoch-N.parquet`` sidecar BEFORE the segment's
+        record, so any replay — folded or not — returns the original
         candidates verbatim (``report["replayed_hits"]`` marks them).
         The sidecar records its probe threshold: a FOLDED replay
         returns the recorded decision regardless of the per-call

@@ -16,9 +16,9 @@ How it scales / stays correct:
 
 - Conversations are partition-local (the lake hash-partitions on
   ``conv_id``), so the table is one consumer of the shared consumer
-  ledger (:mod:`state.consumer`), which owns staleness, the
-  per-partition commit and crash-resume; this module only builds a
-  stale partition (:func:`build_derived`).  The changed-key set comes
+  ledger (:mod:`state.consumer`), which owns staleness, the commit
+  and crash-resume; this module only builds a stale partition
+  (:func:`build_derived`).  The changed-key set comes
   from the engine's diff machinery (before/after winner compare,
   ``engine.diff_states``), the full-schema after rows are fetched
   from current state by a vectorized key semi-join (so evolved columns
@@ -29,10 +29,12 @@ How it scales / stays correct:
   O(|partition|) I/O, the floor any immutable columnar format imposes.
 - The patch step is idempotent — "set changed keys to
   transform(current state)" applied twice yields the same bytes — so a
-  crash between data write and manifest write just re-patches.
-- If the previous watermark predates the compaction watermark (diff
-  history folded away), the partition falls back to a full rebuild —
-  the same re-sync rule ``changes()`` documents.
+  crash between the data write and the ledger's commit just re-patches.
+- The before-state is the partition read in the lake log truncated to
+  the stored watermark, a log position, so a late group committed below
+  larger group ids is diffed too.  If a compaction folded past that
+  position (diff history folded away), the partition falls back to a
+  full rebuild — the same re-sync rule ``changes()`` documents.
 
 The transform contract: ``transform(state: pa.Table) -> pa.Table`` where
 ``state`` has the merged transcript schema (``conv_id, turn_idx, role,
@@ -55,6 +57,7 @@ import ray.data as rd
 from nyc_taxi_data_pipeline_ray import schemas
 from nyc_taxi_data_pipeline_ray.engine import diff_states, read_partition_state
 from nyc_taxi_data_pipeline_ray.state.consumer import ConsumerLedger
+from nyc_taxi_data_pipeline_ray.state.manifest import read_log
 
 KEY = ("conv_id", "turn_idx")
 
@@ -81,18 +84,18 @@ def build_derived(
 ) -> tuple[pa.Table, int]:
     """Consumer build step for :class:`DerivedTable` (granularity knobs
     from ``cls``): patch the previous output by the keys whose LWW
-    winner changed since ``old``, or rebuild in full on a first build or
-    when ``old`` is below the compaction watermark.  Work = transform
-    input rows (output rows when ``cls._COUNT_OUTPUT``)."""
+    winner changed since log position ``old``, or rebuild in full on a
+    first build or when a compaction folded past ``old``.  Work =
+    transform input rows (output rows when ``cls._COUNT_OUTPUT``)."""
     now = read_partition_state(lake_path, pid)
     if now is None:
         now = _empty_state()
     before = None
     if old is not None:
         try:
-            before = read_partition_state(lake_path, pid, int(old))
+            before = read_partition_state(lake_path, pid, log=read_log(lake_path).upto(int(old)))
         except Exception:
-            before = None  # below compaction watermark: full rebuild
+            before = None  # folded past the watermark: full rebuild
     if before is None:
         derived = transform(now)
         n_work = derived.num_rows if cls._COUNT_OUTPUT else now.num_rows
@@ -237,13 +240,13 @@ class CorpusTable(DerivedTable):
 
     The machinery IS :class:`DerivedTable` (diff-driven staleness,
     partition-local work, idempotent tmp+rename patch, full-rebuild
-    fallback below the compaction watermark) with the granularity
-    knobs retuned: the changed-key set from the diff is projected to
-    distinct ``conv_id``s, ALL current rows of those conversations are
-    re-read (a group transform needs the whole group, not just changed
-    turns), the per-partition corpus file is patched by conv_id, and
-    the witness (``rendered_convs``) counts transform OUTPUT rows —
-    documents rendered, not turns read.  ``transform`` maps a state
+    fallback once a compaction folded past the watermark) with the
+    granularity knobs retuned: the changed-key set from the diff is
+    projected to distinct ``conv_id``s, ALL current rows of those
+    conversations are re-read (a group transform needs the whole group,
+    not just changed turns), the per-partition corpus file is patched by
+    conv_id, and the witness (``rendered_convs``) counts transform
+    OUTPUT rows — documents rendered, not turns read.  ``transform`` maps a state
     subset to one row per conv_id present."""
 
     _SORT_KEYS = (("conv_id", "ascending"),)

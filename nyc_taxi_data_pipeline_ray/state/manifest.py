@@ -47,6 +47,14 @@ checkpoints are write-once, so a process-wide cache keyed by each
 file's stat identity serves a repeat read without loading JSON.
 ``compact()`` folds a checkpoint (:func:`write_checkpoint`) and deletes
 the records it covers, so one checkpoint stays live.
+
+The same log serves every ledger of the package, each under its own
+root and with its own payload fold: the lake's groups (:class:`Log`),
+an index's segments (:class:`~state.segment_ledger.Segments`, records
+named by segment id) and a consumer's outputs
+(:class:`~state.consumer.Outputs`).  A fold is a class with ``seq``,
+``fold(record)``, ``copy()``, ``checkpoint()`` and
+``from_checkpoint(doc)``.
 """
 
 from __future__ import annotations
@@ -76,24 +84,24 @@ _LOG_DIR = "_log"
 
 
 class LakeLayoutError(RuntimeError):
-    """The lake was written in a layout this engine does not read: the
-    per-partition-manifest layout of earlier versions, which has no
-    commit log.  Rebuild such a lake by replaying its WAL."""
+    """A ledger directory (a lake, an index or a consumer) was written in
+    a marker layout this engine does not read: one without a commit
+    log.  Rebuild it from its source (a lake from its WAL)."""
 
 
-def check_layout(lake_path: str) -> None:
-    """Raise :class:`LakeLayoutError` on a lake in the retired layout
-    (global ``_epochs`` markers, a ``_watermark.json`` cache or
-    per-partition ``manifest-*.json`` files)."""
-    retired = glob.glob(os.path.join(lake_path, "_epochs")) + glob.glob(
-        os.path.join(lake_path, "_watermark.json")
-    )
-    if not retired and not os.path.isdir(os.path.join(lake_path, _LOG_DIR)):
-        retired = glob.glob(os.path.join(lake_path, "p=*", "manifest-*.json"))
-    if retired:
+def check_layout(root: str, *retired: str) -> None:
+    """Raise :class:`LakeLayoutError` on a directory without ``_log/``
+    that holds a file of a retired marker layout: one of the ``retired``
+    globs, by default the lake's (per-partition ``manifest-*.json``
+    files, global ``_epochs`` markers, a ``_watermark.json`` cache)."""
+    if os.path.isdir(os.path.join(root, _LOG_DIR)):
+        return
+    retired = retired or ("_epochs", "_watermark.json", os.path.join("p=*", "manifest-*.json"))
+    found = [p for pat in retired for p in glob.glob(os.path.join(root, pat))]
+    if found:
         raise LakeLayoutError(
-            f"lake at {lake_path} uses the per-partition manifest layout "
-            f"({retired[0]}) and has no commit log; rebuild it from its WAL"
+            f"{root} uses a retired per-file manifest layout ({found[0]}) and has "
+            "no commit log; rebuild it from its source"
         )
 
 
@@ -117,12 +125,12 @@ def compact_marker_path(lake_path: str, pid: int, generation: int) -> str:
     return os.path.join(partition_dir(lake_path, pid), f"compact-{generation:06d}.json")
 
 
-def record_path(lake_path: str, seq: int) -> str:
-    return os.path.join(lake_path, _LOG_DIR, f"commit-{seq:06d}.json")
+def record_path(root: str, seq: int) -> str:
+    return os.path.join(root, _LOG_DIR, f"commit-{seq:06d}.json")
 
 
-def checkpoint_path(lake_path: str, seq: int) -> str:
-    return os.path.join(lake_path, _LOG_DIR, f"checkpoint-{seq:06d}.json")
+def checkpoint_path(root: str, seq: int) -> str:
+    return os.path.join(root, _LOG_DIR, f"checkpoint-{seq:06d}.json")
 
 
 def is_file_not_found(e: BaseException) -> bool:
@@ -148,7 +156,8 @@ class Log:
     groups: dict[int, list] = field(default_factory=dict)
     counters: dict = field(default_factory=dict)  #: :func:`merge_counters` of every partition
     alerts: list = field(default_factory=list)  #: :func:`merge_alert_ring` of every group
-    #: pid -> the largest group id that changed its merged state
+    #: pid -> the log position of the latest record that changed its
+    #: merged state
     changed: dict[int, int] = field(default_factory=dict)
     #: group id -> {pid: delta rows} of the records after the checkpoint
     #: (a checkpoint follows a full compaction: no delta before it is live)
@@ -172,7 +181,7 @@ class Log:
         self.alerts = merge_alert_ring([self.alerts, rec.get("alerts", [])])
         for p, c in parts.items():
             if c.get("upserts") or c.get("deletes"):
-                self.changed[p] = max(self.changed.get(p, -1), g)
+                self.changed[p] = self.seq
         self.rows[g] = {p: c.get("upserts", 0) + c.get("deletes", 0) for p, c in parts.items()}
         self.records.append(rec)
 
@@ -189,6 +198,14 @@ class Log:
         """What a partition task needs — group positions and epochs, the
         watermark — without the rest, for shipping into Ray tasks."""
         return replace(self, alerts=[], changed={}, rows={}, records=[])
+
+    def upto(self, seq: int) -> "Log":
+        """The committed view as it stood after log position ``seq``: the
+        groups committed at or before it.  A base folded past ``seq``
+        cannot serve that view (the engine's partition read refuses
+        it)."""
+        groups = {g: v for g, v in self.groups.items() if v[0] <= seq}
+        return replace(self.slim(), seq=seq, groups=groups)
 
     def checkpoint(self) -> dict:
         """The checkpoint document; JSON keys are strings, so the int-keyed
@@ -217,25 +234,25 @@ def _ident(path: str) -> tuple:
     return (path, st.st_ino, st.st_size, st.st_mtime_ns)
 
 
-#: lake path -> (stat identities of the files folded, their Log), for
-#: at most :data:`_CACHE_LAKES` lakes, oldest dropped first
-_LOGS: dict[str, tuple[tuple, Log]] = {}
-_CACHE_LAKES = 64
+#: (log root, fold class) -> (stat identities of the files folded, the
+#: fold), for at most :data:`_CACHE_LOGS` logs, oldest dropped first
+_LOGS: dict[tuple[str, type], tuple[tuple, object]] = {}
+_CACHE_LOGS = 64
 _CACHE_LOCK = threading.Lock()
 
 
-def _cache(lake_path: str, idents: tuple, log: Log) -> None:
+def _cache(key: tuple[str, type], idents: tuple, log) -> None:
     with _CACHE_LOCK:
-        _LOGS.pop(lake_path, None)
-        _LOGS[lake_path] = (idents, log)
-        while len(_LOGS) > _CACHE_LAKES:
+        _LOGS.pop(key, None)
+        _LOGS[key] = (idents, log)
+        while len(_LOGS) > _CACHE_LOGS:
             _LOGS.pop(next(iter(_LOGS)))
 
 
 def _log_names(names: Iterable[str]) -> tuple[int, list[int]]:
-    """The newest checkpoint's position (0: none) and the positions of
+    """The newest checkpoint's position (-1: none) and the positions of
     the records after it, in order."""
-    ckpt, recs = 0, []
+    ckpt, recs = -1, []
     for name in names:
         if m := _CHECKPOINT_RE.match(name):
             ckpt = max(ckpt, int(m.group(1)))
@@ -244,80 +261,90 @@ def _log_names(names: Iterable[str]) -> tuple[int, list[int]]:
     return ckpt, sorted(s for s in recs if s > ckpt)
 
 
-def read_log(lake_path: str) -> Log:
-    """The lake's committed state, from one listing of ``_log/``: the
-    newest checkpoint plus the records after it.  A file that vanishes
-    under the listing (``compact()`` deleting the records its new
-    checkpoint covers) makes it list once more."""
+def _list_log(root: str) -> list[str]:
     try:
-        return _read_log_once(lake_path)
+        return sorted(os.listdir(os.path.join(root, _LOG_DIR)))
     except FileNotFoundError:
-        return _read_log_once(lake_path)
+        return []
 
 
-def _read_log_once(lake_path: str) -> Log:
+def read_log(root: str, kind: type = Log):
+    """The committed state under ``root`` (the lake's :class:`Log`
+    unless ``kind`` names another fold), from one listing of ``_log/``:
+    the newest checkpoint plus the records after it.  A file that
+    vanishes under the listing (a checkpoint deleting the records it
+    covers) makes it list once more."""
     try:
-        names = os.listdir(os.path.join(lake_path, _LOG_DIR))
+        return _read_log_once(root, kind)
     except FileNotFoundError:
-        names = []
-    ckpt, recs = _log_names(names)
-    paths = ([checkpoint_path(lake_path, ckpt)] if ckpt else []) + [
-        record_path(lake_path, s) for s in recs
+        return _read_log_once(root, kind)
+
+
+def _read_log_once(root: str, kind: type):
+    ckpt, recs = _log_names(_list_log(root))
+    paths = ([checkpoint_path(root, ckpt)] if ckpt >= 0 else []) + [
+        record_path(root, s) for s in recs
     ]
     idents = tuple(_ident(p) for p in paths)
-    cached = _LOGS.get(lake_path)
+    key = (root, kind)
+    cached = _LOGS.get(key)
     if cached is not None and cached[0] == idents:
         return cached[1]
     if cached is not None and cached[0] and idents[: len(cached[0])] == cached[0]:
         log, done = cached[1].copy(), len(cached[0])
-    elif ckpt:
-        log, done = Log.from_checkpoint(_load(paths[0])), 1
+    elif ckpt >= 0:
+        log, done = kind.from_checkpoint(_load(paths[0])), 1
     else:
-        log, done = Log(), 0
+        log, done = kind(), 0
     for p in paths[done:]:
         log.fold(_load(p))
-    _cache(lake_path, idents, log)
+    _cache(key, idents, log)
     return log
 
 
-def append_record(lake_path: str, log: Log, record: dict) -> Log:
-    """Commit ``record`` as log position ``log.seq + 1`` — ``log`` is the
-    state the writer read under its lease — and return the new state.
-    The record is fsynced before its rename (:func:`io.commit_json`); it
-    is the group's one commit point."""
+def log_head(root: str) -> int:
+    """The newest position listed under ``root/_log/`` (-1: none),
+    whether or not its file can be read."""
+    ckpt, recs = _log_names(_list_log(root))
+    return max(recs, default=ckpt)
+
+
+def append_record(root: str, log, record: dict):
+    """Commit ``record`` as log position ``log.seq + 1``, unless it names
+    its own ``seq`` (an index names a record by its segment id) —
+    ``log`` is the state the writer read under its lease — and return
+    the new state.  The record is fsynced before its rename
+    (:func:`io.commit_json`); it is the one commit point of what it
+    records."""
     rec = {"seq": log.seq + 1, **record}
-    path = record_path(lake_path, rec["seq"])
+    path = record_path(root, rec["seq"])
     nio.commit_json(path, rec)
     new = log.copy()
     new.fold(rec)
-    cached = _LOGS.get(lake_path)
+    key = (root, type(log))
+    cached = _LOGS.get(key)
     if cached is not None and cached[1] is log:  # the next read loads nothing
-        _cache(lake_path, cached[0] + (_ident(path),), new)
+        _cache(key, cached[0] + (_ident(path),), new)
     return new
 
 
-def write_checkpoint(lake_path: str, log: Log) -> None:
+def write_checkpoint(root: str, log) -> None:
     """Fold ``log`` into ``_log/checkpoint-S.json`` (S: its head), then
-    delete the records and the checkpoint it covers — best effort: a cut
-    leaves them for ``vacuum``.  Called after a full compaction, which
-    left no delta of those records live, so the checkpoint keeps no
-    per-partition row counts.  A log without records after its
-    checkpoint is left as it is."""
-    if not log.records:
-        return
-    nio.commit_json(checkpoint_path(lake_path, log.seq), log.checkpoint())
-    for r in ledger_remnants(lake_path):
-        if r["kind"] == "folded_log":
-            with contextlib.suppress(OSError):
-                os.remove(os.path.join(lake_path, r["file"]))
+    delete the records and the checkpoints it covers — best effort: a
+    cut leaves them for ``vacuum``.  The lake checkpoints after a full
+    compaction, which left no delta of those records live, so its
+    checkpoint keeps no per-partition row counts."""
+    path, doc = checkpoint_path(root, log.seq), log.checkpoint()
+    nio.commit_json(path, doc)
+    vacuum_log(root)
+    _cache((root, type(log)), (_ident(path),), type(log).from_checkpoint(doc))
 
 
-def ledger_remnants(lake_path: str) -> list[dict]:
+def ledger_remnants(root: str) -> list[dict]:
     """``fsck`` entries for ``_log/``: tmp siblings of cut commits, and
     the records and checkpoints the newest checkpoint covers
     (``folded_log``); reclaimable, invisible to readers."""
-    d = os.path.join(lake_path, _LOG_DIR)
-    names = sorted(os.listdir(d)) if os.path.isdir(d) else []
+    names = _list_log(root)
     ckpt, _ = _log_names(names)
     out = []
     for name in names:
@@ -330,12 +357,24 @@ def ledger_remnants(lake_path: str) -> list[dict]:
     return out
 
 
+def vacuum_log(root: str) -> int:
+    """Delete :func:`ledger_remnants`; returns how many were removed."""
+    removed = 0
+    for r in ledger_remnants(root):
+        with contextlib.suppress(OSError):
+            os.remove(os.path.join(root, r["file"]))
+            removed += 1
+    return removed
+
+
 def state_changing_watermark(lake_path: str, pid: int, log: Log | None = None) -> int:
-    """Largest commit group that CHANGED a partition's merged state (-1:
-    none) — the staleness rule of the consumer ledger
-    (:mod:`state.consumer`).  A group that delivered no upserts/deletes
-    there (empty slice, or rejects-only) leaves the merged state
-    untouched, so it must not invalidate a consumer's cached partition."""
+    """Log position of the latest record that CHANGED a partition's
+    merged state (-1: none) — the staleness rule of the consumer ledger
+    (:mod:`state.consumer`).  A position, not a group id: a late group
+    committed after larger group ids still moves it.  A group that
+    delivered no upserts/deletes there (empty slice, or rejects-only)
+    leaves the merged state untouched, so it must not invalidate a
+    consumer's cached partition."""
     log = read_log(lake_path) if log is None else log
     return log.changed.get(pid, -1)
 

@@ -12,7 +12,7 @@ Why this shape scales:
 - Per-conversation aggregates are partition-local (the lake
   hash-partitions on ``conv_id``), so the view is one consumer of the
   shared consumer ledger (:mod:`state.consumer`), which owns staleness,
-  the per-partition commit and crash-resume; this module only builds a
+  the commit and crash-resume; this module only builds a
   partition's view.  At 10^10 events / 256 nodes an incremental epoch
   touches only the partitions its WAL slice hit.
 - Update/delete-safe WITHOUT before-images: the view recomputes a

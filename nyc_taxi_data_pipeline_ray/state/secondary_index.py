@@ -8,8 +8,8 @@ queries read O(hits) row groups instead of the lake:
 
 - **Maintenance** is partition-granular recompute-on-touch (the
   MaterializedView strategy) through the shared consumer ledger
-  (:mod:`state.consumer`), which owns staleness, the per-partition
-  commit and crash-resume: an update can move a key between ANY two
+  (:mod:`state.consumer`), which owns staleness, the commit and
+  crash-resume: an update can move a key between ANY two
   values, so per-value delta math needs before-images for every change;
   recomputing only the touched partition's projection from merged LWW
   state is cheap (a projection, not an aggregate) and correct under any

@@ -15,21 +15,20 @@ Storage layout under ``path/``:
                                      (written by the index, not here)
 - ``seg-NNNNNN/<key>=KK.parquet``    rows of segment N with file key KK
 - ``seg-NNNNNN/tombstones.parquet``  the ids a DELETE segment kills
-- ``seg-NNNNNN.json``                commit marker: the segment is
-                                     invisible until it lands (tmp+rename,
-                                     after its files).  An ADD marker
-                                     carries the index's row counts, a
-                                     DELETE marker ``tombstones``
-- ``base-GGGGGG/<key>=KK.parquet``   generation G of the compacted runs,
-  + ``base-GGGGGG.json``             committed by ``{"generation",
-                                     "through_segment", ...}``
+- ``base-GGGGGG/<key>=KK.parquet``   generation G of the compacted runs
+- the commit log of :mod:`state.manifest` (:class:`Segments` is its
+  fold): segment N is invisible until its record, log position N, lands
+  (after its files).  An ADD record carries the index's row counts, a
+  DELETE record ``tombstones``.  Base generation G is committed by a
+  checkpoint at its ``through_segment``, which keeps every committed
+  segment id with its kind and counts
 - ``_admissions/epoch-NNNNNN.parquet``  one epoch's persisted probe hits
 
 Protocol:
 
 - A segment id is one ledger entry.  Replaying an ADD of a committed ADD
   id is a no-op; a replay that collides with the other kind raises.
-  Markers are never removed, so replays stay idempotent after a fold.
+  Checkpoints keep every id, so replays stay idempotent after a fold.
 - The read view is the newest base plus every committed segment above
   its fold watermark (``through_segment``).  An uncommitted id at or
   below the watermark is refused: its dir would be invisible.
@@ -37,17 +36,17 @@ Protocol:
   segments only, so delete-then-re-add resurrects.  ``compact`` applies
   tombstones and drops them; every later segment is newer than they are.
 - Single writer per index.  Readers race a compactor safely: folded runs
-  are removed only after the new base marker lands, and a reader that
+  are removed only after the new checkpoint lands, and a reader that
   lost a listed run re-lists once (:meth:`SegmentLedger.read_view`).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import shutil
 import warnings
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -96,6 +95,43 @@ def read_live_part(
     return part if part.num_rows else None
 
 
+@dataclass
+class Segments:
+    """An index's committed state: the fold of its newest checkpoint (the
+    current base) and the segment records after it.  Shared through the
+    log's read cache, so callers treat it as read-only."""
+
+    seq: int = -1  #: the largest committed segment id (-1: none)
+    generation: int = 0  #: the current base generation (0: none)
+    through: int = -1  #: its fold watermark: the checkpoint's position
+    #: segment id -> its record's payload (ADD row counts or DELETE
+    #: ``tombstones``), folded ones included
+    segments: dict[int, dict] = field(default_factory=dict)
+
+    @property
+    def base(self) -> tuple[int, int] | None:
+        """(generation, through_segment) of the current base, or None."""
+        return (self.generation, self.through) if self.generation else None
+
+    def fold(self, rec: dict) -> None:
+        self.seq = max(self.seq, rec["seq"])
+        self.segments[rec["seq"]] = {k: v for k, v in rec.items() if k != "seq"}
+
+    def copy(self) -> "Segments":
+        return replace(self, segments=dict(self.segments))
+
+    def checkpoint(self) -> dict:
+        return {
+            "seq": self.seq,
+            "generation": self.generation,
+            "segments": sorted(self.segments.items()),
+        }
+
+    @classmethod
+    def from_checkpoint(cls, d: dict) -> "Segments":
+        return cls(d["seq"], d["generation"], d["seq"], dict(d["segments"]))
+
+
 class SegmentLedger:
     """The segment/base/tombstone ledger of one index directory.
 
@@ -109,10 +145,14 @@ class SegmentLedger:
     ):
         self.path, self.key, self.key_digits = path, key, key_digits
         self.id_col, self.hits_schema = id_col, hits_schema
+        mf.check_layout(path, "seg-*.json", "base-*.json")
 
     # ---------------------------------------------------------------- layout
     def _seg_dir(self, segment_id: int) -> str:
         return os.path.join(self.path, f"seg-{segment_id:06d}")
+
+    def _base_dir(self, generation: int) -> str:
+        return os.path.join(self.path, f"base-{generation:06d}")
 
     def file_name(self, key: int) -> str:
         return f"{self.key}={key:0{self.key_digits}d}.parquet"
@@ -126,32 +166,18 @@ class SegmentLedger:
             if f.startswith(pre) and f.endswith(".parquet")
         )
 
-    def _markers(self) -> dict[int, dict]:
-        out = {}
-        for s in self.segments():
-            with open(self._seg_dir(s) + ".json") as f:
-                out[s] = json.load(f)
-        return out
+    def state(self) -> Segments:
+        """The committed state, from one cached read of the log."""
+        return mf.read_log(self.path, Segments)
 
     def segments(self) -> list[int]:
         """Every committed segment id, INCLUDING ones folded into a
-        base — markers are the ledger (idempotent add needs them)."""
-        return sorted(
-            int(name[4:-5])
-            for name in os.listdir(self.path)
-            if name.startswith("seg-") and name.endswith(".json")
-        )
+        base — the checkpoint keeps them (idempotent add needs them)."""
+        return sorted(self.state().segments)
 
     def base(self) -> tuple[int, int] | None:
         """Newest committed base: (generation, through_segment) or None."""
-        best = None
-        for name in os.listdir(self.path):
-            if name.startswith("base-") and name.endswith(".json"):
-                with open(os.path.join(self.path, name)) as f:
-                    m = json.load(f)
-                if best is None or m["generation"] > best[0]:
-                    best = (int(m["generation"]), int(m["through_segment"]))
-        return best
+        return self.state().base
 
     def run_dirs(self, as_of_segment: int | None = None) -> list[str]:
         """The run dirs a reader reads: the newest base, then every
@@ -162,49 +188,46 @@ class SegmentLedger:
         raises once a ``compact()`` folded PAST N: the base merged later
         segments irreversibly (post-fold replay reads the admission
         sidecars instead)."""
-        base = self.base()
-        through = base[1] if base else -1
-        if as_of_segment is not None and through > as_of_segment:
+        st = self.state()
+        if as_of_segment is not None and st.through > as_of_segment:
             raise ValueError(
-                f"history folded: base generation {base[0]} merged through "
-                f"segment {through} > as_of_segment {as_of_segment}"
+                f"history folded: base generation {st.generation} merged through "
+                f"segment {st.through} > as_of_segment {as_of_segment}"
             )
         top = math.inf if as_of_segment is None else as_of_segment
-        return ([os.path.join(self.path, f"base-{base[0]:06d}")] if base else []) + [
-            self._seg_dir(s) for s in self.segments() if through < s <= top
+        return ([self._base_dir(st.generation)] if st.base else []) + [
+            self._seg_dir(s) for s in sorted(st.segments) if st.through < s <= top
         ]
-
-    def _eff_seg(self, run_dir: str) -> int:
-        """Effective segment of a run dir for tombstone ordering: a
-        segment is its own id; a base is its fold watermark (every row
-        in it was added at a segment <= through, and every live
-        tombstone has a segment > through)."""
-        name = os.path.basename(run_dir)
-        if name.startswith("seg-"):
-            return int(name[4:])
-        with open(run_dir + ".json") as f:
-            return int(json.load(f)["through_segment"])
 
     def view(self, run_dirs: list[str]) -> tuple[list[int], Tombstones]:
         """(effective segment per run dir, tombstones among them as
-        (segment, sorted ids)).  Tombstones live only in seg dirs —
-        compact applies and drops them.  A DELETE segment whose file is
-        gone (a concurrent compact's rmtree) raises FileNotFoundError so
-        the caller's one retry re-lists; otherwise its exclusion set
-        would silently vanish and deleted rows resurface."""
-        segs = [self._eff_seg(d) for d in run_dirs]
-        tombs = []
-        for d, seg in zip(run_dirs, segs):
+        (segment, sorted ids)).  A segment is its own id; the base is its
+        fold watermark (every row in it was added at a segment <=
+        through, and every live tombstone has a segment > through).
+        Tombstones live only in seg dirs — compact applies and drops
+        them.  A listed base that is no longer current, or a DELETE
+        segment whose file is gone (a concurrent compact), raises
+        FileNotFoundError so the caller's one retry re-lists; otherwise
+        deleted rows would silently resurface."""
+        st = self.state()
+        segs, tombs = [], []
+        for d in run_dirs:
+            name = os.path.basename(d)
+            if name.startswith("base-"):
+                if d != self._base_dir(st.generation):
+                    raise FileNotFoundError(f"base superseded mid-probe (compact race): {d}")
+                segs.append(st.through)
+                continue
+            seg = int(name[4:])
+            segs.append(seg)
             p = os.path.join(d, "tombstones.parquet")
             if os.path.exists(p):
                 ids = pq.read_table(p)[self.id_col].to_numpy(zero_copy_only=False)
                 tombs.append((seg, np.sort(ids.astype(np.int64))))
-            elif os.path.basename(d).startswith("seg-"):
-                with open(d + ".json") as f:
-                    if "tombstones" in json.load(f):
-                        raise FileNotFoundError(
-                            f"tombstone file vanished mid-probe (compact race): {p}"
-                        )
+            elif "tombstones" in st.segments.get(seg, {}):
+                raise FileNotFoundError(
+                    f"tombstone file vanished mid-probe (compact race): {p}"
+                )
         return segs, tombs
 
     def read_view(self, read: Callable[[list[str]], object], as_of_segment=None):
@@ -223,10 +246,9 @@ class SegmentLedger:
         replay the caller skips.  Raises when it was committed as a
         DELETE: skipping would silently drop the batch's rows while
         reporting success."""
-        if segment_id not in self.segments():
+        man = self.state().segments.get(segment_id)
+        if man is None:
             return False
-        with open(self._seg_dir(segment_id) + ".json") as f:
-            man = json.load(f)
         if "tombstones" in man:
             raise ValueError(
                 f"segment {segment_id} was already committed as a DELETE "
@@ -235,26 +257,20 @@ class SegmentLedger:
             )
         return True
 
-    def _check_watermark(self, segment_id: int, *, delete: bool = False) -> None:
+    def _check_watermark(self, segment_id: int) -> None:
         base = self.base()
         if base is not None and base[1] >= segment_id:
-            if delete:
-                raise ValueError(
-                    f"segment {segment_id} is at or below base generation "
-                    f"{base[0]}'s fold watermark ({base[1]}); its tombstones "
-                    "would be invisible to readers"
-                )
             raise ValueError(
                 f"segment {segment_id} was never committed and is at or "
                 f"below base generation {base[0]}'s fold watermark "
-                f"({base[1]}); adding it now would be invisible to readers"
+                f"({base[1]}); committing it now would be invisible to readers"
             )
 
     def _fresh_seg_dir(self, segment_id: int) -> str:
         # wipe, don't reuse: a crashed attempt may have left files for a
         # DIFFERENT batch, and a retry that maps to other keys would
-        # commit those phantom rows under its marker.  The dir is
-        # invisible until the marker lands, so the wipe is safe.
+        # commit those phantom rows under its record.  The dir is
+        # invisible until the record lands, so the wipe is safe.
         d = self._seg_dir(segment_id)
         shutil.rmtree(d, ignore_errors=True)
         os.makedirs(d, exist_ok=True)
@@ -262,13 +278,13 @@ class SegmentLedger:
 
     # ---------------------------------------------------------------- writes
     def commit_rows(
-        self, rows: rd.Dataset | None, segment_id: int, marker: Callable[[int], dict]
+        self, rows: rd.Dataset | None, segment_id: int, payload: Callable[[int], dict]
     ) -> int:
         """Commit ``rows`` (carrying the ``key`` column) as segment
         ``segment_id``: one exchange on the key, one file per key, then
-        the marker ``{"segment": id, **marker(n_rows)}``.  ``rows=None``
-        commits an empty segment (a merge of an empty source still
-        consumes its id exactly once).  Returns the row count."""
+        its log record ``payload(n_rows)``.  ``rows=None`` commits an
+        empty segment (a merge of an empty source still consumes its id
+        exactly once).  Returns the row count."""
         self._check_watermark(segment_id)
         seg_dir = self._fresh_seg_dir(segment_id)
         n = 0
@@ -290,7 +306,7 @@ class SegmentLedger:
                 .to_pandas()  # one row per key
             )
             n = int(stats["rows"].sum()) if len(stats) else 0
-        nio.commit_json(seg_dir + ".json", {"segment": segment_id, **marker(n)})
+        mf.append_record(self.path, self.state(), {"seq": segment_id, **payload(n)})
         return n
 
     def delete(self, ids, segment_id: int) -> dict:
@@ -301,26 +317,23 @@ class SegmentLedger:
         CDC epoch that mapped both upserts and deletes to one segment id
         would drop the takedown forever."""
         ids = np.unique(np.asarray(ids, np.int64))
-        if segment_id in self.segments():
+        if segment_id in self.state().segments:
             self._check_tombstone_replay(segment_id, ids)
             return {"segment": segment_id, "skipped": True}
-        self._check_watermark(segment_id, delete=True)
+        self._check_watermark(segment_id)
         seg_dir = self._fresh_seg_dir(segment_id)
         t = pa.table({self.id_col: pa.array(ids, pa.int64())})
         nio.commit_file(
             os.path.join(seg_dir, "tombstones.parquet"), lambda tmp: pq.write_table(t, tmp)
         )
-        nio.commit_json(
-            seg_dir + ".json", {"segment": segment_id, "tombstones": int(len(ids))}
-        )
+        mf.append_record(self.path, self.state(), {"seq": segment_id, "tombstones": len(ids)})
         return {"segment": segment_id, "skipped": False, "tombstones": int(len(ids))}
 
     def _check_tombstone_replay(self, segment_id: int, ids: np.ndarray) -> None:
         """After a compact the seg dir (and its exact id list) is gone,
-        so the check degrades to the marker's kind + count; before it,
+        so the check degrades to the record's kind + count; before it,
         ids are compared exactly."""
-        with open(self._seg_dir(segment_id) + ".json") as f:
-            man = json.load(f)
+        man = self.state().segments[segment_id]
         if "tombstones" not in man:
             raise ValueError(
                 f"segment {segment_id} was already committed as an ADD "
@@ -346,14 +359,14 @@ class SegmentLedger:
     def vacuum(self) -> dict:
         """Remove run DIRECTORIES already folded into the newest base,
         stale non-newest base dirs, the tmp files of interrupted commits
-        at the top level, and — when NO base marker exists — any partial
-        ``base-*/`` dir a crashed FIRST compact left.  That last case
-        matters: a retried compact would otherwise reuse the partial dir
-        and commit its stale files under the new marker — files that may
-        hold rows a tombstone has since deleted, resurrecting them
-        forever."""
-        base = self.base()
-        removed = 0
+        at the top level, the log's remnants (:func:`mf.ledger_remnants`)
+        and — when NO base is committed — any partial ``base-*/`` dir a
+        crashed FIRST compact left.  That last case matters: a retried
+        compact would otherwise reuse the partial dir and commit its
+        stale files under the new checkpoint — files that may hold rows
+        a tombstone has since deleted, resurrecting them forever."""
+        st = self.state()
+        removed = mf.vacuum_log(self.path)
         for name in os.listdir(self.path):
             full = os.path.join(self.path, name)
             if nio.is_tmp(name) and os.path.isfile(full):
@@ -361,12 +374,9 @@ class SegmentLedger:
                 removed += 1
             if not os.path.isdir(full):
                 continue
-            if base is None:
-                dead = name.startswith("base-")
-            else:
-                dead = (name.startswith("base-") and name != f"base-{base[0]:06d}") or (
-                    name.startswith("seg-") and int(name[4:]) <= base[1]
-                )
+            dead = (name.startswith("base-") and full != self._base_dir(st.generation)) or (
+                name.startswith("seg-") and int(name[4:]) <= st.through
+            )
             if dead:
                 shutil.rmtree(full, ignore_errors=True)
                 removed += 1
@@ -377,30 +387,27 @@ class SegmentLedger:
         *,
         fold_lone_segment: bool,
         fold: Callable[[pa.Table], pa.Table] | None = None,
-        keys_field: str | None = None,
     ) -> dict:
         """Fold the base + every live segment into one new base
         generation, one file key at a time in parallel tasks (the LSM
         step: a probe reads one file per key again).  Tombstones are
         applied (physical removal) and dropped.  ``fold`` post-processes
-        each key's merged rows; ``keys_field`` names a base-marker field
-        that records the number of keys written.
+        each key's merged rows.
 
         Starts with a :meth:`vacuum`.  Nothing is folded without a live
         segment, nor — unless ``fold_lone_segment`` — when the view is a
         single run.  Returns ``{"folded": False, "runs": n}`` then, else
         ``{"folded": True, "generation", "through_segment", "keys"}``.
-        Idempotent: the generation is committed by its marker, a crash
-        before it leaves the old runs authoritative, and the folded runs
-        are removed only after it lands (their markers stay)."""
+        Idempotent: the generation is committed by its checkpoint, a
+        crash before it leaves the old runs authoritative, and the
+        folded runs and records are removed only after it lands."""
         self.vacuum()
-        base = self.base()
+        st = self.state()
         runs = self.run_dirs()
-        if len(runs) == (base is not None) or (not fold_lone_segment and len(runs) <= 1):
+        if len(runs) == (st.base is not None) or (not fold_lone_segment and len(runs) <= 1):
             return {"folded": False, "runs": len(runs)}
-        gen = base[0] + 1 if base else 1
-        through = max(self.segments())
-        new_dir = os.path.join(self.path, f"base-{gen:06d}")
+        gen = st.generation + 1
+        new_dir = self._base_dir(gen)
         os.makedirs(new_dir, exist_ok=True)
         keys = sorted({k for d in runs for k in self.file_keys(d)})
         if keys:
@@ -427,13 +434,10 @@ class SegmentLedger:
             nio.fan_out([{"key": k} for k in keys]).map_batches(
                 fold_keys, batch_format="pyarrow", batch_size=None
             ).count()
-        marker = {"generation": gen, "through_segment": through}
-        if keys_field:
-            marker[keys_field] = len(keys)
-        nio.commit_json(new_dir + ".json", marker)
+        mf.write_checkpoint(self.path, replace(st, generation=gen, through=st.seq))
         for d in runs:
             shutil.rmtree(d, ignore_errors=True)
-        return {"folded": True, "generation": gen, "through_segment": through, "keys": len(keys)}
+        return {"folded": True, "generation": gen, "through_segment": st.seq, "keys": len(keys)}
 
     # ----------------------------------------------------------------- reads
     def read_live(self, columns: list[str] | None = None, with_key: bool = False):
@@ -477,13 +481,12 @@ class SegmentLedger:
         """Operational snapshot: committed segment counts by kind, the
         newest base generation/fold watermark, the live run layout, the
         on-disk data footprint and the persisted admission sidecars.
-        ``rows_committed`` sums the ADD markers' logical counts (the
+        ``rows_committed`` sums the ADD records' logical counts (the
         ledger history — not the live count, which tombstones and folds
         reduce)."""
-        markers = self._markers().values()
-        dels = [m for m in markers if "tombstones" in m]
-        adds = [m for m in markers if "tombstones" not in m]
-        base = self.base()
+        st = self.state()
+        dels = [m for m in st.segments.values() if "tombstones" in m]
+        adds = [m for m in st.segments.values() if "tombstones" not in m]
         runs = self.run_dirs()
         files = [
             os.path.join(d, f)
@@ -499,7 +502,7 @@ class SegmentLedger:
             "delete_segments": len(dels),
             "rows_committed": sum(int(m.get("vectors", m.get("docs", 0))) for m in adds),
             "tombstones_committed": sum(int(m["tombstones"]) for m in dels),
-            "base": base and {"generation": base[0], "through_segment": base[1]},
+            "base": st.base and {"generation": st.generation, "through_segment": st.through},
             "live_runs": len(runs),
             "data_files": len(files),
             "data_bytes": sum(os.path.getsize(f) for f in files),
@@ -515,31 +518,30 @@ class SegmentLedger:
         ``fsck``).  FATAL issues mean probes would return wrong or
         failing answers: a committed segment above the fold watermark
         whose run dir (or tombstone file) is gone, the newest base
-        marker without its dir, or an unreadable parquet footer in a
-        live run or sidecar.  WARNINGS are crash leftovers the ledger
-        makes invisible to readers — uncommitted run dirs, stale base
-        generations, ``*.tmp`` files — all reclaimable via ``vacuum()``."""
+        without its dir, or an unreadable parquet footer in a live run
+        or sidecar.  WARNINGS are crash leftovers the ledger makes
+        invisible to readers — uncommitted run dirs, stale base
+        generations, ``*.tmp`` files, log records a checkpoint covers —
+        all reclaimable via ``vacuum()``."""
         issues: list[dict] = []
 
         def issue(severity: str, kind: str, **kw) -> None:
             issues.append({"severity": severity, "kind": kind, **kw})
 
         names = sorted(os.listdir(self.path))
-        for name in names:
-            if nio.is_tmp(name):
-                issue("warning", "tmp_file", file=name)
-        markers = self._markers()
-        newest = self.base()
-        through = newest[1] if newest else -1
+        tmps = [{"kind": "tmp_file", "file": name} for name in names if nio.is_tmp(name)]
+        for r in tmps + mf.ledger_remnants(self.path):
+            issue("warning", r["kind"], file=r["file"])
+        st = self.state()
         live_dirs = []
-        if newest is not None:
-            bdir = os.path.join(self.path, f"base-{newest[0]:06d}")
+        if st.base is not None:
+            bdir = self._base_dir(st.generation)
             if not os.path.isdir(bdir):
-                issue("fatal", "missing_base_dir", generation=newest[0])
+                issue("fatal", "missing_base_dir", generation=st.generation)
             else:
                 live_dirs.append(bdir)
-        for s, man in markers.items():
-            if s <= through:
+        for s, man in sorted(st.segments.items()):
+            if s <= st.through:
                 continue  # folded into the base; its dir is legitimately gone
             d = self._seg_dir(s)
             if not os.path.isdir(d):
@@ -551,11 +553,12 @@ class SegmentLedger:
             ):
                 issue("fatal", "missing_tombstone_file", segment=s)
         for name in names:
-            if not os.path.isdir(os.path.join(self.path, name)):
+            full = os.path.join(self.path, name)
+            if not os.path.isdir(full):
                 continue
-            if name.startswith("seg-") and int(name[4:]) not in markers:
+            if name.startswith("seg-") and int(name[4:]) not in st.segments:
                 issue("warning", "uncommitted_run_dir", dir=name)
-            elif name.startswith("base-") and (newest is None or int(name[5:]) != newest[0]):
+            elif name.startswith("base-") and full != self._base_dir(st.generation):
                 # crashed/folded compact leftovers — vacuum reclaims
                 issue("warning", "stale_base_dir", dir=name)
 
@@ -575,7 +578,7 @@ class SegmentLedger:
         return {
             "ok": not any(i["severity"] == "fatal" for i in issues),
             "issues": issues,
-            "segments_checked": len(markers),
+            "segments_checked": len(st.segments),
             "files_checked": files_checked,
         }
 
@@ -648,7 +651,7 @@ class SegmentLedger:
           re-probe the intact earlier view.
         - Otherwise probe; a committed epoch skips the add (backfilling
           a missing sidecar when ``persist_hits``), an uncommitted one
-          writes its sidecar BEFORE the marker, so a commit implies its
+          writes its sidecar BEFORE the record, so a commit implies its
           admission decision is durable."""
         committed = self.committed(segment_id)
         base = self.base()

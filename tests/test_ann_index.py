@@ -205,9 +205,9 @@ def test_compact_preserves_probe_results(tmp_path):
 
 
 def test_vacuum_reclaims_crashed_compact_orphans(tmp_path):
-    """A compact() crash between the base-marker write and the rmtree
+    """A compact() crash between the base checkpoint and the rmtree
     sweep must not orphan the folded run dirs forever: the next
-    compact's leading vacuum reclaims them (and a partial markerless
+    compact's leading vacuum reclaims them (and a partial uncommitted
     base dir), and reads are unaffected."""
     ids, mat = _vectors()
     idx = _build(tmp_path, ids, mat, segments=2)
@@ -216,7 +216,7 @@ def test_vacuum_reclaims_crashed_compact_orphans(tmp_path):
 
     # simulate the crash: run a real compact but make its cleanup
     # rmtree a no-op (exactly compact()'s state at the crash point —
-    # new base + marker written, folded runs never removed)
+    # new base + checkpoint written, folded runs never removed)
     import shutil as _sh
 
     folded = idx.ledger.run_dirs()
@@ -455,7 +455,7 @@ def test_pq_reopen_reads_books_from_meta(tmp_path):
 
 def test_persisted_hits_survive_compaction(tmp_path):
     """probe_and_add(persist_hits=True) writes _admissions/epoch-N
-    before the marker; a replay AFTER compact() folded the epoch's
+    before the segment's record; a replay AFTER compact() folded the epoch's
     strictly-earlier view recovers the original hits verbatim instead
     of the lossy empty skip."""
     ids, mat = _vectors(seed=61)
@@ -668,7 +668,7 @@ def test_delete_below_fold_watermark_raises(tmp_path):
 
 
 def test_crashed_first_compact_cannot_resurrect_tombstoned_vectors(tmp_path):
-    """IVF mirror of the dedup-index test: a markerless partial
+    """IVF mirror of the dedup-index test: an uncommitted partial
     base-000001/ from a crashed FIRST compact must be reclaimed by the
     retry's leading vacuum, not folded onto — stale cell files would
     otherwise resurrect vectors tombstoned in between."""
@@ -683,8 +683,8 @@ def test_crashed_first_compact_cannot_resurrect_tombstoned_vectors(tmp_path):
     orig = nio.commit_json
 
     def crash_on_marker(path, obj):
-        if "base-" in os.path.basename(path):
-            raise RuntimeError("simulated crash before base marker")
+        if "checkpoint-" in os.path.basename(path):
+            raise RuntimeError("simulated crash before the base's checkpoint")
         return orig(path, obj)
 
     nio.commit_json = crash_on_marker
@@ -696,7 +696,7 @@ def test_crashed_first_compact_cannot_resurrect_tombstoned_vectors(tmp_path):
     finally:
         nio.commit_json = orig
     partial = os.path.join(idx.path, "base-000001")
-    assert os.path.isdir(partial) and not os.path.exists(partial + ".json")
+    assert os.path.isdir(partial) and idx.ledger.base() is None
 
     # tombstone EVERYTHING indexed: the leak only manifests for cells
     # whose surviving parts are all empty (the retry's fold skips them,

@@ -3,7 +3,8 @@ after a compaction that folded larger group ids, one ledger file per
 apply, ledger loads that do not grow with history once a checkpoint is
 folded, the per-stage apply report, the typed error on a lake in the
 retired per-partition-manifest layout, and an apply that waited for the
-lease committing only what is still unapplied."""
+lease committing only what is still unapplied.  The persisted indexes
+and the consumers commit through the same log."""
 
 import json
 import os
@@ -231,3 +232,78 @@ def test_vacuum_reclaims_orphans_of_a_group_rerun_under_another_id(tmp_path):
     assert not {f for f in _files(lake) if re.search(r"-000001\.parquet$", f)}
     assert eng.fsck()["reclaimable"] == []
     _assert_oracle(eng, gen.events_table())
+
+
+def _json_outside_log(root: str) -> list[str]:
+    return sorted(
+        f for f in _files(root) if f.endswith(".json") and not f.startswith("_log" + os.sep)
+    )
+
+
+def test_index_and_consumer_commit_through_the_log(tmp_path, monkeypatch):
+    """An index's adds, deletes and compaction and a consumer's refreshes
+    write no marker files: the only JSON outside ``_log/`` is the
+    index's ``meta.json``, and the index's ``_log/`` holds one
+    checkpoint (at the fold's ``through_segment``) plus the records
+    above it; a consumer's holds the checkpoint of its last refresh.  A
+    consumer's no-op refresh from a warm cache loads no JSON."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from nyc_taxi_data_pipeline_ray.state.dedup_index import MinHashIndex
+
+    docs = pa.table(
+        {"doc_id": pa.array(range(12), pa.int64()), "text": [f"doc {i} " * 5 for i in range(12)]}
+    )
+    idx = MinHashIndex(str(tmp_path / "idx"), num_perm=16, bands=4, num_buckets=2)
+    idx.add(rd.from_arrow(docs.slice(0, 6)), segment_id=0)
+    idx.add(rd.from_arrow(docs.slice(6)), segment_id=1)
+    idx.delete([1, 2], segment_id=2)
+    assert idx.compact()["through_segment"] == 2
+    idx.add(rd.from_arrow(docs.slice(0, 2)), segment_id=3)
+    assert _json_outside_log(idx.path) == ["meta.json"]
+    assert sorted(os.listdir(os.path.join(idx.path, "_log"))) == [
+        os.path.basename(mf.checkpoint_path(idx.path, 2)),
+        os.path.basename(mf.record_path(idx.path, 3)),
+    ]
+    assert idx.segments() == [0, 1, 2, 3] and idx.ledger.base() == (1, 2)
+
+    gen = WalGenerator(SPEC)
+    wal = str(tmp_path / "wal")
+    gen.write(wal)
+    eng = CdcEngine(LakeConfig.open_or_create(str(tmp_path / "lake"), num_partitions=4))
+    mv = MaterializedView(eng, str(tmp_path / "view"))
+    eng.apply(wal, max_epochs=2)
+    mv.refresh()
+    eng.apply(wal)
+    mv.refresh()
+    assert _json_outside_log(mv.path) == []
+    assert os.listdir(os.path.join(mv.path, "_log")) == [
+        os.path.basename(mf.checkpoint_path(mv.path, 2))  # one checkpoint per refresh
+    ]
+    real_load, loaded = json.load, []
+    monkeypatch.setattr(json, "load", lambda f, **kw: loaded.append(f.name) or real_load(f, **kw))
+    assert mv.refresh()["refreshed"] == 0
+    assert loaded == []
+
+
+@pytest.mark.parametrize(
+    "kind, retired",
+    [("index", "seg-000000.json"), ("index", "base-000001.json"), ("view", "p=0000.json")],
+)
+def test_retired_marker_layouts_raise_the_layout_error(tmp_path, kind, retired):
+    """An index or a consumer directory in the retired marker layout (no
+    ``_log/``, per-segment, per-base or per-partition JSON markers) is
+    refused with the lake's typed error, not read as empty."""
+    from nyc_taxi_data_pipeline_ray.state.dedup_index import MinHashIndex
+
+    path = str(tmp_path / kind)
+    os.makedirs(path)
+    with open(os.path.join(path, retired), "w") as f:
+        json.dump({"watermark": 0}, f)
+    with pytest.raises(LakeLayoutError, match="manifest layout"):
+        if kind == "index":
+            MinHashIndex(path)
+        else:
+            eng = CdcEngine(LakeConfig.open_or_create(str(tmp_path / "lake"), num_partitions=4))
+            MaterializedView(eng, path)

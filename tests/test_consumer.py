@@ -1,16 +1,20 @@
 """The consumer ledger (state/consumer.py) behind every incremental
-consumer: one protocol test run against each of them.  A missing
-partition manifest re-runs only that partition, a corrupt one counts as
-stale, a refresh with nothing new rebuilds nothing, and every recovered
-output equals a from-scratch build of the same consumer."""
+consumer: one protocol test run against each of them.  A refresh cut
+before its commit re-runs only the partitions it rebuilt, a corrupt log
+makes every partition stale, a refresh with nothing new rebuilds
+nothing, and every recovered output equals a from-scratch build of the
+same consumer."""
 
+import json
 import os
+import shutil
 
 import pyarrow.parquet as pq
 import pytest
 
 from nyc_taxi_data_pipeline_ray import CdcEngine, LakeConfig
 from nyc_taxi_data_pipeline_ray.sources.generator import WalGenerator, WalSpec
+from nyc_taxi_data_pipeline_ray.state import manifest as mf
 from nyc_taxi_data_pipeline_ray.state.derived import (
     CorpusTable,
     DerivedTable,
@@ -58,35 +62,39 @@ def test_consumer_ledger_protocol(tmp_path, kind):
     c = CONSUMERS[kind](eng, os.path.join(tmp, "out"))
     eng.apply(wal, max_epochs=1)
     assert c.refresh()["refreshed"] == 4
+    first = mf.checkpoint_path(c.ledger.path, 1)
+    with open(first) as f:
+        committed = f.read()
     eng.apply(wal)
-    c.refresh()
+    second = c.refresh()["refreshed"]
 
     # a second refresh with nothing new is a no-op
     rep = c.refresh()
     assert rep["refreshed"] == 0 and rep["reused"] == 4
 
-    # a missing partition manifest (crash before the commit) re-runs
-    # that partition only
-    os.remove(c.ledger.manifest_path(2))
+    # a refresh cut before its commit (its data files written, the log
+    # still at the first refresh's checkpoint) re-runs only the
+    # partitions it rebuilt
+    os.remove(mf.checkpoint_path(c.ledger.path, 2))
+    with open(first, "w") as f:
+        f.write(committed)
     rep = c.refresh()
-    assert rep["refreshed"] == 1 and rep["reused"] == 3
+    assert rep["refreshed"] == second and rep["reused"] == 4 - second
     _assert_equals_full_build(kind, c, os.path.join(tmp, "fresh1"))
 
-    # a corrupt manifest counts as stale
-    with open(c.ledger.manifest_path(1), "w") as f:
+    # a corrupt log makes every partition stale
+    with open(mf.checkpoint_path(c.ledger.path, mf.log_head(c.ledger.path)), "w") as f:
         f.write('{"watermark": ')
     rep = c.refresh()
-    assert rep["refreshed"] == 1 and rep["reused"] == 3
+    assert rep["refreshed"] == 4 and rep["reused"] == 0
     assert c.refresh()["refreshed"] == 0
     _assert_equals_full_build(kind, c, os.path.join(tmp, "fresh2"))
 
 
-def test_noop_refresh_loads_each_consumer_manifest_once(tmp_path, monkeypatch):
-    """The staleness scan's manifest load also supplies a reused
-    partition's rows, so a no-op refresh reads each consumer manifest
-    once."""
-    import json
-
+def test_noop_refresh_from_a_warm_cache_loads_no_json(tmp_path, monkeypatch):
+    """Staleness reads the lake's and the consumer's logs through the
+    log cache, so a no-op refresh in a process that has read both
+    loads no JSON at all."""
     tmp = str(tmp_path)
     wal = os.path.join(tmp, "wal")
     WalGenerator(SPEC).write(wal)
@@ -104,6 +112,34 @@ def test_noop_refresh_loads_each_consumer_manifest_once(tmp_path, monkeypatch):
     rep = mv.refresh()
     monkeypatch.undo()
     assert rep == {**first, "refreshed": 0, "reused": 4}
-    assert sorted(p for p in loaded if p.startswith(mv.ledger.path)) == [
-        mv.ledger.manifest_path(pid) for pid in range(4)
-    ]
+    assert loaded == []
+
+
+@pytest.mark.parametrize("kind", ["matview", "derived"])
+def test_late_group_restales_consumers(tmp_path, kind):
+    """A group committed late — epoch 2 after groups 3 and 4 — changes
+    partitions a consumer refreshed at a larger group id.  Staleness by
+    log position rebuilds them (the derived table diffs from its stored
+    position), and the output equals a fresh build."""
+    tmp = str(tmp_path)
+    full, wal = os.path.join(tmp, "full"), os.path.join(tmp, "wal")
+    WalGenerator(
+        WalSpec(seed=7, num_conversations=60, num_epochs=5, events_per_epoch=300)
+    ).write(full)
+
+    def deliver(epoch: int) -> None:
+        name = f"epoch={epoch:06d}"
+        shutil.copytree(os.path.join(full, name), os.path.join(wal, name))
+
+    eng = CdcEngine(
+        LakeConfig.open_or_create(os.path.join(tmp, "lake"), num_partitions=4)
+    )
+    for e in (0, 1, 3, 4):
+        deliver(e)
+        eng.apply(wal)
+    c = CONSUMERS[kind](eng, os.path.join(tmp, "out"))
+    assert c.refresh()["refreshed"] == 4
+    deliver(2)
+    eng.apply(wal)
+    assert c.refresh()["refreshed"] > 0
+    _assert_equals_full_build(kind, c, os.path.join(tmp, "fresh"))

@@ -24,7 +24,8 @@ with rejects, a one-epoch apply whose Stage B auto-compacts every
 partition, ``compact()``, a 2-epoch apply with ``salt_shards=2`` (Stage
 A2's pre-merged staging), a late epoch applied into a lake compacted
 past it (its group id is below the bases' fold), ``reshard()``, ``export_snapshot()``, a view
-refresh, MinHash index ``add``/``delete``/``compact``/``merge_from`` and
+refresh, a ``DerivedTable`` refresh and a ``SecondaryIndex`` refresh (the
+same consumer commit as the view's), MinHash index ``add``/``delete``/``compact``/``merge_from`` and
 ``probe_and_add(persist_hits=True)`` (the admission sidecar), and IVF
 index ``add``/``compact``.
 
@@ -48,6 +49,7 @@ import time
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import pytest
 import ray.data as rd
 
@@ -56,7 +58,9 @@ from nyc_taxi_data_pipeline_ray.sources.generator import WalGenerator, WalSpec
 from nyc_taxi_data_pipeline_ray.state import oracle
 from nyc_taxi_data_pipeline_ray.state.ann_index import IvfIndex
 from nyc_taxi_data_pipeline_ray.state.dedup_index import MinHashIndex
+from nyc_taxi_data_pipeline_ray.state.derived import DerivedTable, enrich_turns
 from nyc_taxi_data_pipeline_ray.state.matview import MaterializedView
+from nyc_taxi_data_pipeline_ray.state.secondary_index import SecondaryIndex
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OPS = (
@@ -68,6 +72,8 @@ OPS = (
     "reshard",
     "export_snapshot",
     "view_refresh",
+    "derived_refresh",
+    "secondary_index_refresh",
     "minhash_add",
     "minhash_delete",
     "minhash_compact",
@@ -179,7 +185,21 @@ class _Matrix:
         eng.apply(self.wal, max_epochs=1)
         eng.compact()
         MaterializedView(eng, os.path.join(folded, "view")).refresh()
+        # a derived table and a secondary index one group behind, beside
+        # a copy of the same lake
+        self.consumers = {
+            "derived_refresh": lambda eng, root: DerivedTable(
+                eng, os.path.join(root, "derived"), enrich_turns
+            ),
+            "secondary_index_refresh": lambda eng, root: SecondaryIndex(
+                eng, os.path.join(root, "sindex"), "tool"
+            ),
+        }
+        consumers = os.path.join(pre, "consumers")
+        for make in self.consumers.values():
+            make(eng, consumers).refresh()
         eng.apply(self.wal, max_epochs=1)
+        shutil.copytree(os.path.join(folded, "lake"), os.path.join(consumers, "lake"))
         # epochs 0 and 2 applied and compacted; epoch 1 arrives late
         late = os.path.join(pre, "late")
         for e in ("epoch=000000", "epoch=000002"):
@@ -225,6 +245,10 @@ class _Matrix:
         def lake_op(pre_name, run):
             return os.path.join(pre, pre_name), run, self.lake_state
 
+        def consumer_op(op):
+            make = self.consumers[op]
+            return consumers, lambda r: make(self.engine(r), r).refresh(), self.consumer_state
+
         def index_op(run):
             return index, run, self.index_state
 
@@ -251,6 +275,8 @@ class _Matrix:
                 "folded",
                 lambda r: MaterializedView(self.engine(r), os.path.join(r, "view")).refresh(),
             ),
+            "derived_refresh": consumer_op("derived_refresh"),
+            "secondary_index_refresh": consumer_op("secondary_index_refresh"),
             "minhash_add": index_op(
                 lambda r: self.index(r).add(rd.from_arrow(self.docs[2]), segment_id=2)
             ),
@@ -293,6 +319,14 @@ class _Matrix:
             eng.vacuum()
         view = MaterializedView(self.engine(root), os.path.join(root, "view"))
         return {"files": _files(root), "rows": rows, "view": view.table().to_pylist()}
+
+    def consumer_state(self, op: str, root: str) -> dict:
+        """A consumer's end state: a further refresh rebuilds nothing,
+        and its committed outputs."""
+        c = self.consumers[op](self.engine(root), root)
+        assert c.refresh()["refreshed"] == 0
+        out = [pq.read_table(c.ledger.data_path(p)).to_pylist() for p in c.ledger.committed_pids()]
+        return {"files": _files(root), "outputs": out}
 
     def index_state(self, op: str, root: str) -> dict:
         idx = self.index(root)

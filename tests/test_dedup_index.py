@@ -12,6 +12,7 @@ import pytest
 import ray.data as rd
 
 from nyc_taxi_data_pipeline_ray.pipelines.text import cached_minhasher
+from nyc_taxi_data_pipeline_ray.state import manifest as mf
 from nyc_taxi_data_pipeline_ray.state.dedup_index import MinHashIndex
 
 SF_DIR = "/root/testdata/sf0.01"
@@ -97,8 +98,8 @@ def test_crash_resume_uncommitted_segment(tmp_path, corpus):
     idx = MinHashIndex(str(tmp_path / "idx"))
     idx.add(rd.from_arrow(base), segment_id=0)
     idx.add(rd.from_arrow(arrivals), segment_id=1)
-    # crash simulation: the commit marker vanishes -> segment invisible
-    os.remove(os.path.join(str(tmp_path / "idx"), "seg-000001.json"))
+    # crash simulation: the commit record vanishes -> segment invisible
+    os.remove(mf.record_path(str(tmp_path / "idx"), 1))
     assert idx.segments() == [0]
     probe = pa.table(
         {"doc_id": pa.array([9000], pa.int64()), "text": [arrivals["text"][0].as_py()]}
@@ -157,9 +158,9 @@ def test_crashed_add_leaves_no_phantom_rows(tmp_path, corpus):
     base, arrivals = corpus
     idx = MinHashIndex(str(tmp_path / "idx"))
     idx.add(rd.from_arrow(base), segment_id=0)
-    # crashed attempt: full segment written, manifest removed
+    # crashed attempt: full segment written, commit record removed
     idx.add(rd.from_arrow(arrivals), segment_id=1)
-    os.remove(os.path.join(str(tmp_path / "idx"), "seg-000001.json"))
+    os.remove(mf.record_path(str(tmp_path / "idx"), 1))
     # retry commits a DIFFERENT (smaller) batch under the same id
     retry = arrivals.slice(0, 1)
     idx.add(rd.from_arrow(retry), segment_id=1)
@@ -271,7 +272,7 @@ def test_params_persisted(tmp_path, corpus):
 
 def test_persisted_hits_survive_compaction(tmp_path, corpus):
     """probe_and_add(persist_hits=True) writes _admissions/epoch-N
-    before the marker; a replay AFTER compact() folded the epoch's
+    before the segment's record; a replay AFTER compact() folded the epoch's
     strictly-earlier view recovers the original candidates verbatim
     instead of the lossy empty skip."""
     base, arrivals = corpus
@@ -364,7 +365,7 @@ def test_delete_is_idempotent_and_guards_watermark(tmp_path, corpus):
 
 def test_vacuum_reclaims_crashed_compact_orphans(tmp_path, corpus):
     """Mirror of IvfIndex.vacuum: a compact() crash between the
-    base-marker write and the rmtree sweep must not orphan the folded
+    base checkpoint and the rmtree sweep must not orphan the folded
     run dirs forever — the next compact's leading vacuum reclaims
     them, and probes are unaffected."""
     base, arrivals = corpus
@@ -392,7 +393,7 @@ def test_vacuum_reclaims_crashed_compact_orphans(tmp_path, corpus):
 
 def test_crashed_first_compact_cannot_resurrect_tombstoned_docs(tmp_path, corpus):
     """A FIRST compact() that crashes after writing bucket files but
-    before its base marker leaves a markerless partial base-000001/.
+    before its base checkpoint leaves an uncommitted partial base-000001/.
     The retried compact must not fold onto those stale files: if a
     tombstone arrives in between and empties a bucket, a stale file
     from the crashed attempt would resurrect the deleted doc forever.
@@ -401,15 +402,15 @@ def test_crashed_first_compact_cannot_resurrect_tombstoned_docs(tmp_path, corpus
     idx = MinHashIndex(str(tmp_path / "idx"))
     idx.add(rd.from_arrow(base), segment_id=0)
 
-    # crash the first compact right before its marker write
+    # crash the first compact right before its checkpoint write
     real = type(idx).__mro__[0]  # noqa: F841 (clarity)
     from nyc_taxi_data_pipeline_ray import io as nio
 
     orig = nio.commit_json
 
     def crash_on_marker(path, obj):
-        if "base-" in os.path.basename(path):
-            raise RuntimeError("simulated crash before base marker")
+        if "checkpoint-" in os.path.basename(path):
+            raise RuntimeError("simulated crash before the base's checkpoint")
         return orig(path, obj)
 
     nio.commit_json = crash_on_marker
@@ -419,7 +420,7 @@ def test_crashed_first_compact_cannot_resurrect_tombstoned_docs(tmp_path, corpus
     finally:
         nio.commit_json = orig
     partial = os.path.join(idx.path, "base-000001")
-    assert os.path.isdir(partial) and not os.path.exists(partial + ".json")
+    assert os.path.isdir(partial) and idx.ledger.base() is None
 
     # tombstone EVERYTHING indexed, then retry the compact: the leak
     # only manifests for buckets whose surviving parts are all empty

@@ -5,7 +5,6 @@ Pins (a) equality vs transform(full snapshot) under a random op mix,
 only the changed rows), (c) delete propagation, (d) crash-resume
 idempotency, (e) full-rebuild fallback when history is compacted away."""
 
-import json
 import os
 
 import pyarrow as pa
@@ -14,6 +13,7 @@ import pyarrow.parquet as pq
 
 from nyc_taxi_data_pipeline_ray import CdcEngine, LakeConfig
 from nyc_taxi_data_pipeline_ray.sources.generator import WalGenerator, WalSpec
+from nyc_taxi_data_pipeline_ray.state import manifest as mf
 from nyc_taxi_data_pipeline_ray.state.derived import DerivedTable, enrich_turns
 
 SPEC = WalSpec(
@@ -113,23 +113,23 @@ def test_derived_row_level_incrementality_and_deletes(tmp_path):
 
 
 def test_derived_crash_resume_idempotent(tmp_path):
-    """Data file written but manifest lost (crash between the two
-    writes): re-refresh re-patches to identical state."""
+    """Data files written but their commit record lost (crash between
+    the two writes): re-refresh re-patches to identical state."""
     wal, eng, dt = _build(str(tmp_path))
     eng.apply(wal, max_epochs=1)
     dt.refresh()
+    first = mf.checkpoint_path(dt.ledger.path, 1)
+    committed = open(first).read()
     eng.apply(wal)
-    dt.refresh()
+    second = dt.refresh()["refreshed"]
     expected = dt.table()
-    # simulate the crash: roll one partition's manifest back to the
-    # epoch-1 watermark while its data file stays current
-    p = dt.ledger.manifest_path(0)
-    m = json.load(open(p))
-    stale = dict(m, watermark=0)
-    with open(p, "w") as f:
-        json.dump(stale, f)
+    # simulate the crash: the log rolls back to the first refresh's
+    # checkpoint while the second refresh's data files stay current
+    os.remove(mf.checkpoint_path(dt.ledger.path, 2))
+    with open(first, "w") as f:
+        f.write(committed)
     r = dt.refresh()
-    assert r["refreshed"] == 1
+    assert r["refreshed"] == second
     assert dt.table().equals(expected)
 
 

@@ -116,7 +116,7 @@ def test_matview_incremental_reuse(tmp_path):
     _assert_view_equals(mv, expected)
     # and the refreshed partition is the one owning that conversation
     pid = int(hash_partition_ids(pa.array([conv]), 4)[0])
-    assert mv.ledger.stored_watermark(pid) == mv.ledger.lake_watermark(pid)
+    assert mv.ledger.stored_watermark(pid) == mf.state_changing_watermark(eng.cfg.path, pid)
 
 
 def test_matview_crash_resume(tmp_path):
@@ -124,11 +124,11 @@ def test_matview_crash_resume(tmp_path):
     eng.apply(wal)
     mv.refresh()
     expected = _expected(gen.events_table())
-    # simulate a crash after the data file landed but before the commit
-    # marker: the manifest is the ledger, so that partition re-runs
-    os.remove(mv.ledger.manifest_path(2))
+    # simulate a crash after the data files landed but before the
+    # commit: the log is the ledger, so every partition re-runs
+    os.remove(mf.checkpoint_path(mv.ledger.path, 1))
     rep = mv.refresh()
-    assert rep["refreshed"] == 1 and rep["reused"] == 3
+    assert rep["refreshed"] == 4 and rep["reused"] == 0
     _assert_view_equals(mv, expected)
 
 
@@ -363,9 +363,8 @@ def test_delta_aggregate_pins_fold_to_recorded_watermark(tmp_path, monkeypatch):
 
 
 def test_noop_refresh_reads_only_manifests_since_its_watermark(tmp_path, monkeypatch):
-    """A no-op refresh loads only the manifests at or after each
-    partition's stored watermark, so its JSON loads do not grow with the
-    lake's history."""
+    """A no-op refresh's JSON loads do not grow with the lake's history
+    (both logs are read through the log cache)."""
     import json
 
     spec = WalSpec(seed=12, num_conversations=40, num_epochs=15, events_per_epoch=200)
@@ -395,9 +394,10 @@ def test_noop_refresh_reads_only_manifests_since_its_watermark(tmp_path, monkeyp
 
 
 def test_state_changing_watermark_after_foreign_group_scans_all(tmp_path):
-    """A partition's state-changing watermark is the largest group whose
-    record gives it upserts or deletes, folded from the whole log
-    (checkpoint included) whatever watermark a consumer stored."""
+    """A partition's state-changing watermark is the log position of the
+    latest record that gives it upserts or deletes, folded from the
+    whole log (checkpoint included) whatever watermark a consumer
+    stored."""
     lake = str(tmp_path)
     log = mf.Log()
     for g, upserts in ((1, 5), (3, 0), (4, 2), (6, 0)):
@@ -405,5 +405,5 @@ def test_state_changing_watermark_after_foreign_group_scans_all(tmp_path):
         log = mf.append_record(lake, log, {"group_id": g, "epochs": [g], "partitions": {"0": part}})
         if g == 3:
             mf.write_checkpoint(lake, log)
-    assert mf.state_changing_watermark(lake, 0) == 4
+    assert mf.state_changing_watermark(lake, 0) == 3  # group 4, the third record
     assert mf.state_changing_watermark(lake, 1) == -1

@@ -142,13 +142,22 @@ def test_manifest_ledger_survives_seven_digit_ids(tmp_path):
 
 
 def test_consumer_watermark_corrupt_json_is_stale(tmp_path):
-    """Valid-JSON-wrong-shape consumer manifests (null, list, null
-    watermark) must read as stale (None), never crash the consumer."""
+    """Valid-JSON-wrong-shape consumer checkpoints (null, a list, a null
+    watermark, a null entry) must read as stale (None), never crash the
+    consumer; a well-formed checkpoint reads back."""
     import os
 
-    from nyc_taxi_data_pipeline_ray.state import consumer
+    from nyc_taxi_data_pipeline_ray.state import manifest as mf
+    from nyc_taxi_data_pipeline_ray.state.consumer import ConsumerLedger
 
-    for i, payload in enumerate(["null", "[1,2]", '{"watermark": null}']):
-        with open(consumer.manifest_path(str(tmp_path), i), "w") as f:
+    ledger = ConsumerLedger(None, str(tmp_path))
+    path = mf.checkpoint_path(ledger.path, 1)
+    os.makedirs(os.path.dirname(path))
+    entry = '{"seq": 1, "partitions": [[0, %s]]}'
+    for payload in ["null", "[1,2]", entry % '{"watermark": null}', entry % "null"]:
+        with open(path, "w") as f:
             f.write(payload)
-        assert consumer.stored_watermark(str(tmp_path), i) is None
+        assert ledger.stored_watermark(0) is None
+    with open(path, "w") as f:
+        f.write(entry % '{"watermark": 3, "rows": 2}')
+    assert ledger.stored_watermark(0) == 3
