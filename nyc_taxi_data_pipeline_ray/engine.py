@@ -81,6 +81,7 @@ import json
 import os
 import re
 import shutil
+import sys
 import threading
 import time
 import uuid
@@ -146,14 +147,6 @@ def _ensure_worker_thread_limit() -> None:
         _worker_threads_set = True
 
 
-_SORT_KEYS_EVENT = [
-    ("conv_id", "ascending"),
-    ("turn_idx", "ascending"),
-    ("ts", "ascending"),
-    ("lsn", "ascending"),
-]
-
-
 def _stage_plan(
     t: pa.Table, num_partitions: int, salt_shards: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
@@ -176,16 +169,10 @@ def _stage_plan(
         keys = t.select(["conv_id", "turn_idx", "ts", "lsn"]).take(pa.array(valid_idx))
     if keys.num_rows == 0:
         return np.array([], np.int64), np.array([], np.int32), np.array([], np.int32), np.array([], np.int64), bad_idx
-    order = pc.sort_indices(keys, sort_keys=_SORT_KEYS_EVENT)
-    keys_sorted = keys.select(["conv_id", "turn_idx"]).take(order)
-    wmask = mg._last_per_key_mask(keys_sorted)
-    ends = np.nonzero(wmask)[0]
-    starts = np.empty_like(ends)
-    if len(ends):
-        starts[0] = 0
-        starts[1:] = ends[:-1] + 1
-    sizes = (ends - starts + 1).astype(np.int64)
-    winners_local = order.to_numpy()[wmask]
+    order, last = mg.lww_order(keys)
+    ends = np.flatnonzero(last)
+    sizes = np.diff(ends, prepend=-1)
+    winners_local = order[last]
     winners = valid_idx[winners_local] if valid_idx is not None else winners_local
     conv_w = keys["conv_id"].take(pa.array(winners_local))
     pid = hash_partition_ids(conv_w, num_partitions)
@@ -1563,19 +1550,11 @@ class CdcEngine:
             return schemas.EVENT_SCHEMA.empty_table().append_column(
                 "is_winner", pa.array([], pa.bool_())
             )
+        # runs oldest-first: the kernel's LWW order, in which each
+        # turn's last row is its winner
         hist = mg.concat_unified(outs)
-        ti = hist["turn_idx"].to_numpy(zero_copy_only=False)
-        ts = pc.cast(hist["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        lsn = hist["lsn"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((lsn, ts, ti))
-        last_per_turn = np.zeros(len(order), bool)
-        sorted_ti = ti[order]
-        last_per_turn[-1] = True
-        last_per_turn[:-1] = sorted_ti[1:] != sorted_ti[:-1]
-        winners = np.zeros(len(order), bool)
-        winners[order] = last_per_turn
-        hist = hist.append_column("is_winner", pa.array(winners))
-        return hist.take(pa.array(order))
+        order, last = mg.lww_order(hist)
+        return hist.take(order).append_column("is_winner", pa.array(last))
 
     def checksum_partitions(self) -> dict[int, dict]:
         """Per-partition content digests — the Merkle level below
@@ -1981,8 +1960,7 @@ def _apply_partition_group(
         atomic_write_parquet(rejects_path, bad)
         alerts = _alert_ring_entries(bad, mf.ALERT_RING_K)
 
-    delta = mg.resolve_lww(mg.with_run_seq(good, 0), drop_tombstones=False)
-    delta = delta.drop_columns([mg.RUN_SEQ, mg.NSRC])
+    delta = mg.resolve_lww(good.drop_columns([mg.NSRC]), drop_tombstones=False)
     _write_run(delta_path, delta, base_row_group_rows)
 
     ops = pc.fill_null(delta["op"], "insert")
@@ -2520,7 +2498,8 @@ class _RunCache:
     """Process-wide, byte-capped LRU of what point lookups decode from
     lake runs: each run's footer key bounds, its decoded row groups and
     a base's bloom bits — the block cache of an LSM store over immutable
-    runs.
+    runs.  A decoded group is cached with its ``{conv_id: (start,
+    stop)}`` spans (counted in its bytes), so a warm read slices it.
 
     Only write-once files are cached: once committed, a lake run's name
     never gets other bytes (a retry renames identical bytes over it).
@@ -2561,7 +2540,6 @@ class _RunCache:
         with self._lock:
             hit = self._lru.get(key)
             if hit is None:
-                self.misses += 1
                 return None
             self._lru.move_to_end(key)
             self.hits += 1
@@ -2583,6 +2561,7 @@ class _RunCache:
         ident = key[0]
         path = ident[0]
         with self._lock:
+            self.misses += 1
             if key in self._lru:
                 return
             # one identity per path: a rebuilt file's entries replace the old one's
@@ -2617,30 +2596,62 @@ class _RunCache:
             self._put((ident, "bloom"), bits, bits.nbytes)
         return bits
 
-    def run_groups(
-        self, path: str, column: str, keys_sorted: list[str]
-    ) -> tuple[list, list[int], list[pa.Table]]:
-        """``(bounds, picked groups, their decoded tables)`` of a lake
-        run for a pruned read; only the missing parts are decoded."""
+    def run_groups(self, path: str, keys_sorted: list[str]) -> tuple[int, list[tuple]]:
+        """``(groups in the run, [(decoded group, its key spans)])`` of
+        the groups of a key-sorted lake run that can hold one of
+        ``keys_sorted``; only the missing parts are decoded.  A base's
+        bloom sidecar is probed only on such a cold read — when every
+        picked group is cached, its spans answer membership exactly — and
+        a miss there decodes nothing (the total is then 0 if the footer
+        was never read)."""
         ident = _file_ident(path, os.stat(path))
-        bounds = self._get((ident, "bounds", column))
-        pick = [] if bounds is None else _pick_groups(bounds, keys_sorted)
-        got = {g: self._get((ident, g)) for g in pick}
-        if bounds is None or any(t is None for t in got.values()):
-            with open(path, "rb") as fh:
-                opened = _file_ident(path, os.fstat(fh.fileno()))
-                if opened != ident:  # replaced since the stat: read the new file
-                    ident, bounds, got = opened, None, {}
-                f = pq.ParquetFile(fh)
-                if bounds is None:
-                    bounds = _group_bounds(f, column)
-                    pick = _pick_groups(bounds, keys_sorted)
-                    self._put((ident, "bounds", column), bounds, 128 * (len(bounds) + 1))
-                for g in pick:
-                    if got.get(g) is None:
-                        got[g] = f.read_row_group(g)
-                        self._put((ident, g), got[g], got[g].nbytes)
-        return bounds, pick, [got[g] for g in pick]
+        bounds = self._get((ident, "bounds"))
+        got: dict = {}
+        if bounds is not None:
+            got = {g: self._get((ident, g)) for g in _pick_groups(bounds, keys_sorted)}
+            if None not in got.values():
+                return len(bounds), list(got.values())
+        if os.path.basename(path).startswith("base-"):
+            maybe = _bloom_filter_keys(path, keys_sorted)
+            if maybe == []:
+                return (0 if bounds is None else len(bounds)), []
+            keys_sorted = keys_sorted if maybe is None else maybe
+        with open(path, "rb") as fh:
+            opened = _file_ident(path, os.fstat(fh.fileno()))
+            if opened != ident:  # replaced since the stat: read the new file
+                ident, bounds, got = opened, None, {}
+            f = pq.ParquetFile(fh)
+            if bounds is None:
+                bounds = _group_bounds(f, "conv_id")
+                self._put((ident, "bounds"), bounds, 128 * (len(bounds) + 1))
+            out = []
+            for g in _pick_groups(bounds, keys_sorted):
+                if got.get(g) is None:
+                    t = f.read_row_group(g)
+                    spans = _key_spans(t["conv_id"])
+                    got[g] = (t, spans)
+                    self._put((ident, g), got[g], t.nbytes + _spans_nbytes(spans))
+                out.append(got[g])
+        return len(bounds), out
+
+
+def _key_spans(keys: pa.ChunkedArray) -> dict[str, tuple[int, int]]:
+    """``{key: (start, stop)}``: the rows of each key of a key-sorted
+    column."""
+    n = len(keys)
+    if n == 0:
+        return {}
+    change = pc.not_equal(keys.slice(1), keys.slice(0, n - 1)).to_numpy(zero_copy_only=False)
+    starts = np.concatenate([[0], np.flatnonzero(change) + 1])
+    stops = np.append(starts[1:], n)
+    return dict(zip(keys.take(starts).to_pylist(), zip(starts.tolist(), stops.tolist())))
+
+
+def _spans_nbytes(spans: dict) -> int:
+    """Heap bytes of a spans dict: its table, key strings and
+    ``(start, stop)`` tuples (the ints inside them: 2 x 32 bytes)."""
+    one = sys.getsizeof((0, 0)) + 64
+    return sys.getsizeof(spans) + sum(sys.getsizeof(k) + one for k in spans)
 
 
 _LOOKUP_CACHE = _RunCache(_LOOKUP_CACHE_BYTES)
@@ -2648,8 +2659,9 @@ _LOOKUP_CACHE = _RunCache(_LOOKUP_CACHE_BYTES)
 
 def lookup_cache_stats() -> dict:
     """This process's lookup cache: ``entries`` (footer bounds, decoded
-    row groups and bloom bitmaps held), their ``bytes``, and the
-    ``hits``/``misses`` of every cache probe so far; a miss decodes."""
+    row groups with their key spans, and bloom bitmaps held), their
+    ``bytes``, the ``hits`` of every cache probe so far and the
+    ``misses``: the parts a read had to decode."""
     return _LOOKUP_CACHE.stats()
 
 
@@ -2667,23 +2679,35 @@ def read_run_pruned(
     truncation keeps them valid bounds, so pruning is always safe —
     a group with no stats is read (correctness over selectivity).
 
-    A lake run's bounds and groups come through the lookup cache
-    (:class:`_RunCache`); any other file (a consumer's ``p=NNNN.parquet``,
-    rewritten by every refresh) is read from disk every time."""
-    keys_sorted = sorted(keys)
-    if _LAKE_RUN_RE.search(path):
-        bounds, pick, groups = _LOOKUP_CACHE.run_groups(path, column, keys_sorted)
+    A lake run's bounds and groups, with each group's ``conv_id`` spans,
+    come through the lookup cache (:class:`_RunCache`), so its rows are
+    zero-copy slices of cached groups, and a base's bloom sidecar is
+    probed only when a picked group is not cached; any other file (a
+    consumer's ``p=NNNN.parquet``, rewritten by every refresh) is read
+    from disk and filtered every time."""
+    keys_sorted = sorted(set(keys))
+    if column == "conv_id" and _LAKE_RUN_RE.search(path):
+        total, groups = _LOOKUP_CACHE.run_groups(path, keys_sorted)
+        # zero-copy slices; a key crossing a group boundary gets one per group
+        hits = [
+            t.slice(a, b - a)
+            for t, spans in groups
+            for a, b in filter(None, map(spans.get, keys_sorted))
+        ]
+        read = len(groups)
     else:
         f = pq.ParquetFile(path)
         bounds = _group_bounds(f, column)
         pick = _pick_groups(bounds, keys_sorted)
-        groups = [f.read_row_groups(pick)] if pick else []
-    if not groups:
-        return None, 0, len(bounds)
-    value_set = pa.array(keys_sorted, pa.string())
-    hits = [t.filter(pc.is_in(t[column], value_set=value_set)) for t in groups]
+        total, read = len(bounds), len(pick)
+        hits = []
+        if pick:
+            t = f.read_row_groups(pick)
+            hits = [t.filter(pc.is_in(t[column], value_set=pa.array(keys_sorted, pa.string())))]
+    if not hits:
+        return None, read, total
     t = hits[0] if len(hits) == 1 else pa.concat_tables(hits)
-    return (t if t.num_rows else None), len(pick), len(bounds)
+    return (t if t.num_rows else None), read, total
 
 
 def _read_keys_pruned(
@@ -2710,13 +2734,7 @@ def _read_keys_pruned_once(
     runs: list[pa.Table] = []
     read = total = 0
     for path in _partition_run_paths(lake_path, pid):
-        run_keys = keys
-        surviving = _bloom_filter_keys(path, keys)
-        if surviving is not None:
-            if not surviving:  # bloom proves no requested key is here
-                continue
-            run_keys = surviving
-        t, r, n = read_run_pruned(path, run_keys)
+        t, r, n = read_run_pruned(path, keys)
         read += r
         total += n
         if t is not None:
