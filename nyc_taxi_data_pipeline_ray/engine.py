@@ -861,9 +861,9 @@ class CdcEngine:
         self, columns: list[str] | None = None, *, as_of_epoch: int | None = None
     ) -> rd.Dataset:
         """The lake's current state as a Dataset: one task per task slot,
-        each merging its partitions' base and delta runs one partition at
-        a time (a fully-compacted partition is one run, so its merge only
-        drops tombstones).
+        each yielding its partitions' merged states one partition at a
+        time (:func:`merged_state` of one pid), so a task holds one
+        partition's runs at once.
 
         ``as_of_epoch`` time-travels: the returned state is what the
         lake held right after that epoch's commit group (the log is the
@@ -879,39 +879,56 @@ class CdcEngine:
         pids = self.live_pids()
         lake_path = self.cfg.path
         log = mf.read_log(lake_path).slim()  # one committed view for every partition
-
-        def select(t: pa.Table) -> pa.Table:
-            if columns:
-                return t.select([c for c in columns if c in t.schema.names])
-            return t
-
+        empty = _select(schemas.empty_state(), columns)
         if not pids:
-            return rd.from_arrow(select(schemas.empty_state()))
+            return rd.from_arrow(empty)
 
         def read_one(batch: pa.Table):
             states = (
-                read_partition_state(lake_path, int(pid), as_of_epoch, log)
+                merged_state(lake_path, [pid], as_of_epoch, log)
                 for pid in batch["pid"].to_pylist()
             )
-            yield from map(select, _rows_or_empty(states, schemas.empty_state()))
+            yield from (_select(t, columns) for t in _rows_or_empty(states, empty))
 
         return _fan_out_pids(pids).map_batches(read_one, batch_format="pyarrow")
 
     def snapshot_table(
         self, columns: list[str] | None = None, *, as_of_epoch: int | None = None
     ) -> pa.Table:
-        """Materialized, globally key-sorted snapshot (tests / small lakes)."""
-        batches = [
-            b
-            for b in self.snapshot(columns=columns, as_of_epoch=as_of_epoch).iter_batches(
-                batch_size=None, batch_format="pyarrow"
+        """Materialized, globally key-sorted snapshot, for tests and lakes
+        that fit in memory (stream a large lake with :meth:`snapshot`).
+
+        One task per task slot reads ALL of its partitions' runs at once
+        and resolves them with one LWW merge (:func:`merged_state`), so
+        each task's block is already key-sorted and its payload is
+        gathered once; a task's memory is that of all its partitions'
+        decoded runs.  The driver sorts only when more than one block
+        has rows (a node with several task slots); with one block the
+        lake is gathered exactly once."""
+        pids = self.live_pids()
+        lake_path = self.cfg.path
+        log = mf.read_log(lake_path).slim()
+        # the driver's sort needs the key, whatever columns were asked for
+        cols = columns and list(dict.fromkeys([*schemas.KEY_COLUMNS, *columns]))
+
+        def read_block(batch: pa.Table) -> pa.Table:
+            t = merged_state(lake_path, batch["pid"].to_pylist(), as_of_epoch, log)
+            return _select(schemas.empty_state() if t is None else t, cols)
+
+        blocks = []
+        if pids:
+            ds = _fan_out_pids(pids).map_batches(
+                read_block, batch_size=None, batch_format="pyarrow"
             )
-            if b.num_rows
-        ]
-        if not batches:
-            return schemas.empty_state()
-        t = mg.concat_unified([pa.table(b) if isinstance(b, dict) else b for b in batches])
-        return mg.sort_by_key(t)
+            blocks = [
+                b
+                for b in ds.iter_batches(batch_size=None, batch_format="pyarrow")
+                if b.num_rows
+            ]
+        if not blocks:
+            return _select(schemas.empty_state(), columns)
+        t = blocks[0] if len(blocks) == 1 else mg.sort_by_key(mg.concat_unified(blocks))
+        return _select(t, columns)
 
     def changes(
         self, *, after_epoch: int = -1, through_epoch: int | None = None
@@ -924,7 +941,15 @@ class CdcEngine:
         instead of re-scanning snapshots.  Raises if the window reaches
         below a partition's compaction watermark (those deltas were
         folded into the base — re-sync from a snapshot) or if a window
-        edge cuts through a multi-epoch commit group."""
+        edge cuts through a multi-epoch commit group.
+
+        The window is one of group ids, not of commit order: a late
+        group (an epoch committed after larger group ids) lands below a
+        window edge a consumer has already advanced past, and a later
+        window starting there does not hold it.  A consumer that must
+        see late groups keys its watermark on log positions instead, as
+        ``DeltaAggregate`` and the consumer ledger do (``Log.seq``,
+        ``Log.changed``)."""
         pids = self.live_pids()
         lake_path = self.cfg.path
         feed_schema = pa.schema(
@@ -952,7 +977,7 @@ class CdcEngine:
             outs = []
             for ep, path in runs.live:
                 if ep > after_epoch and (through_epoch is None or ep <= through_epoch):
-                    t = pq.read_table(path)
+                    t = _read_run(path)
                     t = t.drop_columns(
                         [c for c in (mg.NSRC, mg.RUN_SEQ) if c in t.schema.names]
                     )
@@ -1006,7 +1031,7 @@ class CdcEngine:
             for g, path in mf.rejects_runs(lake_path, pid, log):
                 if g <= after_epoch or (through_epoch is not None and g > through_epoch):
                     continue
-                t = pq.read_table(path)
+                t = _read_run(path)
                 t = t.drop_columns([c for c in (mg.NSRC, mg.RUN_SEQ) if c in t.schema.names])
                 reason = pa.array(validate_mod.reject_reasons(t), pa.string())
                 # feed_schema's order, so every block of the feed has one schema
@@ -1850,6 +1875,12 @@ def _fan_out_pids(pids) -> rd.Dataset:
     return nio.fan_out([{"pid": int(p)} for p in pids])
 
 
+def _select(t: pa.Table, columns: list[str] | None) -> pa.Table:
+    """``t`` narrowed to the ``columns`` it has, in that order (all of
+    them when ``columns`` is empty)."""
+    return t.select([c for c in columns if c in t.schema.names]) if columns else t
+
+
 def _rows_or_empty(tables, empty: pa.Table):
     """The body of a per-partition generator task: yield each non-empty
     table of ``tables`` (a lazy per-partition iterator, so the task
@@ -2228,7 +2259,16 @@ def _partition_runs_once(
         mf.check_group_boundary(log, as_of_epoch, above=runs.through_group)
     paths = [runs.base[1]] if runs.base is not None else []
     paths += [p for ep, p in runs.live if as_of_epoch is None or ep <= as_of_epoch]
-    return [pq.read_table(p) for p in paths]
+    return [_read_run(p) for p in paths]
+
+
+def _read_run(path: str) -> pa.Table:
+    """One whole lake run (a base, delta or rejects file), through the
+    file reader alone: a lake run is one write-once file, so the
+    dataset layer of ``pq.read_table`` (discovery, partitioning,
+    fragment scans) only adds cost."""
+    with pq.ParquetFile(path) as f:
+        return f.read()
 
 
 #: Output row of :meth:`CdcEngine.diff` — one row per key whose LWW
@@ -2373,13 +2413,27 @@ def _merge_lake_runs(runs: list[pa.Table]) -> pa.Table:
     )
 
 
+def merged_state(
+    lake_path: str, pids, as_of_epoch: int | None = None, log: mf.Log | None = None
+) -> pa.Table | None:
+    """The merged live state of partitions ``pids`` (None without runs),
+    globally sorted by ``(conv_id, turn_idx)``, in one pass: every live
+    run of every partition, oldest first within its partition, goes
+    through ONE LWW merge that drops tombstones from its winner index.
+    A ``conv_id`` lives in exactly one partition, so merging the
+    partitions together gives each one's LWW state, and the payload is
+    gathered once.  ``log``: the committed view to read in (default:
+    the lake's current log)."""
+    runs = [r for pid in pids for r in _partition_runs(lake_path, int(pid), as_of_epoch, log)]
+    return _merge_lake_runs(runs) if runs else None
+
+
 def read_partition_state(
     lake_path: str, pid: int, as_of_epoch: int | None = None, log: mf.Log | None = None
 ) -> pa.Table | None:
     """A partition's merged live state (None without runs); ``log``: the
     committed view to read it in (default: the lake's current log)."""
-    runs = _partition_runs(lake_path, pid, as_of_epoch, log)
-    return _merge_lake_runs(runs) if runs else None
+    return merged_state(lake_path, [pid], as_of_epoch, log)
 
 
 def _partition_run_paths(lake_path: str, pid: int) -> list[str]:
@@ -2420,9 +2474,10 @@ def _bloom_positions(keys: np.ndarray, m: int) -> np.ndarray:
 
 def _write_bloom(base_path: str, conv_ids) -> None:
     """Key-membership bloom sidecar for a compacted base, committed
-    next to it.  Built once per compaction from the unique conv_ids
-    (vectorized hashing, no per-key Python)."""
-    arr = np.unique(np.asarray(conv_ids.to_numpy(zero_copy_only=False), dtype=object))
+    next to it.  Built once per compaction from the distinct conv_ids
+    (taken in Arrow, then hashed vectorized, no per-key Python); the
+    bits do not depend on the keys' order."""
+    arr = pc.unique(conv_ids).to_numpy(zero_copy_only=False)
     m = 1 << int(np.ceil(np.log2(max(10 * max(len(arr), 1), 64))))
     bits = np.zeros(m >> 3, np.uint8)
     if len(arr):
@@ -2766,7 +2821,7 @@ def _compact_partition(
     base, through, _, deltas = mf.live_runs(lake_path, pid, log)
     if not deltas:  # a lone base has nothing to fold
         return False
-    runs = [pq.read_table(p) for p in ([base[1]] if base else []) + [p for _, p in deltas]]
+    runs = [_read_run(p) for p in ([base[1]] if base else []) + [p for _, p in deltas]]
     merged = mg.merge_runs(runs, drop_tombstones=drop_tombstones)
     gen = (base[0] + 1) if base else 1
     _write_run(mf.base_path(lake_path, pid, gen), merged, row_group_rows)

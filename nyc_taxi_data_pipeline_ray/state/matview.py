@@ -33,7 +33,8 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from nyc_taxi_data_pipeline_ray import io as nio
-from nyc_taxi_data_pipeline_ray.engine import read_partition_state
+from nyc_taxi_data_pipeline_ray.engine import diff_states, read_partition_state
+from nyc_taxi_data_pipeline_ray.state import manifest as mf
 from nyc_taxi_data_pipeline_ray.state.consumer import ConsumerLedger
 
 #: Per-conversation aggregate row.
@@ -195,21 +196,37 @@ def _fold_diff_batch(t: pa.Table) -> pa.Table:
     return _rename_role_agg(out)
 
 
+def _state_partial(t: pa.Table) -> pa.Table:
+    """One merged state -> its per-role turn counts and character totals."""
+    p = pa.table(
+        {
+            "role": t["role"],
+            "n_turns": pa.array(np.ones(t.num_rows, np.int64)),
+            "total_chars": pc.cast(pc.utf8_length(pc.fill_null(t["text"], "")), pa.int64()),
+        }
+    )
+    out = p.group_by("role").aggregate([("n_turns", "sum"), ("total_chars", "sum")])
+    return _rename_role_agg(out)
+
+
 class DeltaAggregate:
     """Row-level incrementally-maintained aggregate (textbook IVM with
     retractions): per-role live-turn counts and character totals, kept
-    in sync by folding :meth:`CdcEngine.diff` before/after images into
+    in sync by folding before/after images (:func:`diff_states`) into
     the stored groups — subtract every before-image, add every
     after-image.
 
     The complementary strategy to :class:`MaterializedView`: that one
     recomputes touched PARTITIONS (needs no images, O(|partition|) per
-    touched partition); this one reads only the CHANGED KEYS
-    (O(|delta|) work) at the price of needing the enriched feed — the
-    right trade when epochs touch a sliver of a huge partition.  When
-    the stored watermark predates the compaction watermark (diff's
-    history is folded away), refresh falls back to a full snapshot
-    recompute — the same re-sync rule ``changes()`` documents.
+    touched partition); this one folds only the CHANGED KEYS at the
+    price of needing their before-images.  The watermark is a lake log
+    position (``Log.seq``), not a group id, so a late group (an epoch
+    committed after larger group ids) is folded too: a refresh diffs
+    only the partitions whose state changed after the stored position
+    (``Log.changed``), between the log as it stood there
+    (``Log.upto``) and now.  When a compaction has folded past the
+    stored position (the before-state's history is gone), refresh falls
+    back to a full recompute.
 
     State is one tiny JSON (groups × 2 counters) written atomically;
     re-running a refresh at the same watermark is a no-op, and a crash
@@ -225,14 +242,16 @@ class DeltaAggregate:
     def _load(self) -> dict | None:
         try:
             with open(self.path) as f:
-                return json.load(f)
+                state = json.load(f)
         except (OSError, ValueError):
             return None
+        # a state keyed by group id (no "seq") cannot be diffed from
+        return state if isinstance(state, dict) and "seq" in state else None
 
     def _watermark_now(self) -> int:
-        # committed groups only: a group cut before its log record (a
+        # committed records only: a group cut before its log record (a
         # crash, or an apply still running) is in no partition yet
-        return self.engine.last_committed_group()
+        return mf.read_log(self.engine.cfg.path).seq
 
     # --------------------------------------------------------------- refresh
     def refresh(self) -> dict:
@@ -240,74 +259,54 @@ class DeltaAggregate:
         — the mode is the witness tests assert on."""
         state = self._load()
         wm_now = self._watermark_now()
-        if state is not None and state["watermark"] == wm_now:
+        if state is not None and state["seq"] == wm_now:
             return {"mode": "noop", "groups": len(state["groups"])}
 
-        mode = "full"
-        groups: dict[str, list[int]] = {}
+        lake = self.engine.cfg.path
+        # read after wm_now, so it holds at least what wm_now saw; every
+        # read below is pinned to the log as it stood at wm_now — a group
+        # committed since would otherwise be folded now AND re-folded by
+        # the next refresh (which diffs from wm_now): additive state
+        # double-counts forever, unlike the recompute consumers
+        log = mf.read_log(lake)
+        after = log.upto(wm_now)
+        mode, before, groups = "full", None, {}
+        pids = self.engine.live_pids()
         if state is not None:
-            try:
-                # pin the fold to the watermark being RECORDED: a group
-                # committed between the _watermark_now() read and this
-                # diff would otherwise be folded now AND re-folded by
-                # the next refresh (which diffs from wm_now) — additive
-                # state double-counts forever, unlike the recompute
-                # consumers which self-heal
-                deltas = self._fold(
-                    self.engine.diff(
-                        from_epoch=int(state["watermark"]), to_epoch=wm_now
-                    )
-                )
+            old = int(state["seq"])
+            # a superset of the partitions changed in (old, wm_now]
+            changed = [p for p in pids if log.changed.get(p, -1) > old]
+            if all(mf.live_runs(lake, p, log).through_seq <= old for p in changed):
+                mode, before, pids = "incremental", log.upto(old), changed
                 groups = {r: list(v) for r, v in state["groups"].items()}
-                for role, d_turns, d_chars in deltas:
-                    cur = groups.setdefault(role, [0, 0])
-                    cur[0] += d_turns
-                    cur[1] += d_chars
-                mode = "incremental"
-            except Exception:
-                # history below the compaction watermark (or mid-group
-                # edge): re-sync from the current snapshot
-                groups = {}
-        if mode == "full":
-            # same race: snapshot the watermark being recorded, not
-            # whatever has committed since (wm_now == -1 means no
-            # committed group yet — current state IS that, and
-            # as_of_epoch=-1 has no ledger entry to anchor to)
-            snap = self.engine.snapshot(
-                columns=["role", "text"],
-                as_of_epoch=wm_now if wm_now >= 0 else None,
-            )
-
-            def partial(t: pa.Table) -> pa.Table:
-                p = pa.table(
-                    {
-                        "role": t["role"],
-                        "n_turns": pa.array(np.ones(t.num_rows, np.int64)),
-                        "total_chars": pc.cast(
-                            pc.utf8_length(pc.fill_null(t["text"], "")), pa.int64()
-                        ),
-                    }
-                )
-                out = p.group_by("role").aggregate(
-                    [("n_turns", "sum"), ("total_chars", "sum")]
-                )
-                return _rename_role_agg(out)
-
-            for role, n, c in self._collect_partials(
-                snap.map_batches(partial, batch_format="pyarrow")
-            ):
-                cur = groups.setdefault(role, [0, 0])
-                cur[0] += n
-                cur[1] += c
+        for role, d_turns, d_chars in self._partials(lake, pids, before, after):
+            cur = groups.setdefault(role, [0, 0])
+            cur[0] += d_turns
+            cur[1] += d_chars
 
         groups = {r: v for r, v in groups.items() if v[0] > 0}
-        nio.commit_json(self.path, {"watermark": wm_now, "groups": groups})
+        nio.commit_json(self.path, {"seq": wm_now, "groups": groups})
         return {"mode": mode, "groups": len(groups)}
 
-    def _fold(self, diff_ds) -> list[tuple[str, int, int]]:
-        return self._collect_partials(
-            diff_ds.map_batches(_fold_diff_batch, batch_format="pyarrow")
-        )
+    def _partials(self, lake: str, pids: list[int], before, after) -> list[tuple[str, int, int]]:
+        """Per-role deltas over ``pids``: each partition's state in the
+        ``after`` log view, or (``before`` given) the difference of its
+        states in the two views — one Ray task per task slot."""
+        if not pids:
+            return []
+
+        def fold(batch: pa.Table):
+            for pid in batch["pid"].to_pylist():
+                now = read_partition_state(lake, pid, log=after)
+                if before is None:
+                    if now is not None:
+                        yield _state_partial(now)
+                else:
+                    prev = read_partition_state(lake, pid, log=before)
+                    yield _fold_diff_batch(diff_states(prev, now))
+
+        ds = nio.fan_out([{"pid": int(p)} for p in pids])
+        return self._collect_partials(ds.map_batches(fold, batch_format="pyarrow"))
 
     @staticmethod
     def _collect_partials(ds) -> list[tuple[str, int, int]]:

@@ -407,3 +407,38 @@ def test_state_changing_watermark_after_foreign_group_scans_all(tmp_path):
             mf.write_checkpoint(lake, log)
     assert mf.state_changing_watermark(lake, 0) == 3  # group 4, the third record
     assert mf.state_changing_watermark(lake, 1) == -1
+
+
+def test_delta_aggregate_folds_a_late_group(tmp_path):
+    """The watermark is a log position: epoch 2 committed after groups 3
+    and 4 (a late group) changes partitions below a group-id watermark,
+    and the next refresh folds it, equal to a fresh aggregate."""
+    import shutil
+
+    from nyc_taxi_data_pipeline_ray.state.matview import DeltaAggregate
+
+    tmp = str(tmp_path)
+    full, wal = os.path.join(tmp, "full"), os.path.join(tmp, "wal")
+    gen = WalGenerator(WalSpec(seed=7, num_conversations=60, num_epochs=5, events_per_epoch=300))
+    gen.write(full)
+
+    def deliver(epoch: int) -> None:
+        name = f"epoch={epoch:06d}"
+        shutil.copytree(os.path.join(full, name), os.path.join(wal, name))
+
+    eng = CdcEngine(LakeConfig.open_or_create(os.path.join(tmp, "lake"), num_partitions=4))
+    da = DeltaAggregate(eng, os.path.join(tmp, "roles.json"))
+    for e in (0, 1, 3, 4):
+        deliver(e)
+        eng.apply(wal)
+    assert da.refresh()["mode"] == "full"
+    deliver(2)
+    assert eng.apply(wal).epochs == [2]
+    assert da.refresh()["mode"] == "incremental"
+    fresh = DeltaAggregate(eng, os.path.join(tmp, "fresh.json"))
+    assert fresh.refresh()["mode"] == "full"
+    assert da.table().equals(fresh.table())
+    pd.testing.assert_frame_equal(
+        da.table().to_pandas(), _expected_role_stats(gen.events_table()), check_dtype=False
+    )
+    assert da.refresh()["mode"] == "noop"
